@@ -16,23 +16,22 @@ from .engine import (MomentTable, MomPolynomial, PoleAtCriticalBeta,
                      evaluate_genpoly, mom_dp, mom_polynomial, mom_symbolic)
 from .montecarlo import (MomentEstimate, SimConfig, estimate_mom,
                          sample_partition_function)
-from .oracle import (EnumerationBudgetError, last_common_level,
-                     last_common_level_multi, mom_bruteforce)
-from .rings import (DEFAULT_PRECISION, BigRat, FloatContext, Radical,
-                    RadicalContext, RationalContext, RingMismatchError,
-                    resolve_context, to_mpf)
-from .rmt import (GrowthComparison, UnitaryMoment, growth_exponent_compare,
-                  unitary_mom_k1, unitary_mom_k1_integer)
+from .oracle import EnumerationBudgetError, last_common_level, mom_bruteforce
+from .rings import (DEFAULT_PRECISION, FloatContext, Radical, RadicalContext,
+                    RationalContext, RingMismatchError, resolve_context,
+                    to_mpf)
+from .rmt import (GrowthComparison, growth_exponent_compare, unitary_mom_k1,
+                  unitary_mom_k1_integer)
 from .symbolic import (DegenerateExponent, ExpPair, GenPoly, RatFun,
-                       geometric_sum, weighted_geometric_sum)
+                       geometric_sum)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigRat", "Radical", "RationalContext", "RadicalContext", "FloatContext",
+    "Radical", "RationalContext", "RadicalContext", "FloatContext",
     "RingMismatchError", "DEFAULT_PRECISION", "resolve_context", "to_mpf",
     "ExpPair", "RatFun", "GenPoly", "DegenerateExponent",
-    "geometric_sum", "weighted_geometric_sum",
+    "geometric_sum",
     "MomentTable", "MomPolynomial", "PoleAtCriticalBeta",
     "mom_dp", "mom_symbolic", "evaluate_genpoly", "mom_polynomial",
     "Regime", "RegimeError", "LeadingTerm", "RatioEstimate",
@@ -40,11 +39,10 @@ __all__ = [
     "subcritical_coefficient", "critical_coefficient",
     "supercritical_coefficient", "leading_coefficient_numeric",
     "leading_term", "leading_coefficient_closed_form",
-    "EnumerationBudgetError", "last_common_level", "last_common_level_multi",
-    "mom_bruteforce",
+    "EnumerationBudgetError", "last_common_level", "mom_bruteforce",
     "SimConfig", "MomentEstimate", "sample_partition_function",
     "estimate_mom",
-    "UnitaryMoment", "GrowthComparison", "unitary_mom_k1",
+    "GrowthComparison", "unitary_mom_k1",
     "unitary_mom_k1_integer", "growth_exponent_compare",
     "__version__",
 ]

@@ -4,14 +4,20 @@ The k-th moment changes growth at k*beta^2 = 1: below it grows like
 2^(k*beta^2*n), at it like n*2^n, above like 2^((k^2*beta^2-k+1)*n).
 The k = 1 moment is exactly 2^(beta^2*n) and has no transition.
 
-Coefficients come from three routes:
+Each regime has one route to its coefficient:
 
 * sub-critical: a binomial-weighted recursion over lower orders,
 * critical: the same weighted sum pinned to beta^2 = 1/k,
 * super-critical: the coefficient of the dominant exponent in the
-  symbolic closed form, which has genuine poles at beta = 1/sqrt(m) for
-  m < k; those points fall back to a numeric ratio estimate backed by
-  exact ring arithmetic.
+  symbolic closed form, evaluated in the ring ``resolve_context`` picks
+  for beta^2.  In the open super-critical regime that exponent strictly
+  dominates every other, so its reduced coefficient has no pole: the
+  denominators of the closed form that vanish at beta = 1/sqrt(m),
+  m < k, cancel out of it.
+
+``leading_coefficient_numeric`` estimates the same coefficients from
+finite depths of the dynamic program; it is an independent reference,
+not a route.
 """
 
 from __future__ import annotations
@@ -22,9 +28,8 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 
-from .engine import MomentTable, PoleAtCriticalBeta, mom_symbolic
-from .rings import (DEFAULT_PRECISION, Radical, fraction_to_mpf, pow2,
-                    resolve_context, to_mpf)
+from .engine import MomentTable, mom_symbolic
+from .rings import DEFAULT_PRECISION, fraction_to_mpf, resolve_context, to_mpf
 from .symbolic import ExpPair
 
 SUB = "sub-critical"
@@ -147,37 +152,18 @@ def supercritical_coefficient(k: int, beta_sq,
     """Leading coefficient in the regime k*beta^2 > 1.
 
     Extracted as the coefficient of the dominant exponent pair
-    (k^2, 1-k) in the symbolic closed form, evaluated at t = 2^(beta^2):
-    exact for rational beta^2, mpf otherwise.  Raises PoleAtCriticalBeta
-    at beta = 1/sqrt(m) for m < k, where the caller should use
-    ``leading_coefficient_numeric``.
+    (k^2, 1-k) in the symbolic closed form, evaluated at t = 2^(beta^2)
+    in the ring ``resolve_context`` picks: exact for rational beta^2, mpf
+    otherwise.
     """
     if k < 1:
         raise ValueError("moment order must be positive")
-    if k == 1:
-        return Fraction(1) if isinstance(beta_sq, (int, Fraction)) else mpmath.mpf(1)
     if _compare_k_beta_sq(k, beta_sq) <= 0:
         raise RegimeError(f"k*beta^2 <= 1 for k={k}, beta^2={beta_sq}")
+    ctx = resolve_context(beta_sq, "auto", precision)
     coeff = mom_symbolic(k).terms[ExpPair(k * k, 1 - k)]
-    if isinstance(beta_sq, Fraction) and beta_sq.denominator == 1:
-        beta_sq = int(beta_sq)
-    if isinstance(beta_sq, int):
-        num, den = coeff.evaluate_parts(pow2(beta_sq))
-        if den == 0:
-            raise PoleAtCriticalBeta(f"pole at integer beta^2 = {beta_sq}")
-        return num / den
-    if isinstance(beta_sq, Fraction):
-        t = Radical.root_power(beta_sq.denominator, beta_sq.numerator)
-        num, den = coeff.evaluate_parts(t)
-        if not den:
-            raise PoleAtCriticalBeta(f"pole at beta^2 = {beta_sq}")
-        return num / den
-    with mp.workprec(precision):
-        t = mpmath.mpf(2) ** mpmath.mpf(beta_sq)
-        num, den = coeff.evaluate_parts(t)
-        if abs(den) < mpmath.mpf(2) ** (-(precision // 2)):
-            raise PoleAtCriticalBeta(f"pole near beta^2 = {beta_sq}")
-        return num / den
+    with ctx.workprec():
+        return coeff.evaluate(ctx.two_pow(1, 0))
 
 
 def leading_coefficient_numeric(k: int, beta_sq, n_lo: int, n_hi: int,
@@ -213,11 +199,11 @@ def leading_coefficient_numeric(k: int, beta_sq, n_lo: int, n_hi: int,
         return RatioEstimate(value=hi, error_proxy=abs(hi - lo), regime=regime)
 
 
-def leading_term(k: int, beta_sq, precision: int = DEFAULT_PRECISION,
-                 n_lo: int = 12, n_hi: int = 24) -> LeadingTerm:
+def leading_term(k: int, beta_sq,
+                 precision: int = DEFAULT_PRECISION) -> LeadingTerm:
     """Regime, growth exponent, and coefficient with the method that
-    produced it: the recursion, symbolic extraction, or, at the poles of
-    the symbolic coefficients, the numeric ratio fallback."""
+    produced it: exact for k = 1, the recursion up to the transition, and
+    symbolic extraction above it."""
     regime = classify_regime(k, beta_sq)
     if k == 1:
         coeff = Fraction(1) if isinstance(beta_sq, (int, Fraction)) else mpmath.mpf(1)
@@ -228,9 +214,5 @@ def leading_term(k: int, beta_sq, precision: int = DEFAULT_PRECISION,
     if regime.tag == CRITICAL:
         value = critical_coefficient(k, precision)
         return LeadingTerm(value, regime.growth, 1, method="recursion")
-    try:
-        value = supercritical_coefficient(k, beta_sq, precision)
-        return LeadingTerm(value, regime.growth, 0, method="symbolic")
-    except PoleAtCriticalBeta:
-        est = leading_coefficient_numeric(k, beta_sq, n_lo, n_hi, precision)
-        return LeadingTerm(est.value, regime.growth, 0, method="numeric")
+    value = supercritical_coefficient(k, beta_sq, precision)
+    return LeadingTerm(value, regime.growth, 0, method="symbolic")

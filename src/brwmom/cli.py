@@ -5,8 +5,9 @@ records on stdout by default, CSV where tabular.  Exact rationals are
 serialized as "numerator/denominator" strings and never as floats;
 floating-point payloads carry their precision in bits.
 
-Exit codes: 0 success, 1 failed verification, 2 invalid flags (argparse),
-3 ring/beta mismatch, 4 unwritable output file, 5 heavy-tail refusal.
+Exit codes: 0 success, 1 failed verification, 2 invalid flags (one
+``error:`` line on stderr), 3 ring/beta mismatch, 4 unwritable output
+file, 5 heavy-tail refusal.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ import argparse
 import json
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
 
 from . import asymptotics, closed_forms, engine, montecarlo, oracle, rmt
-from .rings import (DEFAULT_PRECISION, Radical, RingMismatchError,
-                    resolve_context, to_mpf)
+from .rings import (DEFAULT_PRECISION, MIN_PRECISION, Radical,
+                    RingMismatchError, resolve_context, to_mpf)
 
 ENV_PRECISION = "BRWMOM_PRECISION"
 
@@ -35,18 +37,24 @@ EXIT_HEAVY_TAIL = 5
 CRITICAL_SNAP_TOL = 1e-9
 
 
-def _default_precision() -> int:
-    raw = os.environ.get(ENV_PRECISION)
-    if raw is None:
-        return DEFAULT_PRECISION
-    try:
-        return max(int(raw), 64)
-    except ValueError:
-        return DEFAULT_PRECISION
+def _int_at_least(low: int, hint: str = ""):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {low}{hint}, got {text!r}")
+        return value
+    return parse
 
 
 def _fraction_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+    # Decimal formats integers of any size; str(int) refuses more than
+    # sys.get_int_max_str_digits() digits on Python >= 3.11.
+    return f"{Decimal(f.numerator)}/{Decimal(f.denominator)}"
 
 
 def _float_str(x, precision: int) -> str:
@@ -131,9 +139,8 @@ def snap_to_critical(beta_sq, k: int):
 
 def cmd_mom(args) -> int:
     beta_sq, echo = parse_beta_args(args)
-    value = engine.mom_dp(args.k, args.n, beta_sq, ring=args.ring,
-                          precision=args.precision)
     ctx = resolve_context(beta_sq, args.ring, args.precision)
+    value = engine.MomentTable.build(args.k, args.n, ctx).value(args.k, args.n)
     params = {"k": args.k, "n": args.n, "ring": ctx.tag,
               "precision": args.precision, **echo}
     emit(output_record("mom", params,
@@ -204,15 +211,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    if args.k * args.beta ** 2 > 1.0 and not args.force:
+    beta_sq, _ = parse_beta_args(args)
+    if args.k * beta_sq > 1 and not args.force:
         print("error: k*beta^2 > 1; the estimator is heavy-tailed "
               "(pass --force to run anyway)", file=sys.stderr)
         return EXIT_HEAVY_TAIL
     config = montecarlo.SimConfig(n=args.n, beta=args.beta,
                                   trials=args.trials, seed=args.seed)
     est = montecarlo.estimate_mom(config, args.k)
-    beta_sq = (args.beta ** 2 if not float(args.beta).is_integer()
-               else int(args.beta) ** 2)
     exact = engine.mom_dp(args.k, args.n, beta_sq, precision=args.precision)
     exact_f = float(to_mpf(exact, args.precision))
     z = 0.0 if est.stderr == 0 and est.mean == exact_f else (
@@ -337,17 +343,32 @@ def cmd_verify(args) -> int:
     return 0 if ok else EXIT_VERIFY_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as one ``error:`` line and exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    positive, depth = _int_at_least(1), _int_at_least(0)
+    parser = _Parser(
         prog="brwmom",
         description="Moments of the branching random walk partition "
                     "function: exact, symbolic, and stochastic.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_precision(p):
-        p.add_argument("--precision", type=int, default=_default_precision(),
-                       help="float precision in bits (default 256, or "
-                            f"${ENV_PRECISION})")
+        # A string default goes through ``type`` too, so a bad
+        # $BRWMOM_PRECISION is rejected like a bad flag.
+        p.add_argument("--precision",
+                       type=_int_at_least(MIN_PRECISION, " bits (--precision"
+                                          f" or ${ENV_PRECISION})"),
+                       default=os.environ.get(ENV_PRECISION,
+                                              str(DEFAULT_PRECISION)),
+                       help="float precision in bits, at least "
+                            f"{MIN_PRECISION} (default {DEFAULT_PRECISION}, "
+                            f"or ${ENV_PRECISION})")
 
     def add_beta(p):
         p.add_argument("--beta", type=float, default=None)
@@ -355,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exact beta^2 as a rational, e.g. 1/2")
 
     p = sub.add_parser("mom", help="moment value at one (k, n, beta)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=positive, required=True)
+    p.add_argument("--n", type=depth, required=True)
     add_beta(p)
     p.add_argument("--ring", choices=["auto", "rational", "radical", "float"],
                    default="auto")
@@ -365,19 +386,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poly", help="exact polynomial in 2^n for integer "
                                     "k, beta")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--beta", type=int, required=True)
+    p.add_argument("--k", type=positive, required=True)
+    p.add_argument("--beta", type=positive, required=True)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("asym", help="growth regime and leading coefficient")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=positive, required=True)
     add_beta(p)
     add_precision(p)
     p.set_defaults(func=cmd_asym)
 
     p = sub.add_parser("sweep", help="leading coefficient curve over beta")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=positive, required=True)
     p.add_argument("--beta-min", type=float, required=True)
     p.add_argument("--beta-max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
@@ -388,15 +409,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a cross-check suite")
     p.add_argument("--suite", required=True,
                    choices=["oracle", "mc", "appendix", "closedform", "rmt"])
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=positive, default=None)
     add_precision(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("mc", help="Monte Carlo moment estimate vs engine")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=positive, required=True)
+    p.add_argument("--n", type=depth, required=True)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--trials", type=positive, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true",
                    help="run even in the heavy-tailed regime k*beta^2 > 1")

@@ -20,21 +20,14 @@ Z_n = 2^(-n) * sum over leaves of exp(2*beta*X_n(leaf)):
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Dict, Tuple
 
-import mpmath
-from mpmath import mp
-
-from .rings import (DEFAULT_PRECISION, Radical, RingContext, pow2,
-                    resolve_context)
+from .rings import DEFAULT_PRECISION, RingContext, pow2, resolve_context
 from .symbolic import ExpPair, GenPoly, RatFun, geometric_sum, two_pow_sym
-
-logger = logging.getLogger(__name__)
 
 
 class PoleAtCriticalBeta(ArithmeticError):
@@ -103,8 +96,6 @@ def mom_dp(k: int, n: int, beta_sq, ring: str = "auto",
     Returns a Fraction for integer beta^2, a Radical for exact rational
     beta^2 = a/m, and an mpf otherwise.
     """
-    if k < 1:
-        raise ValueError("moment order must be positive")
     ctx = resolve_context(beta_sq, ring, precision)
     return MomentTable.build(k, n, ctx).value(k, n)
 
@@ -139,53 +130,27 @@ def mom_symbolic(k: int) -> GenPoly:
     return total
 
 
-def _eval_ratfun_exact(coeff: RatFun, t):
-    num, den = coeff.evaluate_parts(t)
-    if (isinstance(den, Radical) and not den) or (
-            not isinstance(den, Radical) and den == 0):
-        raise PoleAtCriticalBeta(
-            "coefficient denominator vanishes at this beta")
-    return num / den
-
-
 def evaluate_genpoly(g: GenPoly, beta_sq, n: int,
                      precision: int = DEFAULT_PRECISION):
     """Value of a GenPoly at a concrete beta^2 and depth n.
 
-    Exact (Fraction or Radical) for rational beta^2, floating point at the
-    requested precision otherwise.  Raises PoleAtCriticalBeta when a
-    coefficient denominator vanishes at t = 2^(beta^2), exactly in the
-    rational case and conservatively (|den| below 2^(-precision/2)) in
-    the float case.
+    Evaluated in the ring ``resolve_context`` picks for beta^2: exact
+    (Fraction or Radical) for rational beta^2, mpf at the requested
+    precision otherwise.  Raises PoleAtCriticalBeta when a coefficient
+    denominator vanishes at t = 2^(beta^2), as the ring's ``vanishes``
+    judges it: exactly in the exact rings, conservatively in floats.
     """
-    if isinstance(beta_sq, Fraction) and beta_sq.denominator == 1:
-        beta_sq = int(beta_sq)
-    if isinstance(beta_sq, int):
-        t = pow2(beta_sq)
-        total = Fraction(0)
-        for e, c in g.items():
-            total += _eval_ratfun_exact(c, t) * pow2(e.value_at(beta_sq) * n)
-        return total
-    if isinstance(beta_sq, Fraction):
-        a, m = beta_sq.numerator, beta_sq.denominator
-        t = Radical.root_power(m, a)
-        total = Radical.rational(m, 0)
-        for e, c in g.items():
-            scale = Radical.root_power(m, (e.p * a + e.q * m) * n)
-            total = total + _eval_ratfun_exact(c, t) * scale
-        return total
-    with mp.workprec(precision):
-        bs = mpmath.mpf(beta_sq)
-        t = mpmath.mpf(2) ** bs
-        cutoff = mpmath.mpf(2) ** (-(precision // 2))
-        total = mpmath.mpf(0)
+    ctx = resolve_context(beta_sq, "auto", precision)
+    with ctx.workprec():
+        t = ctx.two_pow(1, 0)
+        total = ctx.zero
         for e, c in g.items():
             num, den = c.evaluate_parts(t)
-            if abs(den) < cutoff:
+            if ctx.vanishes(den):
                 raise PoleAtCriticalBeta(
-                    f"denominator within {mpmath.nstr(cutoff, 3)} of zero "
-                    f"at beta^2 = {mpmath.nstr(bs, 8)}")
-            total += (num / den) * mpmath.mpf(2) ** (e.value_at(bs) * n)
+                    "coefficient denominator vanishes at beta^2 = "
+                    f"{beta_sq} in ring {ctx.tag}")
+            total = total + num / den * ctx.two_pow(e.p * n, e.q * n)
         return total
 
 
@@ -217,57 +182,28 @@ class MomPolynomial:
         return sorted(self.coefficients.items(), reverse=True)
 
 
-def _polynomial_from_dp(k: int, beta: int, degree: int) -> Dict[int, Fraction]:
-    # Exact Vandermonde solve on X = 2^n, n = 0..degree, fed by the
-    # termwise dynamic program.  Only used when specialization hits a
-    # resonant denominator.
-    pts = degree + 1
-    values = [mom_dp(k, n, beta * beta, ring="rational") for n in range(pts)]
-    xs = [pow2(n) for n in range(pts)]
-    # Newton's divided differences, then expansion to monomial basis.
-    coef = list(values)
-    for level in range(1, pts):
-        for i in range(pts - 1, level - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
-    poly = [Fraction(0)] * pts
-    for i in range(pts - 1, -1, -1):
-        shifted = [Fraction(0)] + poly[:-1]
-        poly = [shifted[d] - xs[i] * poly[d] + (coef[i] if d == 0 else 0)
-                for d in range(pts)]
-        # poly <- poly * (x - xs[i]) + coef[i], done coefficientwise
-    return {d: c for d, c in enumerate(poly) if c}
-
-
 def mom_polynomial(k: int, beta: int) -> MomPolynomial:
     """Exact coefficients of the moment as a polynomial in 2^n.
 
     Obtained by specializing the symbolic closed form at the integer
     t = 2^(beta^2) and collapsing each exponent pair to its integer
-    degree.  A resonant denominator (never observed for the tested
-    parameters, and logged if it ever fires) falls back to exact
-    interpolation of the dynamic program.
+    degree.  At integer beta >= 1 every geometric-sum step of the closed
+    form has a positive integer exponent, so no coefficient denominator
+    vanishes.
     """
     if k < 1 or beta < 1:
         raise ValueError("k and beta must be positive integers")
     beta_sq = beta * beta
     expected_degree = k * k * beta_sq - k + 1
-    g = mom_symbolic(k)
-    t = pow2(beta_sq)
+    t = resolve_context(beta_sq, "rational").two_pow(1, 0)
     coeffs: Dict[int, Fraction] = {}
-    try:
-        for e, c in g.items():
-            degree = e.value_at(beta_sq)
-            if degree < 0:
-                raise ArithmeticError(
-                    f"negative degree {degree} for exponent {e}")
-            val = _eval_ratfun_exact(c, t)
-            coeffs[degree] = coeffs.get(degree, Fraction(0)) + val
-        coeffs = {d: c for d, c in coeffs.items() if c}
-    except PoleAtCriticalBeta:
-        logger.warning(
-            "resonant denominator at k=%d beta=%d; interpolating the "
-            "dynamic program instead", k, beta)
-        coeffs = _polynomial_from_dp(k, beta, expected_degree)
+    for e, c in mom_symbolic(k).items():
+        degree = e.value_at(beta_sq)
+        if degree < 0:
+            raise ArithmeticError(
+                f"negative degree {degree} for exponent {e}")
+        coeffs[degree] = coeffs.get(degree, Fraction(0)) + c.evaluate(t)
+    coeffs = {d: c for d, c in coeffs.items() if c}
     poly = MomPolynomial(k=k, beta=beta, coefficients=coeffs)
     if poly.degree != expected_degree:
         raise ArithmeticError(

@@ -19,24 +19,22 @@ from scipy.special import logsumexp, ndtri
 # Edge weights are centred Gaussians with variance (1/2) * ln 2.
 _EDGE_SIGMA = math.sqrt(0.5 * math.log(2.0))
 
-DEFAULT_HEAVY_TAIL_THRESHOLD = 1.0
+HEAVY_TAIL_THRESHOLD = 1.0
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Parameters of one simulation campaign.
 
-    ``precision`` records the float precision in bits of the sampling
-    arithmetic; draws and reductions run in IEEE double precision with
-    per-leaf terms combined in log space, so overflow is handled without
-    extended precision.
+    Draws and reductions run in IEEE double precision with per-leaf terms
+    combined in log space, so overflow is handled without extended
+    precision.
     """
 
     n: int
     beta: float
     trials: int
     seed: int
-    precision: int = 53
 
     def __post_init__(self):
         if self.n < 0:
@@ -89,13 +87,11 @@ def sample_partition_function(config: SimConfig, trial_index: int) -> float:
     return math.exp(log_partition_function(config, trial_index))
 
 
-def estimate_mom(config: SimConfig, k: int,
-                 heavy_tail_threshold: float = DEFAULT_HEAVY_TAIL_THRESHOLD
-                 ) -> MomentEstimate:
+def estimate_mom(config: SimConfig, k: int) -> MomentEstimate:
     """Sample mean and standard error of Z^k over the configured trials.
 
-    When k^2 * beta^2 exceeds the threshold the estimator variance is
-    dominated by rare leaves and the reported error bar is unreliable;
+    When k^2 * beta^2 exceeds HEAVY_TAIL_THRESHOLD the estimator variance
+    is dominated by rare leaves and the reported error bar is unreliable;
     the estimate is still returned but flagged heavy_tail.
     """
     if k < 1:
@@ -108,7 +104,7 @@ def estimate_mom(config: SimConfig, k: int,
         stderr = float(np.std(samples, ddof=1) / math.sqrt(config.trials))
     else:
         stderr = 0.0
-    heavy = k * k * config.beta ** 2 > heavy_tail_threshold
+    heavy = k * k * config.beta ** 2 > HEAVY_TAIL_THRESHOLD
     return MomentEstimate(k=k, mean=mean, stderr=stderr,
                           trials=config.trials, seed=config.seed,
                           heavy_tail=heavy)

@@ -33,23 +33,6 @@ def last_common_level(a: int, b: int, depth: int) -> int:
     return depth - (a ^ b).bit_length()
 
 
-def last_common_level_multi(labels, depth: int) -> int:
-    """Deepest level shared by all labels: the minimum over pairs."""
-    labels = list(labels)
-    if not labels:
-        raise ValueError("need at least one leaf")
-    for label in labels:
-        if not 0 <= label < 1 << depth:
-            raise ValueError(f"label {label} out of range for depth {depth}")
-    best = depth
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            best = min(best, last_common_level(labels[i], labels[j], depth))
-            if best == 0:
-                return 0
-    return best
-
-
 def mom_bruteforce(k: int, n: int, beta_sq, ring: str = "auto",
                    precision: int = DEFAULT_PRECISION,
                    budget: int = DEFAULT_ENUMERATION_BUDGET):

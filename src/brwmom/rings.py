@@ -20,7 +20,7 @@ from typing import Union
 import mpmath
 from mpmath import mp
 
-BigRat = Fraction
+from .symbolic import _padd, _pdivmod, _pmul, _pneg, _trim
 
 DEFAULT_PRECISION = 256
 MIN_PRECISION = 64
@@ -151,12 +151,12 @@ class Radical:
             raise ZeroDivisionError("inverse of zero radical element")
         m = self.m
         modulus = [Fraction(-2)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
-        r0, r1 = modulus, _trim(list(self.coeffs))
-        t0, t1 = [], [Fraction(1)]
+        r0, r1 = modulus, _trim(self.coeffs)
+        t0, t1 = (), (Fraction(1),)
         while r1:
-            q, rem = _poly_divmod(r0, r1)
+            q, rem = _pdivmod(r0, r1)
             r0, r1 = r1, rem
-            t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
+            t0, t1 = t1, _padd(t0, _pneg(_pmul(q, t1)))
         # r0 is a nonzero constant: x^m - 2 is irreducible.
         inv_const = Fraction(1) / r0[0]
         coeffs = [c * inv_const for c in t0]
@@ -217,49 +217,6 @@ class Radical:
         return " + ".join(parts) if parts else "0"
 
 
-def _trim(cs):
-    while cs and not cs[-1]:
-        cs.pop()
-    return cs
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0))
-           for i in range(n)]
-    return _trim(out)
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim(out)
-
-
-def _poly_divmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = Fraction(1) / b[-1]
-    while len(a) >= len(b):
-        c = a[-1] * inv_lead
-        d = len(a) - len(b)
-        q[d] = c
-        for i, y in enumerate(b):
-            a[d + i] -= c * y
-        _trim(a)
-        if not a:
-            break
-    return _trim(q), a
-
-
 class RationalContext:
     """Exact rational arithmetic; requires an integer beta^2."""
 
@@ -288,11 +245,9 @@ class RationalContext:
     def zero(self) -> Fraction:
         return Fraction(0)
 
-    def from_int(self, i: int) -> Fraction:
-        return Fraction(i)
-
-    def to_mpf(self, value, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
-        return fraction_to_mpf(Fraction(value), precision)
+    def vanishes(self, value) -> bool:
+        """Whether a computed denominator is zero; exact in this ring."""
+        return not value
 
     def workprec(self):
         return nullcontext()
@@ -324,13 +279,9 @@ class RadicalContext:
     def zero(self) -> Radical:
         return Radical.rational(self.m, 0)
 
-    def from_int(self, i: int) -> Radical:
-        return Radical.rational(self.m, i)
-
-    def to_mpf(self, value, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
-        if isinstance(value, Radical):
-            return value.to_mpf(precision)
-        return fraction_to_mpf(Fraction(value), precision)
+    def vanishes(self, value) -> bool:
+        """Whether a computed denominator is zero; exact in this ring."""
+        return not value
 
     def workprec(self):
         return nullcontext()
@@ -367,14 +318,10 @@ class FloatContext:
     def zero(self) -> mpmath.mpf:
         return mpmath.mpf(0)
 
-    def from_int(self, i: int) -> mpmath.mpf:
-        return mpmath.mpf(i)
-
-    def to_mpf(self, value, precision: int | None = None) -> mpmath.mpf:
-        if isinstance(value, mpmath.mpf):
-            return value
-        with mp.workprec(precision or self.precision):
-            return mpmath.mpf(value)
+    def vanishes(self, value) -> bool:
+        """Whether a computed denominator is zero, read conservatively as
+        |value| < 2^(-precision/2): rounding hides an exact zero."""
+        return abs(value) < mpmath.mpf(2) ** (-(self.precision // 2))
 
     def workprec(self):
         return mp.workprec(self.precision)

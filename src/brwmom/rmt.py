@@ -21,13 +21,6 @@ from .rings import DEFAULT_PRECISION
 
 
 @dataclass(frozen=True)
-class UnitaryMoment:
-    N: int
-    beta: object
-    value: object
-
-
-@dataclass(frozen=True)
 class GrowthComparison:
     k: int
     beta_sq: object

@@ -7,8 +7,10 @@ rational-function coefficients and represents a finite sum
 
     sum over (p, q) of  c_{p,q}(t) * 2^((p*beta^2 + q) * n).
 
-Also provides closed-form evaluation of plain and polynomially weighted
-geometric sums over ring elements.
+``geometric_sum`` gives the lam-sums of the moment recursion in this
+form.  The dense polynomial helpers over Q (coefficient tuples, lowest
+degree first) are the only copy in the package; ``rings.Radical`` uses
+them for its inverse.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Tuple
-
-from .rings import RingContext
 
 Coeffs = Tuple[Fraction, ...]
 
@@ -238,9 +238,6 @@ class ExpPair:
     def neg(self) -> "ExpPair":
         return ExpPair(-self.p, -self.q)
 
-    def scaled(self, c: int) -> "ExpPair":
-        return ExpPair(self.p * c, self.q * c)
-
     def value_at(self, beta_sq):
         return self.p * beta_sq + self.q
 
@@ -342,42 +339,3 @@ def geometric_sum(step: ExpPair, n: int | None = None):
             "unit-ratio geometric sum degenerates to n itself")
     inv = RatFun.one() / (two_pow_sym(step) - RatFun.one())
     return GenPoly({step: inv, ExpPair(0, 0): -inv})
-
-
-def weighted_geometric_sum(step: ExpPair, s: int, n: int, ring: RingContext):
-    """Exact value of sum over lam in [0, n) of (n-lam-1)^s * b^lam,
-    where b = 2^(step.p*beta^2 + step.q) in the given ring.
-
-    Supports s in {0, 1, 2} via closed forms, with the b = 1 degenerate
-    cases handled separately (those are plain power sums of integers).
-    """
-    if s not in (0, 1, 2):
-        raise ValueError(f"unsupported weight power {s}")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return ring.zero
-    with ring.workprec():
-        b = ring.two_pow(step.p, step.q)
-        one = ring.one
-        if b == one:
-            if s == 0:
-                return ring.from_int(n)
-            if s == 1:
-                return ring.from_int(n * (n - 1) // 2)
-            return ring.from_int((n - 1) * n * (2 * n - 1) // 6)
-        bn = b ** n
-        d = b - one
-        if s == 0:
-            return (bn - one) / d
-        if s == 1:
-            return (bn - n * b + ring.from_int(n - 1)) / (d * d)
-        # s == 2: expand (n-1-lam)^2 over the power-sum identities for
-        # sum(lam * b^lam) and sum(lam^2 * b^lam) on lam in [0, n).  Both
-        # identities carry (1 - b) denominators, hence the sign flip on a2.
-        top = n - 1
-        s0 = (bn - one) / d
-        a1 = (b - n * bn + (n - 1) * bn * b) / (d * d)
-        a2 = -(b * (one + b) - (n * n) * bn + (2 * n * n - 2 * n - 1) * bn * b
-               - ((n - 1) ** 2) * bn * b * b) / (d * d * d)
-        return ring.from_int(top * top) * s0 - ring.from_int(2 * top) * a1 + a2

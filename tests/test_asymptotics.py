@@ -131,6 +131,7 @@ class TestSupercriticalCoefficient:
             est = leading_coefficient_numeric(k, bs, 16, 32)
             assert abs(exact - est.value) <= 10 * est.error_proxy + \
                 mpmath.mpf(1e-30)
+            assert leading_term(k, bs).method == "symbolic"
 
     def test_exact_value_at_half_order_three(self):
         assert supercritical_coefficient(3, Fraction(1, 2)) == \
@@ -180,6 +181,15 @@ class TestLeadingTerm:
         assert leading_term(2, Fraction(1, 2)).method == "recursion"
         assert leading_term(2, 1).method == "symbolic"
         assert leading_term(1, 0.3).method == "exact"
+
+    def test_float_just_above_transition_at_low_precision(self):
+        # the coefficient is large (about 3.6e11) but finite a hair above
+        # beta^2 = 1/k, and 64 bits already resolve it
+        low = leading_term(2, 0.5 + 1e-12, precision=64)
+        high = leading_term(2, 0.5 + 1e-12, precision=256)
+        assert low.method == high.method == "symbolic"
+        assert abs(low.coefficient - high.coefficient) < \
+            mpmath.mpf(1e-6) * high.coefficient
 
     def test_coefficient_positive_over_sweep(self):
         for k in (2, 3, 4, 5):

@@ -1,20 +1,23 @@
 import json
+import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from brwmom import mom_dp
+from brwmom import cli, mom_dp
 
 SCHEMA_PATH = (Path(__file__).resolve().parent.parent / "src" / "brwmom"
                / "schema" / "output_record.schema.json")
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "brwmom", *args]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    return subprocess.run(cmd, capture_output=True, text=True,
+                          env=None if env is None else {**os.environ, **env})
 
 
 def record(cp: subprocess.CompletedProcess) -> dict:
@@ -76,9 +79,38 @@ class TestMomCommand:
         assert cp.returncode == 3
 
     def test_invalid_flags_exit_code(self):
-        assert run_cli("mom", "--k", "2").returncode == 2
-        assert run_cli("mom", "--k", "2", "--n", "x", "--beta", "1"
-                       ).returncode == 2
+        asym = ("asym", "--k", "2", "--beta", "1")
+        cases = [
+            (("mom", "--k", "2"), None),
+            (("mom", "--k", "2", "--n", "x", "--beta", "1"), None),
+            (("mom", "--k", "0", "--n", "1", "--beta", "1"), None),
+            (("mom", "--k", "2", "--n", "-1", "--beta", "1"), None),
+            (("mc", "--k", "1", "--n", "2", "--beta", "0.3", "--trials",
+              "0"), None),
+            (("mom", "--k", "2", "--n", "1", "--beta", "1", "--precision",
+              "32"), None),
+            (asym + ("--precision", "32"), None),
+            (("verify", "--suite", "oracle", "--budget", "-1"), None),
+            (asym, {"BRWMOM_PRECISION": "32"}),
+            (asym, {"BRWMOM_PRECISION": "abc"}),
+        ]
+        for args, env in cases:
+            cp = run_cli(*args, env=env)
+            assert cp.returncode == 2, (args, env, cp.stderr)
+            assert cp.stderr.startswith("error: "), (args, env, cp.stderr)
+            assert cp.stderr.count("\n") == 1, (args, env, cp.stderr)
+
+    def test_rational_beyond_int_digit_limit(self, capsys):
+        # 2^16000 has 4817 digits, more than str(int) allows by default
+        # on Python >= 3.11
+        get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        limit = get_limit()
+        assert cli.main(["mom", "--k", "1", "--n", "1000", "--beta", "4"]) == 0
+        value = json.loads(capsys.readouterr().out)["result"]["value"]["value"]
+        num, den = value.split("/")
+        assert den == "1"
+        assert Fraction(Decimal(num)) == 2 ** 16000
+        assert get_limit() == limit
 
 
 class TestPolyCommand:

@@ -192,13 +192,6 @@ class TestMomPolynomial:
         with pytest.raises(ValueError):
             mom_polynomial(2, 0)
 
-    def test_interpolation_fallback_agrees(self):
-        # the resonance fallback is a second exact route; it must produce
-        # the same polynomial as specialization
-        from brwmom.engine import _polynomial_from_dp
-        poly = mom_polynomial(3, 1)
-        assert _polynomial_from_dp(3, 1, poly.degree) == poly.coefficients
-
 
 class TestBetaSignSymmetry:
     def test_dp_depends_only_on_beta_squared(self):

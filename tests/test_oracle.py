@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from brwmom import (EnumerationBudgetError, Radical, last_common_level,
-                    last_common_level_multi, mom_bruteforce, mom_dp)
+                    mom_bruteforce, mom_dp)
 
 
 class TestLastCommonLevel:
@@ -20,29 +20,6 @@ class TestLastCommonLevel:
     def test_label_range_checked(self):
         with pytest.raises(ValueError):
             last_common_level(8, 0, 3)
-
-    def test_multi_three_leaves(self):
-        # two leaves sharing the first two levels, third splitting at the
-        # root: the deepest common node of all three is the root
-        l1, l2, l3 = 0b0000, 0b0011, 0b1000
-        assert last_common_level(l1, l2, 4) == 2
-        assert last_common_level_multi([l1, l2, l3], 4) == 0
-
-    def test_multi_single_and_identical(self):
-        assert last_common_level_multi([5], 3) == 3
-        assert last_common_level_multi([5, 5, 5], 3) == 3
-
-    def test_multi_empty_rejected(self):
-        with pytest.raises(ValueError):
-            last_common_level_multi([], 3)
-
-    def test_multi_equals_min_over_pairs(self):
-        depth = 4
-        for labels in product(range(4), range(9, 13), range(16)):
-            expected = min(last_common_level(a, b, depth)
-                           for i, a in enumerate(labels)
-                           for b in labels[i + 1:])
-            assert last_common_level_multi(labels, depth) == expected
 
 
 class TestBruteForce:

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from brwmom import (DegenerateExponent, ExpPair, GenPoly, RatFun,
-                    RadicalContext, RationalContext, FloatContext,
-                    geometric_sum, weighted_geometric_sum)
+                    geometric_sum)
 from brwmom.engine import evaluate_genpoly
 
 
@@ -118,55 +117,6 @@ class TestGeometricSum:
                 direct = sum(mpmath.mpf(2) ** (step.value_at(bs) * lam)
                              for lam in range(n))
                 assert abs(closed - direct) / direct < mpmath.mpf(1e-12)
-
-
-def direct_weighted_sum(step, s, n, ring):
-    with ring.workprec():
-        total = ring.zero
-        for lam in range(n):
-            total = total + ring.from_int((n - lam - 1) ** s) * \
-                ring.two_pow(step.p * lam, step.q * lam)
-        return total
-
-
-class TestWeightedGeometricSum:
-    def test_worked_small_values(self):
-        ring = RationalContext(1)
-        assert weighted_geometric_sum(ExpPair(0, 1), 0, 4, ring) == 15
-        assert weighted_geometric_sum(ExpPair(0, 1), 1, 3, ring) == 4
-        assert weighted_geometric_sum(ExpPair(0, 0), 1, 4, ring) == 6
-
-    def test_exhaustive_against_direct_summation(self):
-        # every s, every |p|,|q| <= 6, n <= 20, exact ring at beta^2 = 1
-        ring = RationalContext(1)
-        for s in (0, 1, 2):
-            for p in range(-6, 7):
-                for q in range(-6, 7):
-                    step = ExpPair(p, q)
-                    for n in (0, 1, 2, 3, 7, 20):
-                        got = weighted_geometric_sum(step, s, n, ring)
-                        want = direct_weighted_sum(step, s, n, ring)
-                        assert got == want, (s, p, q, n)
-
-    def test_radical_ring(self):
-        ring = RadicalContext(Fraction(1, 2))
-        for s in (0, 1, 2):
-            for step in (ExpPair(2, -1), ExpPair(4, -1), ExpPair(-3, 1)):
-                for n in (0, 1, 4, 9):
-                    got = weighted_geometric_sum(step, s, n, ring)
-                    want = direct_weighted_sum(step, s, n, ring)
-                    assert got == want, (s, step, n)
-
-    def test_float_ring(self):
-        ring = FloatContext(0.3, 128)
-        for s in (0, 1, 2):
-            got = weighted_geometric_sum(ExpPair(2, -1), s, 12, ring)
-            want = direct_weighted_sum(ExpPair(2, -1), s, 12, ring)
-            assert abs(got - want) / abs(want) < 1e-25
-
-    def test_unsupported_power(self):
-        with pytest.raises(ValueError):
-            weighted_geometric_sum(ExpPair(0, 1), 3, 4, RationalContext(1))
 
 
 class TestGenPoly:
