@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from decimal import Decimal
@@ -49,6 +50,18 @@ def _int_at_least(low: int, hint: str = ""):
                 f"must be an integer >= {low}{hint}, got {text!r}")
         return value
     return parse
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a finite float (no nan or inf)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number, got {text!r}")
+    return value
 
 
 def _fraction_str(f: Fraction) -> str:
@@ -267,8 +280,7 @@ def _verify_oracle(budget: int, precision: int) -> list:
     return checks
 
 
-def _verify_mc(budget: int, precision: int) -> list:
-    trials = budget if budget > 100 else 20000
+def _verify_mc(trials: int, precision: int) -> list:
     checks = []
     for k, n, beta in ((1, 6, 0.3), (2, 6, 0.3)):
         config = montecarlo.SimConfig(n=n, beta=beta, trials=trials, seed=42)
@@ -309,9 +321,8 @@ def _verify_closed_forms(precision: int) -> list:
     return checks
 
 
-def _verify_rmt(budget: int, precision: int) -> list:
+def _verify_rmt(n_max: int, precision: int) -> list:
     checks = []
-    n_max = budget if budget > 100 else 10000
     ok = all(rmt.unitary_mom_k1_integer(N, 1) == N + 1
              for N in range(1, n_max + 1))
     checks.append({"name": f"telescoping N<={n_max}", "lhs": "N+1",
@@ -329,10 +340,10 @@ def cmd_verify(args) -> int:
     budget = args.budget or 0
     suites = {
         "oracle": lambda: _verify_oracle(budget or 16, args.precision),
-        "mc": lambda: _verify_mc(budget, args.precision),
+        "mc": lambda: _verify_mc(budget or 20000, args.precision),
         "appendix": lambda: _verify_closed_forms(args.precision),
         "closedform": lambda: _verify_closed_forms(args.precision),
-        "rmt": lambda: _verify_rmt(budget, args.precision),
+        "rmt": lambda: _verify_rmt(budget or 10000, args.precision),
     }
     checks = suites[args.suite]()
     ok = all(c["pass"] for c in checks)
@@ -371,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
                             f"or ${ENV_PRECISION})")
 
     def add_beta(p):
-        p.add_argument("--beta", type=float, default=None)
+        p.add_argument("--beta", type=_finite_float, default=None)
         p.add_argument("--beta-sq-rational", default=None, metavar="P/M",
                        help="exact beta^2 as a rational, e.g. 1/2")
 
@@ -399,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="leading coefficient curve over beta")
     p.add_argument("--k", type=positive, required=True)
-    p.add_argument("--beta-min", type=float, required=True)
-    p.add_argument("--beta-max", type=float, required=True)
+    p.add_argument("--beta-min", type=_finite_float, required=True)
+    p.add_argument("--beta-max", type=_finite_float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--out", default=None)
     add_precision(p)
@@ -416,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc", help="Monte Carlo moment estimate vs engine")
     p.add_argument("--k", type=positive, required=True)
     p.add_argument("--n", type=depth, required=True)
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--beta", type=_finite_float, required=True)
     p.add_argument("--trials", type=positive, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true",

@@ -3,15 +3,17 @@
 Three computation routes for the k-th moment of
 Z_n = 2^(-n) * sum over leaves of exp(2*beta*X_n(leaf)):
 
-* ``mom_dp``: a pole-free dynamic program over any coefficient ring.  The
-  k-tuple of leaf paths is split at the last common level lam; j of the k
-  particles branch one way and k-j the other, leaving two independent
-  subtrees of depth n-lam-1, plus a diagonal term for all paths
-  coinciding.  The lam-sum is accumulated termwise, so no division ever
-  happens and every beta (critical points included) is in range.
+* ``mom_dp``: a pole-free dynamic program over any coefficient ring.  At
+  the root the k paths either share a child or split j / k-j between the
+  two children, leaving independent subtrees one level shallower:
+    M_k(d) = 2^(k^2 beta^2 + 1 - k) M_k(d-1) + sum_{0<j<k} C(k, j)
+             2^((k^2 + 2j(j-k)) beta^2 - k) M_j(d-1) M_{k-j}(d-1),
+  O(k^2 n) ring products for the whole table.  It never divides, so every
+  beta (critical points included) is in range.
 
-* ``mom_symbolic``: the same induction carried out in Q(t), t = 2^(beta^2),
-  with each lam-sum collapsed by ``geometric_sum``.  Valid for generic
+* ``mom_symbolic``: the recurrence unrolled in depth and carried out in
+  Q(t), t = 2^(beta^2): the tuple splits at its last common level lam,
+  and each lam-sum is collapsed by ``geometric_sum``.  Valid for generic
   beta; the critical denominators survive as poles of the coefficients.
 
 * ``mom_polynomial``: for integer k and beta the symbolic form collapses
@@ -39,9 +41,9 @@ class PoleAtCriticalBeta(ArithmeticError):
 class MomentTable:
     """Bottom-up table of moment values, keyed by (order j, depth).
 
-    Base rows: depth 0 is identically 1, and the first moment at depth d
-    is (2^(beta^2))^d.  Completed tables are immutable and safe to share;
-    construction is single-writer.
+    Depth 0 is 1; each row then takes one step of the depth recurrence
+    per depth (order 1 has no split term: (2^(beta^2))^d).  Completed
+    tables are immutable and safe to share; construction is single-writer.
     """
 
     k_max: int
@@ -58,31 +60,16 @@ class MomentTable:
         table = cls(k_max=k_max, n_max=n_max, ring=ring)
         ent = table.entries
         with ring.workprec():
-            one = ring.one
             for j in range(1, k_max + 1):
-                ent[(j, 0)] = one
-            growth = ring.two_pow(1, 0)
-            acc = one
-            for d in range(1, n_max + 1):
-                acc = acc * growth
-                ent[(1, d)] = acc
-            for j in range(2, k_max + 1):
-                pref = ring.two_pow(j * j, -j)
                 step = ring.two_pow(j * j, 1 - j)
-                weights = [(i, comb(j, i) * ring.two_pow(2 * i * (i - j), 0))
-                           for i in range(1, j)]
-                for d in range(1, n_max + 1):
-                    total = ring.zero
-                    lam_factor = one
-                    for lam in range(d):
-                        sub = d - lam - 1
-                        inner = ring.zero
-                        for i, w in weights:
-                            inner = inner + w * ent[(i, sub)] * ent[(j - i, sub)]
-                        total = total + lam_factor * inner
-                        lam_factor = lam_factor * step
-                    diagonal = ring.two_pow(j * j * d, (1 - j) * d)
-                    ent[(j, d)] = pref * total + diagonal
+                weights = [(i, comb(j, i) * ring.two_pow(
+                    j * j + 2 * i * (i - j), -j)) for i in range(1, j)]
+                ent[(j, 0)] = ring.one
+                for d in range(n_max):
+                    total = step * ent[(j, d)]
+                    for i, w in weights:
+                        total = total + w * ent[(i, d)] * ent[(j - i, d)]
+                    ent[(j, d + 1)] = total
         return table
 
     def value(self, j: int, depth: int):

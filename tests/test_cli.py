@@ -93,6 +93,15 @@ class TestMomCommand:
             (("verify", "--suite", "oracle", "--budget", "-1"), None),
             (asym, {"BRWMOM_PRECISION": "32"}),
             (asym, {"BRWMOM_PRECISION": "abc"}),
+            (("asym", "--k", "3", "--beta", "nan"), None),
+            (("mom", "--k", "2", "--n", "1", "--beta", "inf"), None),
+            (("mom", "--k", "2", "--n", "1", "--beta", "1e400"), None),
+            (("mc", "--k", "1", "--n", "2", "--beta=-inf"), None),
+            (("mc", "--k", "1", "--n", "2", "--beta", "nan"), None),
+            (("sweep", "--k", "2", "--beta-min", "nan", "--beta-max", "1",
+              "--steps", "3"), None),
+            (("sweep", "--k", "2", "--beta-min", "0", "--beta-max", "inf",
+              "--steps", "3"), None),
         ]
         for args, env in cases:
             cp = run_cli(*args, env=env)
@@ -232,6 +241,11 @@ class TestVerifyCommand:
     def test_rmt_suite(self):
         cp = run_cli("verify", "--suite", "rmt", "--budget", "2000")
         assert cp.returncode == 0, cp.stdout
+
+    def test_small_budget_used_as_given(self):
+        rec = record(run_cli("verify", "--suite", "rmt", "--budget", "50"))
+        assert rec["parameters"]["budget"] == 50
+        assert rec["result"]["checks"][0]["name"] == "telescoping N<=50"
 
     def test_mc_suite(self):
         cp = run_cli("verify", "--suite", "mc", "--budget", "4000")

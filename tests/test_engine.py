@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import mpmath
 import pytest
@@ -71,6 +72,88 @@ class TestMomDp:
             assert table.value(2, n) == Radical.rational(2, expect)
 
 
+def lambda_sum_table(k_max, n_max, ring):
+    """Entries of the moment table by the literal lam-sum: every depth
+    re-walks the last common level lam with its diagonal term, O(k^2 n^2)
+    ring products.  Test-only reference for the depth recurrence."""
+    ent = {}
+    with ring.workprec():
+        one = ring.one
+        for j in range(1, k_max + 1):
+            ent[(j, 0)] = one
+        growth = ring.two_pow(1, 0)
+        acc = one
+        for d in range(1, n_max + 1):
+            acc = acc * growth
+            ent[(1, d)] = acc
+        for j in range(2, k_max + 1):
+            pref = ring.two_pow(j * j, -j)
+            step = ring.two_pow(j * j, 1 - j)
+            weights = [(i, comb(j, i) * ring.two_pow(2 * i * (i - j), 0))
+                       for i in range(1, j)]
+            for d in range(1, n_max + 1):
+                total = ring.zero
+                lam_factor = one
+                for lam in range(d):
+                    sub = d - lam - 1
+                    inner = ring.zero
+                    for i, w in weights:
+                        inner = inner + w * ent[(i, sub)] * ent[(j - i, sub)]
+                    total = total + lam_factor * inner
+                    lam_factor = lam_factor * step
+                diagonal = ring.two_pow(j * j * d, (1 - j) * d)
+                ent[(j, d)] = pref * total + diagonal
+    return ent
+
+
+class CountedValue:
+    """Ring value that counts the products it takes part in."""
+
+    __slots__ = ("ctx", "v")
+
+    def __init__(self, ctx, v):
+        self.ctx, self.v = ctx, v
+
+    def _raw(self, other):
+        return other.v if isinstance(other, CountedValue) else other
+
+    def __mul__(self, other):
+        self.ctx.muls += 1
+        return CountedValue(self.ctx, self.v * self._raw(other))
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return CountedValue(self.ctx, self.v + self._raw(other))
+
+    __radd__ = __add__
+
+
+class CountingContext:
+    """Exact ring context whose values count their multiplications."""
+
+    def __init__(self, beta_sq):
+        self.inner = resolve_context(beta_sq)
+        self.muls = 0
+
+    def two_pow(self, p, q):
+        return CountedValue(self, self.inner.two_pow(p, q))
+
+    @property
+    def one(self):
+        return CountedValue(self, self.inner.one)
+
+    @property
+    def zero(self):
+        return CountedValue(self, self.inner.zero)
+
+    def workprec(self):
+        return self.inner.workprec()
+
+
+EXACT_BETA_SQ = [0, 1, 2, Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)]
+
+
 class TestMomentTable:
     def test_base_rows(self):
         table = MomentTable.build(3, 6, resolve_context(2))
@@ -94,6 +177,35 @@ class TestMomentTable:
                     for n in (1, 5, 10, 20):
                         lower = mpmath.mpf(2) ** (mpmath.mpf(beta_sq) * n * k)
                         assert table.value(k, n) >= lower * (1 - mpmath.mpf(1e-30))
+
+    @pytest.mark.parametrize("beta_sq", EXACT_BETA_SQ)
+    def test_recurrence_equals_lambda_sum_exactly(self, beta_sq):
+        ctx = resolve_context(beta_sq)
+        for k, n in ((6, 30), (6, 0), (1, 30)):
+            assert MomentTable.build(k, n, ctx).entries == \
+                lambda_sum_table(k, n, ctx)
+
+    @pytest.mark.parametrize("precision", [128, 256])
+    def test_recurrence_matches_lambda_sum_in_floats(self, precision):
+        tol = mpmath.mpf(2) ** (16 - precision)
+        for beta_sq in EXACT_BETA_SQ + [0.09, 0.55]:
+            ctx = resolve_context(beta_sq, "float", precision)
+            got = MomentTable.build(6, 30, ctx).entries
+            want = lambda_sum_table(6, 30, ctx)
+            assert got.keys() == want.keys()
+            with mp.workprec(precision):
+                for key, w in want.items():
+                    assert abs(got[key] - w) <= tol * abs(w), (beta_sq, key)
+
+    def test_multiplications_linear_in_depth(self):
+        # the lam-sum costs ~4x the products at twice the depth
+        counts = []
+        for n in (20, 40):
+            ctx = CountingContext(1)
+            table = MomentTable.build(6, n, ctx)
+            assert table.value(6, n).v == mom_dp(6, n, 1)
+            counts.append(ctx.muls)
+        assert counts[1] <= 2.2 * counts[0], counts
 
 
 class TestMomSymbolic:
