@@ -104,7 +104,15 @@ def output_record(command: str, parameters: dict, result: dict,
 
 
 def emit(record: dict) -> None:
-    sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
+    # allow_nan=False: a NaN or infinity raises instead of printing a
+    # token that is not JSON.
+    sys.stdout.write(json.dumps(record, sort_keys=True, allow_nan=False)
+                     + "\n")
+
+
+def _finite_or_null(x: float):
+    """A double for a JSON record: itself when finite, else None (null)."""
+    return x if math.isfinite(x) else None
 
 
 def parse_beta_args(args) -> tuple:
@@ -240,10 +248,10 @@ def cmd_mc(args) -> int:
               "trials": args.trials, "seed": args.seed,
               "precision": args.precision}
     result = {
-        "estimate": est.mean,
-        "stderr": est.stderr,
+        "estimate": _finite_or_null(est.mean),
+        "stderr": _finite_or_null(est.stderr),
         "exact": encode_value(exact, args.precision),
-        "z_score": z,
+        "z_score": _finite_or_null(z),
         "heavy_tail": est.heavy_tail,
     }
     emit(output_record("mc", params, result, "montecarlo"))
@@ -337,6 +345,11 @@ def _verify_rmt(n_max: int, precision: int) -> list:
 
 
 def cmd_verify(args) -> int:
+    if args.suite == "mc" and args.budget is not None and args.budget < 2:
+        # One trial has no standard error to measure a z-score against.
+        print("error: --budget of --suite mc is a trial count and must be "
+              f">= 2, got {args.budget}", file=sys.stderr)
+        return 2
     budget = args.budget or 0
     suites = {
         "oracle": lambda: _verify_oracle(budget or 16, args.precision),

@@ -6,6 +6,11 @@ a standard error.  Reproducibility contract: every trial draws from its
 own counter-based stream keyed by (seed, trial index), with edge draws
 consumed in level order, so results are bit-identical regardless of
 execution order or batching.
+
+Trials run in blocks of at most _BLOCK_DOUBLES draws (one trial when a
+trial alone has more), each trial filling its own row from its own
+stream; a block shares one inverse-CDF pass and one log-sum-exp.  The
+contract is unchanged: a trial's log Z is the same double in any block.
 """
 
 from __future__ import annotations
@@ -20,6 +25,13 @@ from scipy.special import logsumexp, ndtri
 _EDGE_SIGMA = math.sqrt(0.5 * math.log(2.0))
 
 HEAVY_TAIL_THRESHOLD = 1.0
+
+# Cap on the edge draws held for one block of trials; a trial with more
+# edges than this runs in a block of its own.
+_BLOCK_DOUBLES = 2 ** 17
+
+_MASK64 = (1 << 64) - 1
+_ZERO4 = np.zeros(4, dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -53,38 +65,79 @@ class MomentEstimate:
     heavy_tail: bool = False
 
 
-def _edge_gaussians(seed: int, trial_index: int, count: int) -> np.ndarray:
-    """The trial's edge weights, in level order."""
-    key = np.array([seed & ((1 << 64) - 1), trial_index & ((1 << 64) - 1)],
-                   dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
+def _edge_gaussians(seed: int, trials: range, count: int) -> np.ndarray:
+    """Edge weights of consecutive trials: one row per trial, in level
+    order, each row drawn from the trial's own stream."""
+    draws = np.empty((len(trials), count))
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    for row, trial_index in zip(draws, trials):
+        # The state of a fresh Philox(key=(seed, trial_index)): counter
+        # zero, nothing buffered.  Setting it is cheaper than building a
+        # new generator per trial.
+        key = np.array([seed & _MASK64, trial_index & _MASK64],
+                       dtype=np.uint64)
+        bitgen.state = {"bit_generator": "Philox",
+                        "state": {"counter": _ZERO4, "key": key},
+                        "buffer": _ZERO4, "buffer_pos": 4,
+                        "has_uint32": 0, "uinteger": 0}
+        gen.random(out=row)
     # random() yields j/2^53; the half-step shift keeps the inverse CDF
     # away from both endpoints.
-    u = gen.random(count) + 2.0 ** -54
-    return ndtri(u) * _EDGE_SIGMA
+    draws += 2.0 ** -54
+    ndtri(draws, out=draws)
+    draws *= _EDGE_SIGMA
+    return draws
+
+
+def _log_partition(config: SimConfig, trials: range) -> np.ndarray:
+    """log Z of consecutive trials, one value per trial."""
+    n, m = config.n, len(trials)
+    if n == 0:
+        return np.zeros(m)
+    draws = _edge_gaussians(config.seed, trials, 2 ** (n + 1) - 2)
+    # Row i of sums holds the walk values of trial i's vertices at the
+    # current level; a vertex's value is its parent's plus its own edge.
+    sums = np.zeros((m, 1))
+    offset = 0
+    for level in range(1, n + 1):
+        half = 2 ** (level - 1)
+        edge = draws[:, offset:offset + 2 * half].reshape(m, half, 2)
+        children = np.empty((m, half, 2))
+        np.add(sums, edge[:, :, 0], out=children[:, :, 0])
+        np.add(sums, edge[:, :, 1], out=children[:, :, 1])
+        sums = children.reshape(m, 2 * half)
+        offset += 2 * half
+    sums *= 2.0 * config.beta
+    return logsumexp(sums, axis=1) - math.log(2.0 ** n)
 
 
 def log_partition_function(config: SimConfig, trial_index: int) -> float:
     """log of Z = 2^(-n) * sum over leaves of exp(2*beta*X(leaf))."""
     if not 0 <= trial_index < config.trials:
         raise ValueError("trial index out of range")
-    n = config.n
-    if n == 0:
-        return 0.0
-    draws = _edge_gaussians(config.seed, trial_index, 2 ** (n + 1) - 2)
-    sums = np.zeros(1)
-    offset = 0
-    for level in range(1, n + 1):
-        width = 2 ** level
-        sums = np.repeat(sums, 2) + draws[offset:offset + width]
-        offset += width
-    return float(logsumexp(2.0 * config.beta * sums) - math.log(2.0 ** n))
+    return float(_log_partition(config, range(trial_index,
+                                              trial_index + 1))[0])
 
 
 def sample_partition_function(config: SimConfig, trial_index: int) -> float:
     """One realization of the partition function; deterministic in
     (seed, trial_index)."""
     return math.exp(log_partition_function(config, trial_index))
+
+
+def _stderr(samples: np.ndarray) -> float:
+    """Standard error of the sample mean, 0 for a single sample.
+
+    The samples are scaled by a power of two that brings the largest
+    below 1 before np.std squares the deviations, so finite samples give
+    a finite error; the scaling is exact, so otherwise nothing changes.
+    """
+    if len(samples) < 2:
+        return 0.0
+    _, e = math.frexp(float(np.max(samples)))
+    spread = float(np.std(np.ldexp(samples, -e), ddof=1))
+    return math.ldexp(spread, e) / math.sqrt(len(samples))
 
 
 def estimate_mom(config: SimConfig, k: int) -> MomentEstimate:
@@ -96,14 +149,15 @@ def estimate_mom(config: SimConfig, k: int) -> MomentEstimate:
     """
     if k < 1:
         raise ValueError("moment order must be positive")
-    logz = np.array([log_partition_function(config, t)
-                     for t in range(config.trials)])
+    edges = 2 ** (config.n + 1) - 2
+    block = max(1, _BLOCK_DOUBLES // max(edges, 1))
+    logz = np.concatenate([
+        _log_partition(config, range(start, min(start + block,
+                                                config.trials)))
+        for start in range(0, config.trials, block)])
     samples = np.exp(k * logz)
     mean = float(np.mean(samples))
-    if config.trials > 1:
-        stderr = float(np.std(samples, ddof=1) / math.sqrt(config.trials))
-    else:
-        stderr = 0.0
+    stderr = _stderr(samples)
     heavy = k * k * config.beta ** 2 > HEAVY_TAIL_THRESHOLD
     return MomentEstimate(k=k, mean=mean, stderr=stderr,
                           trials=config.trials, seed=config.seed,

@@ -91,6 +91,7 @@ class TestMomCommand:
               "32"), None),
             (asym + ("--precision", "32"), None),
             (("verify", "--suite", "oracle", "--budget", "-1"), None),
+            (("verify", "--suite", "mc", "--budget", "1"), None),
             (asym, {"BRWMOM_PRECISION": "32"}),
             (asym, {"BRWMOM_PRECISION": "abc"}),
             (("asym", "--k", "3", "--beta", "nan"), None),
@@ -217,6 +218,32 @@ class TestMcCommand:
                      "--trials", "100", "--seed", "1", "--force")
         assert cp.returncode == 0
         assert json.loads(cp.stdout)["result"]["heavy_tail"] is True
+
+    def test_non_finite_doubles_are_null(self):
+        def reject(token):
+            raise AssertionError(f"non-JSON token {token}")
+
+        cases = [
+            # One trial: stderr 0, so the z-score is infinite.
+            (("mc", "--k", "1", "--n", "3", "--beta", "0.3", "--trials",
+              "1"), ["z_score"]),
+            # Samples up to ~7e174 are finite, and so is their stderr;
+            # the exact value ~4e3218 is not a double.
+            (("mc", "--k", "10", "--n", "12", "--beta", "3", "--trials",
+              "20", "--force"), ["z_score"]),
+        ]
+        for args, nulls in cases:
+            cp = run_cli(*args)
+            assert cp.returncode == 0 and cp.stderr == "", (args, cp.stderr)
+            rec = json.loads(cp.stdout, parse_constant=reject)
+            for field in ("estimate", "stderr", "z_score"):
+                value = rec["result"][field]
+                assert (value is None) == (field in nulls), (args, field)
+            validate_schema(rec)
+
+    def test_emit_refuses_non_json_numbers(self):
+        with pytest.raises(ValueError):
+            cli.emit({"x": float("nan")})
 
     def test_seeded_reruns_byte_identical(self):
         args = ("mc", "--k", "1", "--n", "5", "--beta", "0.3", "--trials",

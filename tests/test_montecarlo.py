@@ -1,12 +1,48 @@
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp, ndtri
 
 from brwmom import (SimConfig, estimate_mom, mom_dp, sample_partition_function,
                     to_mpf)
-from brwmom.montecarlo import _edge_gaussians
+from brwmom import montecarlo
+from brwmom.montecarlo import _edge_gaussians, _stderr, log_partition_function
+
+
+def per_trial_log_partition(config, trial_index):
+    """The unblocked per-trial reduction, kept only as the reference for
+    the blocked one: its own stream, one trial at a time."""
+    n = config.n
+    if n == 0:
+        return 0.0
+    key = np.array([config.seed, trial_index], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    u = gen.random(2 ** (n + 1) - 2) + 2.0 ** -54
+    draws = ndtri(u) * math.sqrt(0.5 * math.log(2.0))
+    sums = np.zeros(1)
+    offset = 0
+    for level in range(1, n + 1):
+        width = 2 ** level
+        sums = np.repeat(sums, 2) + draws[offset:offset + width]
+        offset += width
+    return float(logsumexp(2.0 * config.beta * sums) - math.log(2.0 ** n))
+
+
+def per_trial_estimate(logz, k):
+    """(mean, stderr) as the per-trial loop computed them from the
+    trials' log Z."""
+    samples = np.exp(k * np.array(logz))
+    mean = float(np.mean(samples))
+    if len(logz) > 1:
+        stderr = float(np.std(samples, ddof=1) / math.sqrt(len(logz)))
+    else:
+        stderr = 0.0
+    return mean, stderr
 
 
 class TestSampling:
@@ -40,7 +76,7 @@ class TestSampling:
         # independent recomputation reading the same six draws: two level-1
         # edges then four level-2 edges, leaves in label order
         cfg = SimConfig(n=2, beta=0.6, trials=1, seed=77)
-        g = _edge_gaussians(77, 0, 6)
+        g = _edge_gaussians(77, range(1), 6)[0]
         walks = [g[0] + g[2], g[0] + g[3], g[1] + g[4], g[1] + g[5]]
         z = sum(math.exp(2 * 0.6 * x) for x in walks) / 4.0
         got = sample_partition_function(cfg, 0)
@@ -53,7 +89,8 @@ class TestSampling:
         gen = np.random.Generator(np.random.Philox(key=key))
         u = gen.random(10) + 2.0 ** -54
         expected = ndtri(u) * math.sqrt(0.5 * math.log(2.0))
-        assert np.array_equal(_edge_gaussians(9, 4, 10), expected)
+        assert np.array_equal(_edge_gaussians(9, range(4, 5), 10)[0],
+                              expected)
 
 
 class TestEstimates:
@@ -97,6 +134,94 @@ class TestEstimates:
             SimConfig(n=2, beta=0.3, trials=0, seed=0)
         with pytest.raises(ValueError):
             estimate_mom(SimConfig(n=2, beta=0.3, trials=2, seed=0), 0)
+
+
+def trials_per_block(n):
+    return max(1, montecarlo._BLOCK_DOUBLES // max(2 ** (n + 1) - 2, 1))
+
+
+class TestBlocking:
+    """Blocking trials may not change a bit of any trial's log Z, nor of
+    the estimate."""
+
+    # At n = 1 and 2 a block holds 65536 and 21845 trials, and the
+    # per-trial reference takes ~0.15 ms a trial.
+    @pytest.mark.parametrize("n", [0, pytest.param(1, marks=pytest.mark.slow),
+                                   pytest.param(2, marks=pytest.mark.slow),
+                                   7, 12, 16])
+    def test_blocks_equal_per_trial_loop(self, n, monkeypatch):
+        seed, beta = 5, 0.4
+        reduce_block = montecarlo._log_partition
+        seen = []
+
+        def recording(config, trials):
+            logz = reduce_block(config, trials)
+            seen.extend(logz.tolist())
+            return logz
+
+        monkeypatch.setattr(montecarlo, "_log_partition", recording)
+        block = trials_per_block(n)
+        most = 2 * block + 3
+        cfg = SimConfig(n=n, beta=beta, trials=most, seed=seed)
+        ref = [per_trial_log_partition(cfg, t) for t in range(most)]
+        # Every trial at a block edge, and a spread of the others.
+        edges = {t for start in range(0, most, block)
+                 for t in (start, start + 1, start + block - 1)}
+        probes = sorted(edges.union(range(0, most, 13)) & set(range(most)))
+        for t in probes:
+            assert log_partition_function(cfg, t) == ref[t], t
+        for cap in (montecarlo._BLOCK_DOUBLES, 1):
+            monkeypatch.setattr(montecarlo, "_BLOCK_DOUBLES", cap)
+            block = trials_per_block(n)
+            for trials in sorted({1, block - 1, block, block + 1,
+                                  2 * block + 3} - {0}):
+                seen.clear()
+                cfg = SimConfig(n=n, beta=beta, trials=trials, seed=seed)
+                est = estimate_mom(cfg, 2)
+                assert seen == ref[:trials], (cap, trials)
+                assert (est.mean, est.stderr) == \
+                    per_trial_estimate(ref[:trials], 2), (cap, trials)
+
+    def test_memory_per_block_bounded(self):
+        def peak(trials):
+            config = SimConfig(n=12, beta=0.3, trials=trials, seed=1)
+            tracemalloc.start()
+            try:
+                estimate_mom(config, 2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(50)  # warm-up: first-call allocations are not the block's
+        small, large = peak(50), peak(800)
+        assert abs(large - small) <= 0.1 * small, (small, large)
+
+
+class TestStderr:
+    def test_finite_samples_give_finite_stderr(self):
+        # Samples up to 5.8e302: the squared deviations of the unscaled
+        # samples overflow.
+        cfg = SimConfig(n=3, beta=2.0, trials=8, seed=4)
+        est = estimate_mom(cfg, 128)
+        logz = np.array([log_partition_function(cfg, t) for t in range(8)])
+        with mpmath.workprec(128):
+            samples = [mpmath.mpf(x) for x in np.exp(128 * logz)]
+            mean = mpmath.fsum(samples) / 8
+            var = mpmath.fsum((x - mean) ** 2 for x in samples) / 7
+            exact = float(mpmath.sqrt(var / 8))
+        assert math.isfinite(est.stderr)
+        assert est.stderr == pytest.approx(exact, rel=1e-14)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0),
+                              st.floats(2.0 ** -100, 2.0 ** 100)),
+                    min_size=2, max_size=40))
+    def test_scaling_is_bit_identical(self, samples):
+        # Where np.std neither overflows nor underflows, scaling by a
+        # power of two changes no bit.
+        samples = np.array(samples)
+        plain = float(np.std(samples, ddof=1) / math.sqrt(len(samples)))
+        assert _stderr(samples) == plain
 
 
 @pytest.mark.slow
