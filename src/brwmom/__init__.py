@@ -2,8 +2,8 @@
 
 Exact, symbolic, and stochastic computation of the k-th moments of
 Z_n = 2^(-n) * sum over leaves of exp(2*beta*X_n(leaf)) on the depth-n
-binary tree, together with their growth-regime asymptotics and the
-finite-N comparison against random-unitary characteristic polynomials.
+binary tree, their growth-regime asymptotics, and the finite-N first
+moment of moments of random-unitary characteristic polynomials.
 """
 
 from .asymptotics import (CRITICAL, SUB, SUPER, LeadingTerm, RatioEstimate,
@@ -20,8 +20,7 @@ from .oracle import EnumerationBudgetError, last_common_level, mom_bruteforce
 from .rings import (DEFAULT_PRECISION, FloatContext, Radical, RadicalContext,
                     RationalContext, RingMismatchError, resolve_context,
                     to_mpf)
-from .rmt import (GrowthComparison, growth_exponent_compare, unitary_mom_k1,
-                  unitary_mom_k1_integer)
+from .rmt import unitary_mom_k1, unitary_mom_k1_integer
 from .symbolic import (DegenerateExponent, ExpPair, GenPoly, RatFun,
                        geometric_sum)
 
@@ -42,7 +41,6 @@ __all__ = [
     "EnumerationBudgetError", "last_common_level", "mom_bruteforce",
     "SimConfig", "MomentEstimate", "sample_partition_function",
     "estimate_mom",
-    "GrowthComparison", "unitary_mom_k1",
-    "unitary_mom_k1_integer", "growth_exponent_compare",
+    "unitary_mom_k1", "unitary_mom_k1_integer",
     "__version__",
 ]

@@ -6,8 +6,9 @@ The k = 1 moment is exactly 2^(beta^2*n) and has no transition.
 
 Each regime has one route to its coefficient:
 
-* sub-critical: a binomial-weighted recursion over lower orders,
-* critical: the same weighted sum pinned to beta^2 = 1/k,
+* sub-critical: a recursion over lower orders on the coefficients of
+  the dynamic program's depth recurrence,
+* critical: the same recursion at beta^2 = 1/k, last order halved,
 * super-critical: the coefficient of the dominant exponent in the
   symbolic closed form, evaluated in the ring ``resolve_context`` picks
   for beta^2.  In the open super-critical regime that exponent strictly
@@ -26,10 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp
 
-from .engine import MomentTable, mom_symbolic
-from .rings import DEFAULT_PRECISION, fraction_to_mpf, resolve_context, to_mpf
+from .engine import MomentTable, mom_symbolic, recurrence_coefficients
+from .rings import DEFAULT_PRECISION, resolve_context, to_mpf
 from .symbolic import ExpPair
 
 SUB = "sub-critical"
@@ -65,9 +65,6 @@ class RatioEstimate:
 
 def _compare_k_beta_sq(k: int, beta_sq):
     """Sign of k*beta^2 - 1, exact for rational inputs."""
-    if isinstance(beta_sq, (int, Fraction)):
-        d = k * Fraction(beta_sq) - 1
-        return (d > 0) - (d < 0)
     d = k * beta_sq - 1
     return (d > 0) - (d < 0)
 
@@ -92,14 +89,33 @@ def classify_regime(k: int, beta_sq) -> Regime:
     return Regime(tag=SUPER, growth=ExpPair(k * k, 1 - k), n_power=0)
 
 
+def _recursion_coefficient(k: int, beta_sq, precision: int,
+                           critical: bool = False) -> mpmath.mpf:
+    """c_1 = 1, c_j = sum_i w'_i c_i c_{j-i} / (2^(j*beta^2) - step_j) on
+    the coefficients of ``engine.recurrence_coefficients``.  With
+    ``critical`` order k divides by 2 instead: at beta^2 = 1/k its growth
+    equals its step, 2, and the pair sum accumulates linearly in depth."""
+    ctx = resolve_context(beta_sq, "float", precision)
+    with ctx.workprec():
+        coeffs = [None, ctx.one]
+        for j in range(2, k + 1):
+            step, weights = recurrence_coefficients(j, ctx)
+            pair_sum = ctx.zero
+            for i, w in weights:
+                pair_sum += w * coeffs[i] * coeffs[j - i]
+            gap = 2 if critical and j == k else ctx.two_pow(j, 0) - step
+            coeffs.append(pair_sum / gap)
+        return coeffs[k]
+
+
 def subcritical_coefficient(k: int, beta_sq,
                             precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
     """Leading coefficient in the regime k*beta^2 < 1.
 
     Defined by recursion on the moment order: order 1 contributes 1, and
-    order k combines all lower splits j | k-j with binomial weights and a
-    final division by 2^(k*beta^2) - 2^(k^2*beta^2-k+1), which is positive
-    throughout the regime.
+    order k combines all lower splits j | k-j with the depth recurrence's
+    weights and a final division by 2^(k*beta^2) - 2^(k^2*beta^2-k+1),
+    which is positive throughout the regime.
     """
     if k < 1:
         raise ValueError("moment order must be positive")
@@ -107,44 +123,14 @@ def subcritical_coefficient(k: int, beta_sq,
         return mpmath.mpf(1)
     if _compare_k_beta_sq(k, beta_sq) >= 0:
         raise RegimeError(f"k*beta^2 >= 1 for k={k}, beta^2={beta_sq}")
-    with mp.workprec(precision):
-        if isinstance(beta_sq, Fraction):
-            x = fraction_to_mpf(beta_sq, precision)
-        else:
-            x = mpmath.mpf(beta_sq)
-        two = mpmath.mpf(2)
-        memo = {1: mpmath.mpf(1)}
-
-        def rec(j):
-            if j in memo:
-                return memo[j]
-            pair_sum = mpmath.mpf(0)
-            for i in range(1, j):
-                pair_sum += (mpmath.binomial(j, i)
-                             * two ** (2 * i * x * (i - j))
-                             * rec(i) * rec(j - i))
-            split_weight = two ** (j * j * x - j) * pair_sum
-            memo[j] = split_weight / (two ** (j * x)
-                                      - two ** (j * j * x - j + 1))
-            return memo[j]
-
-        return rec(k)
+    return _recursion_coefficient(k, beta_sq, precision)
 
 
 def critical_coefficient(k: int, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
     """Coefficient of n*2^n at the transition point beta^2 = 1/k, k >= 2."""
     if k < 2:
         raise ValueError("critical coefficient needs k >= 2")
-    with mp.workprec(precision):
-        x = Fraction(1, k)
-        two = mpmath.mpf(2)
-        total = mpmath.mpf(0)
-        for j in range(1, k):
-            total += (mpmath.binomial(k, j)
-                      * two ** (mpmath.mpf(2 * j * (j - k)) / k)
-                      * subcritical_coefficient(j, x, precision)
-                      * subcritical_coefficient(k - j, x, precision))
-        return total / 2
+    return _recursion_coefficient(k, Fraction(1, k), precision, critical=True)
 
 
 def supercritical_coefficient(k: int, beta_sq,
@@ -182,16 +168,13 @@ def leading_coefficient_numeric(k: int, beta_sq, n_lo: int, n_hi: int,
         # First moment equals its growth term identically.
         return RatioEstimate(value=mpmath.mpf(1), error_proxy=mpmath.mpf(0),
                              regime=regime)
-    ctx = resolve_context(beta_sq, "auto", precision)
-    table = MomentTable.build(k, n_hi, ctx)
-    with mp.workprec(precision):
-        if isinstance(beta_sq, Fraction):
-            x = fraction_to_mpf(beta_sq, precision)
-        else:
-            x = mpmath.mpf(beta_sq)
+    table = MomentTable.build(k, n_hi, resolve_context(beta_sq, "auto",
+                                                      precision))
+    floats = resolve_context(beta_sq, "float", precision)
+    with floats.workprec():
 
         def ratio(n):
-            growth = mpmath.mpf(2) ** (regime.growth.value_at(x) * n)
+            growth = floats.two_pow(regime.growth.p * n, regime.growth.q * n)
             scale = mpmath.mpf(n) ** regime.n_power
             return to_mpf(table.value(k, n), precision) / (scale * growth)
 

@@ -130,8 +130,11 @@ def parse_beta_args(args) -> tuple:
                 bs = Fraction(int(p), int(m))
             else:
                 bs = Fraction(int(text))
+            if bs < 0:
+                raise ValueError(text)
         except (ValueError, ZeroDivisionError):
-            print(f"error: bad rational beta^2 {text!r}", file=sys.stderr)
+            print(f"error: --beta-sq-rational must be a rational p/m >= 0, "
+                  f"got {text!r}", file=sys.stderr)
             raise SystemExit(2)
         if bs.denominator == 1:
             return int(bs), {"beta_sq": _fraction_str(bs)}
@@ -313,12 +316,8 @@ def _verify_closed_forms(precision: int) -> list:
                 continue
             ref = closed_forms.leading_coefficient_closed_form(
                 k, beta_sq, regime.tag, precision)
-            if regime.tag == asymptotics.SUB:
-                val = asymptotics.subcritical_coefficient(k, beta_sq,
-                                                          precision)
-            else:
-                val = to_mpf(asymptotics.supercritical_coefficient(
-                    k, beta_sq, precision), precision)
+            val = to_mpf(asymptotics.leading_term(
+                k, beta_sq, precision).coefficient, precision)
             checks.append(_check(
                 f"closed form k={k} beta={beta} {regime.tag}", val, ref,
                 1e-12))

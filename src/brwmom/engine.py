@@ -37,6 +37,16 @@ class PoleAtCriticalBeta(ArithmeticError):
     termwise dynamic program instead."""
 
 
+def recurrence_coefficients(j: int, ring: RingContext):
+    """(step, [(i, w'_i)]) of order j's depth recurrence in ``ring``,
+    M_j(d) = step M_j(d-1) + sum_{0<i<j} w'_i M_i(d-1) M_{j-i}(d-1) (see
+    the module docstring).  Call it under ``ring.workprec()``."""
+    step = ring.two_pow(j * j, 1 - j)
+    weights = [(i, comb(j, i) * ring.two_pow(j * j + 2 * i * (i - j), -j))
+               for i in range(1, j)]
+    return step, weights
+
+
 @dataclass
 class MomentTable:
     """Bottom-up table of moment values, keyed by (order j, depth).
@@ -61,9 +71,7 @@ class MomentTable:
         ent = table.entries
         with ring.workprec():
             for j in range(1, k_max + 1):
-                step = ring.two_pow(j * j, 1 - j)
-                weights = [(i, comb(j, i) * ring.two_pow(
-                    j * j + 2 * i * (i - j), -j)) for i in range(1, j)]
+                step, weights = recurrence_coefficients(j, ring)
                 ent[(j, 0)] = ring.one
                 for d in range(n_max):
                     total = step * ent[(j, d)]
@@ -76,14 +84,13 @@ class MomentTable:
         return self.entries[(j, depth)]
 
 
-def mom_dp(k: int, n: int, beta_sq, ring: str = "auto",
-           precision: int = DEFAULT_PRECISION):
+def mom_dp(k: int, n: int, beta_sq, precision: int = DEFAULT_PRECISION):
     """Moment of order k at depth n, in the ring selected for beta^2.
 
     Returns a Fraction for integer beta^2, a Radical for exact rational
     beta^2 = a/m, and an mpf otherwise.
     """
-    ctx = resolve_context(beta_sq, ring, precision)
+    ctx = resolve_context(beta_sq, "auto", precision)
     return MomentTable.build(k, n, ctx).value(k, n)
 
 

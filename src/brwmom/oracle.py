@@ -33,8 +33,7 @@ def last_common_level(a: int, b: int, depth: int) -> int:
     return depth - (a ^ b).bit_length()
 
 
-def mom_bruteforce(k: int, n: int, beta_sq, ring: str = "auto",
-                   precision: int = DEFAULT_PRECISION,
+def mom_bruteforce(k: int, n: int, beta_sq, precision: int = DEFAULT_PRECISION,
                    budget: int = DEFAULT_ENUMERATION_BUDGET):
     """k-th moment by exhaustive enumeration of leaf k-tuples.
 
@@ -49,7 +48,7 @@ def mom_bruteforce(k: int, n: int, beta_sq, ring: str = "auto",
     if k * n > budget:
         raise EnumerationBudgetError(
             f"k*n = {k * n} exceeds enumeration budget {budget}")
-    ctx = resolve_context(beta_sq, ring, precision)
+    ctx = resolve_context(beta_sq, "auto", precision)
     with ctx.workprec():
         total = ctx.zero
         for labels in product(range(1 << n), repeat=k):

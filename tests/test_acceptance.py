@@ -10,10 +10,10 @@ from mpmath import mp
 
 from brwmom import (MomentTable, Radical, SimConfig, classify_regime,
                     critical_coefficient, estimate_mom,
-                    growth_exponent_compare, leading_coefficient_closed_form,
-                    mom_bruteforce, mom_dp, mom_polynomial, resolve_context,
-                    subcritical_coefficient, supercritical_coefficient,
-                    to_mpf, unitary_mom_k1, unitary_mom_k1_integer)
+                    leading_coefficient_closed_form, mom_bruteforce, mom_dp,
+                    mom_polynomial, resolve_context, subcritical_coefficient,
+                    supercritical_coefficient, to_mpf, unitary_mom_k1,
+                    unitary_mom_k1_integer)
 from brwmom.cli import main as cli_main
 
 
@@ -150,7 +150,7 @@ def test_criterion_7_monte_carlo_consistency():
 
 
 def test_criterion_8_random_matrix_cross_check():
-    with criterion(8, "unitary side: products, slopes, growth match"):
+    with criterion(8, "unitary side: telescoping, products, slopes"):
         for N in range(1, 10001):
             assert unitary_mom_k1_integer(N, 1) == N + 1
         with mp.workprec(256):
@@ -164,9 +164,6 @@ def test_criterion_8_random_matrix_cross_check():
                 hi = unitary_mom_k1(10000, beta)
                 slope = (mpmath.log(hi) - mpmath.log(lo)) / mpmath.log(10)
                 assert abs(slope - beta ** 2) / beta ** 2 < 0.02, beta
-        assert growth_exponent_compare(1, 0.7).match
-        assert growth_exponent_compare(2, 1).match
-        assert growth_exponent_compare(3, beta_sq=Fraction(1, 3)).match
 
 
 def test_criterion_9_sweep_reproduction(tmp_path):

@@ -87,6 +87,60 @@ class TestSubcriticalCoefficient:
                 assert subcritical_coefficient(k, bs) > 0
 
 
+def subcritical_reference(k, beta_sq, precision):
+    """The sub-critical recursion written out in mpf algebra over
+    binomials.  Test-only reference for the coefficients taken from the
+    DP's depth recurrence."""
+    with mp.workprec(precision):
+        if isinstance(beta_sq, Fraction):
+            x = mpmath.mpf(beta_sq.numerator) / mpmath.mpf(beta_sq.denominator)
+        else:
+            x = mpmath.mpf(beta_sq)
+        two = mpmath.mpf(2)
+        memo = {1: mpmath.mpf(1)}
+        for j in range(2, k + 1):
+            pair_sum = mpmath.mpf(0)
+            for i in range(1, j):
+                pair_sum += (mpmath.binomial(j, i)
+                             * two ** (2 * i * x * (i - j))
+                             * memo[i] * memo[j - i])
+            split_weight = two ** (j * j * x - j) * pair_sum
+            memo[j] = split_weight / (two ** (j * x)
+                                      - two ** (j * j * x - j + 1))
+        return memo[k]
+
+
+def critical_reference(k, precision):
+    """Binomial-weighted sum of sub-critical references at beta^2 = 1/k,
+    halved.  Test-only reference for ``critical_coefficient``."""
+    with mp.workprec(precision):
+        x = Fraction(1, k)
+        two = mpmath.mpf(2)
+        total = mpmath.mpf(0)
+        for j in range(1, k):
+            total += (mpmath.binomial(k, j)
+                      * two ** (mpmath.mpf(2 * j * (j - k)) / k)
+                      * subcritical_reference(j, x, precision)
+                      * subcritical_reference(k - j, x, precision))
+        return total / 2
+
+
+class TestExpandedRecursionReference:
+    @pytest.mark.parametrize("precision", [64, 128, 256, 1024])
+    def test_coefficients_match_reference(self, precision):
+        tol = mpmath.mpf(2) ** (16 - precision)
+        for k in range(2, 9):
+            grid = [0.01, 0.09, 0.5 / k, 0.95 / k, Fraction(1, 100),
+                    Fraction(1, 2 * k), Fraction(19, 20 * k)]
+            for bs in grid:
+                got = subcritical_coefficient(k, bs, precision)
+                want = subcritical_reference(k, bs, precision)
+                assert abs(got - want) <= tol * want, (k, bs)
+            got = critical_coefficient(k, precision)
+            want = critical_reference(k, precision)
+            assert abs(got - want) <= tol * want, k
+
+
 class TestCriticalCoefficient:
     def test_order_two_is_half(self):
         assert critical_coefficient(2) == mpmath.mpf(1) / 2

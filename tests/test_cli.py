@@ -31,6 +31,32 @@ def validate_schema(payload: dict) -> None:
     jsonschema.validate(payload, schema)
 
 
+class TestSchema:
+    def test_malformed_records_fail(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        good = record(run_cli("asym", "--k", "3", "--beta", "0.3"))
+        validate_schema(good)
+        coefficient = good["result"]["coefficient"]
+        no_precision = {k: v for k, v in coefficient.items()
+                        if k != "precision_bits"}
+        bad_values = [
+            no_precision,
+            {"type": "rational", "value": "1.5"},
+            {"type": "radical", "root_index": 2, "coeffs": ["1/1", "0.5"]},
+        ]
+        for value in bad_values:
+            bad = json.loads(json.dumps(good))
+            bad["result"]["coefficient"] = value
+            with pytest.raises(jsonschema.ValidationError):
+                validate_schema(bad)
+        mom = {"command": "mom", "parameters": {}, "provenance": "engine",
+               "result": {"value": {"type": "rational", "value": "1.5"}}}
+        with pytest.raises(jsonschema.ValidationError):
+            validate_schema(mom)
+        mom["result"]["value"]["value"] = "3/2"
+        validate_schema(mom)
+
+
 class TestMomCommand:
     def test_exact_rational(self):
         rec = record(run_cli("mom", "--k", "2", "--n", "1", "--beta", "1",
@@ -103,6 +129,11 @@ class TestMomCommand:
               "--steps", "3"), None),
             (("sweep", "--k", "2", "--beta-min", "0", "--beta-max", "inf",
               "--steps", "3"), None),
+            (("mom", "--k", "2", "--n", "3", "--beta-sq-rational", "1/-3"),
+             None),
+            (("mom", "--k", "2", "--n", "3", "--beta-sq-rational=-1/2"),
+             None),
+            (("asym", "--k", "2", "--beta-sq-rational=-1/2"), None),
         ]
         for args, env in cases:
             cp = run_cli(*args, env=env)

@@ -1,11 +1,8 @@
-from fractions import Fraction
-
 import mpmath
 import pytest
 from mpmath import mp
 
-from brwmom import (growth_exponent_compare, to_mpf, unitary_mom_k1,
-                    unitary_mom_k1_integer)
+from brwmom import to_mpf, unitary_mom_k1, unitary_mom_k1_integer
 
 
 class TestGammaProduct:
@@ -68,34 +65,3 @@ class TestIntegerProduct:
                 slope = (mpmath.log(hi) - mpmath.log(lo)) / mpmath.log(10)
                 assert abs(slope - beta ** 2) / beta ** 2 < 0.05
 
-
-class TestGrowthComparison:
-    def test_supercritical_match(self):
-        r = growth_exponent_compare(2, 1)
-        assert r.match
-        assert r.brw_exponent == 3
-        assert r.rmt_exponent == 3
-
-    def test_critical_match_exact(self):
-        r = growth_exponent_compare(3, beta_sq=Fraction(1, 3))
-        assert r.match
-        assert r.brw_n_power == 1
-        assert r.rmt_log_power == 1
-
-    def test_first_moment_any_beta(self):
-        for beta in (0.7, 1.0, 2.5):
-            r = growth_exponent_compare(1, beta)
-            assert r.match
-            assert r.brw_exponent == pytest.approx(beta * beta)
-            assert r.rmt_log_power == 0
-
-    def test_subcritical_match(self):
-        r = growth_exponent_compare(4, 0.3)
-        assert r.match
-        assert r.brw_exponent == pytest.approx(4 * 0.09)
-
-    def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            growth_exponent_compare(2)
-        with pytest.raises(ValueError):
-            growth_exponent_compare(2, 0.5, beta_sq=Fraction(1, 4))
