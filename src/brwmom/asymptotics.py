@@ -10,11 +10,11 @@ Each regime has one route to its coefficient:
   the dynamic program's depth recurrence,
 * critical: the same recursion at beta^2 = 1/k, last order halved,
 * super-critical: the coefficient of the dominant exponent in the
-  symbolic closed form, evaluated in the ring ``resolve_context`` picks
-  for beta^2.  In the open super-critical regime that exponent strictly
-  dominates every other, so its reduced coefficient has no pole: the
-  denominators of the closed form that vanish at beta = 1/sqrt(m),
-  m < k, cancel out of it.
+  closed form of the depth recurrence, solved in the exact ring of an
+  exact beta^2, or over Q(t) and evaluated at t = 2^(beta^2) for a
+  float one.  That exponent strictly dominates every other, so its
+  coefficient has no pole: the denominators of the closed form that
+  vanish at beta = 1/sqrt(m), m < k, cancel out of it.
 
 ``leading_coefficient_numeric`` estimates the same coefficients from
 finite depths of the dynamic program; it is an independent reference,
@@ -28,7 +28,8 @@ from fractions import Fraction
 
 import mpmath
 
-from .engine import MomentTable, mom_symbolic, recurrence_coefficients
+from .engine import (MomentTable, _closed_forms, mom_symbolic,
+                     recurrence_coefficients)
 from .rings import DEFAULT_PRECISION, resolve_context, to_mpf
 from .symbolic import ExpPair
 
@@ -135,18 +136,19 @@ def critical_coefficient(k: int, precision: int = DEFAULT_PRECISION) -> mpmath.m
 
 def supercritical_coefficient(k: int, beta_sq,
                               precision: int = DEFAULT_PRECISION):
-    """Leading coefficient in the regime k*beta^2 > 1.
-
-    Extracted as the coefficient of the dominant exponent pair
-    (k^2, 1-k) in the symbolic closed form, evaluated at t = 2^(beta^2)
-    in the ring ``resolve_context`` picks: exact for rational beta^2, mpf
-    otherwise.
-    """
+    """Leading coefficient in the regime k*beta^2 > 1: the coefficient
+    of the dominant exponent k^2*beta^2 + 1 - k in the closed form, exact
+    for an int or Fraction beta^2, from Q(t) at t = 2^(beta^2) for a
+    float beta^2."""
     if k < 1:
         raise ValueError("moment order must be positive")
     if _compare_k_beta_sq(k, beta_sq) <= 0:
         raise RegimeError(f"k*beta^2 <= 1 for k={k}, beta^2={beta_sq}")
     ctx = resolve_context(beta_sq, "auto", precision)
+    if ctx.kind != "float":
+        # No forcing base reaches the dominant one: no power of n.
+        _, (coeff,) = _closed_forms(k, ctx)[k][ctx.two_pow(k * k, 1 - k)]
+        return coeff
     coeff = mom_symbolic(k).terms[ExpPair(k * k, 1 - k)]
     with ctx.workprec():
         return coeff.evaluate(ctx.two_pow(1, 0))

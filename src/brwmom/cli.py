@@ -394,9 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
                             f"or ${ENV_PRECISION})")
 
     def add_beta(p):
-        p.add_argument("--beta", type=_finite_float, default=None)
-        p.add_argument("--beta-sq-rational", default=None, metavar="P/M",
-                       help="exact beta^2 as a rational, e.g. 1/2")
+        given = p.add_mutually_exclusive_group()
+        given.add_argument("--beta", type=_finite_float, default=None)
+        given.add_argument("--beta-sq-rational", default=None, metavar="P/M",
+                           help="exact beta^2 as a rational, e.g. 1/2")
 
     p = sub.add_parser("mom", help="moment value at one (k, n, beta)")
     p.add_argument("--k", type=positive, required=True)

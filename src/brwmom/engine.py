@@ -1,6 +1,6 @@
 """Moments of the branching random walk partition function.
 
-Three computation routes for the k-th moment of
+Computation routes for the k-th moment of
 Z_n = 2^(-n) * sum over leaves of exp(2*beta*X_n(leaf)):
 
 * ``mom_dp``: a pole-free dynamic program over any coefficient ring.  At
@@ -11,13 +11,13 @@ Z_n = 2^(-n) * sum over leaves of exp(2*beta*X_n(leaf)):
   O(k^2 n) ring products for the whole table.  It never divides, so every
   beta (critical points included) is in range.
 
-* ``mom_symbolic``: the recurrence unrolled in depth and carried out in
-  Q(t), t = 2^(beta^2): the tuple splits at its last common level lam,
-  and each lam-sum is collapsed by ``geometric_sum``.  Valid for generic
-  beta; the critical denominators survive as poles of the coefficients.
+* ``mom_symbolic``: the same recurrence solved in closed form,
+  M_k(n) = sum over bases b = 2^(p beta^2 + q) of P_b(n) b^n, by
+  ``_closed_forms`` over Q(t), t = 2^(beta^2).  Valid for generic beta;
+  the critical denominators survive as poles of the coefficients.
 
-* ``mom_polynomial``: for integer k and beta the symbolic form collapses
-  to an exact polynomial in 2^n of degree k^2*beta^2 - k + 1.
+* ``mom_polynomial``: for integer k and beta, the closed form in the
+  rationals, an exact polynomial in 2^n of degree k^2*beta^2 - k + 1.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from functools import lru_cache
 from math import comb
 from typing import Dict, Tuple
 
-from .rings import DEFAULT_PRECISION, RingContext, pow2, resolve_context
-from .symbolic import ExpPair, GenPoly, RatFun, geometric_sum, two_pow_sym
+from .rings import (DEFAULT_PRECISION, RingContext, RingMismatchError, pow2,
+                    resolve_context)
+from .symbolic import ExpPair, GenPoly, SymbolicContext, _trim
 
 
 class PoleAtCriticalBeta(ArithmeticError):
@@ -94,34 +95,68 @@ def mom_dp(k: int, n: int, beta_sq, precision: int = DEFAULT_PRECISION):
     return MomentTable.build(k, n, ctx).value(k, n)
 
 
+def _particular(b, s, p) -> list:
+    """Q with b Q(d+1) - s Q(d) = p(d), lowest degree first, solved from
+    the top coefficient down.  At a resonance b = s, Q is one degree
+    higher and its constant term, which is free, is left as None."""
+    resonant = b == s
+    q = [None] * (len(p) + resonant)
+    for m in reversed(range(len(p))):
+        total = p[m]
+        for r in range(m + 1 + resonant, len(q)):
+            total = total - comb(r, m) * b * q[r]
+        q[m + resonant] = total / (s * (m + 1) if resonant else b - s)
+    return q
+
+
+def _closed_forms(k: int, ring) -> list:
+    """Orders 1..k of the moment: ``forms[j]`` maps each base
+    b = 2^(p beta^2 + q) of M_j, a ring element, to (ExpPair(p, q),
+    (c_0, c_1, ...)), where M_j(n) = sum of (c_0 + c_1 n + ...) b^n.  The
+    products of lower orders force order j's depth recurrence; a forcing
+    base equal to the step s_j (a resonance, as the critical n 2^n) gains
+    a power of n, and s_j^n takes the rest of M_j(0) = 1.  Floats are
+    refused: b - s_j can round to a tiny non-zero divisor there."""
+    if ring.kind == "float":
+        raise RingMismatchError("the closed form needs an exact ring")
+    forms = [None]
+    with ring.workprec():
+        for j in range(1, k + 1):
+            step, weights = recurrence_coefficients(j, ring)
+            forcing = {step: (ExpPair(j * j, 1 - j), [])}
+            for i, w in weights[:j // 2]:
+                w = w if 2 * i == j else 2 * w  # w'_i = w'_{j-i}
+                for e1, p1 in forms[i].values():
+                    p1 = [w * x for x in p1]
+                    for e2, p2 in forms[j - i].values():
+                        e = e1.plus(e2)
+                        _, acc = forcing.setdefault(ring.two_pow(e.p, e.q),
+                                                    (e, []))
+                        acc += [ring.zero] * (len(p1) + len(p2) - 1 - len(acc))
+                        for a, x in enumerate(p1):
+                            for c, y in enumerate(p2):
+                                acc[a + c] = acc[a + c] + x * y
+            form = {b: (e, _particular(b, step, _trim(p)))
+                    for b, (e, p) in forcing.items()}
+            constant = ring.one
+            for b, (_, q) in form.items():
+                if q and b != step:
+                    constant = constant - q[0]
+            form[step][1][0] = constant
+            forms.append({b: (e, _trim(q)) for b, (e, q) in form.items()
+                          if any(q)})
+    return forms
+
+
 @lru_cache(maxsize=None)
 def mom_symbolic(k: int) -> GenPoly:
-    """Closed form of the k-th moment as a GenPoly over Q(t).
-
-    Built by structural induction: each product of lower-order closed
-    forms is pushed through the lam-sum via ``geometric_sum``, which is
-    never degenerate here because the diagonal exponent strictly
-    dominates every product exponent in its beta^2 part.
-    """
+    """Closed form of the k-th moment as a GenPoly over Q(t): no product
+    of lower orders has a step's power of t, so no coefficient has a
+    power of n, and the critical denominators remain as poles."""
     if k < 1:
         raise ValueError("moment order must be positive")
-    if k == 1:
-        return GenPoly.single(ExpPair(1, 0), RatFun.one())
-    diag = ExpPair(k * k, 1 - k)
-    total = GenPoly.single(diag, RatFun.one())
-    pref = RatFun.t_power(k * k, pow2(-k))
-    for j in range(1, k):
-        weight = pref * RatFun.t_power(2 * j * (j - k), comb(k, j))
-        product = mom_symbolic(j) * mom_symbolic(k - j)
-        lam_sum = GenPoly.zero()
-        for e, c in product.items():
-            # sum over lam of 2^(diag*lam) * 2^(e*(n-lam-1))
-            #   = 2^(-e) * (geometric sum with step diag-e) * 2^(e*n)
-            shifted = geometric_sum(diag.minus(e)) * GenPoly.single(
-                e, two_pow_sym(e.neg()))
-            lam_sum = lam_sum + shifted.scale(c)
-        total = total + lam_sum.scale(weight)
-    return total
+    form = _closed_forms(k, SymbolicContext())[k]
+    return GenPoly({e: c for e, (c,) in form.values()})
 
 
 def evaluate_genpoly(g: GenPoly, beta_sq, n: int,
@@ -177,28 +212,20 @@ class MomPolynomial:
 
 
 def mom_polynomial(k: int, beta: int) -> MomPolynomial:
-    """Exact coefficients of the moment as a polynomial in 2^n.
-
-    Obtained by specializing the symbolic closed form at the integer
-    t = 2^(beta^2) and collapsing each exponent pair to its integer
-    degree.  At integer beta >= 1 every geometric-sum step of the closed
-    form has a positive integer exponent, so no coefficient denominator
-    vanishes.
-    """
+    """Exact coefficients of the moment as a polynomial in 2^n: the
+    closed form in the rationals, each exponent an integer degree.  At
+    integer beta >= 1 no term resonates, so none has a power of n."""
     if k < 1 or beta < 1:
         raise ValueError("k and beta must be positive integers")
     beta_sq = beta * beta
     expected_degree = k * k * beta_sq - k + 1
-    t = resolve_context(beta_sq, "rational").two_pow(1, 0)
-    coeffs: Dict[int, Fraction] = {}
-    for e, c in mom_symbolic(k).items():
-        degree = e.value_at(beta_sq)
-        if degree < 0:
-            raise ArithmeticError(
-                f"negative degree {degree} for exponent {e}")
-        coeffs[degree] = coeffs.get(degree, Fraction(0)) + c.evaluate(t)
-    coeffs = {d: c for d, c in coeffs.items() if c}
-    poly = MomPolynomial(k=k, beta=beta, coefficients=coeffs)
+    form = _closed_forms(k, resolve_context(beta_sq, "rational"))[k]
+    coeffs = {e.value_at(beta_sq): c for e, c in form.values()}
+    for degree, c in coeffs.items():
+        if degree < 0 or len(c) > 1:
+            raise ArithmeticError(f"term n^{len(c) - 1} 2^({degree} n) is "
+                                  "not a term of a polynomial in 2^n")
+    poly = MomPolynomial(k, beta, {d: c[0] for d, c in coeffs.items()})
     if poly.degree != expected_degree:
         raise ArithmeticError(
             f"degree {poly.degree} != expected {expected_degree}")

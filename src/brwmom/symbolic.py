@@ -7,14 +7,16 @@ rational-function coefficients and represents a finite sum
 
     sum over (p, q) of  c_{p,q}(t) * 2^((p*beta^2 + q) * n).
 
-``geometric_sum`` gives the lam-sums of the moment recursion in this
-form.  The dense polynomial helpers over Q (coefficient tuples, lowest
-degree first) are the only copy in the package; ``rings.Radical`` uses
-them for its inverse.
+``SymbolicContext`` is Q(t) as a ring context, in which ``engine``
+solves the moment recursion for generic beta; ``geometric_sum`` gives a
+geometric series in this form.  The dense polynomial helpers over Q
+(coefficient tuples, lowest degree first) are the only copy in the
+package; ``rings.Radical`` uses them for its inverse.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Tuple
@@ -149,15 +151,18 @@ class RatFun:
     def is_zero(self) -> bool:
         return not self.num
 
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
     def __add__(self, other):
-        if not isinstance(other, RatFun):
-            return NotImplemented
+        other = _lift(other)
+        if not self.num or not other.num:  # no gcd to add zero
+            return self if self.num else other
         num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
         return RatFun(num, _pmul(self.den, other.den))
 
     def __sub__(self, other):
-        if not isinstance(other, RatFun):
-            return NotImplemented
+        other = _lift(other)
         num = _padd(_pmul(self.num, other.den), _pneg(_pmul(other.num, self.den)))
         return RatFun(num, _pmul(self.den, other.den))
 
@@ -165,13 +170,13 @@ class RatFun:
         return RatFun(_pneg(self.num), self.den)
 
     def __mul__(self, other):
-        if not isinstance(other, RatFun):
-            return NotImplemented
+        other = _lift(other)
         return RatFun(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
+    __rmul__ = __mul__
+
     def __truediv__(self, other):
-        if not isinstance(other, RatFun):
-            return NotImplemented
+        other = _lift(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         return RatFun(_pmul(self.num, other.den), _pmul(self.den, other.num))
@@ -222,6 +227,26 @@ class RatFun:
         return f"({fmt(self.num)})/({fmt(self.den)})"
 
 
+def _lift(value) -> RatFun:
+    """A RatFun operand from a RatFun, int or Fraction."""
+    if isinstance(value, (int, Fraction)):
+        return RatFun((Fraction(value),))
+    if not isinstance(value, RatFun):
+        raise TypeError(f"no rational function from {type(value).__name__}")
+    return value
+
+
+class SymbolicContext:
+    """Q(t) with the interface of the contexts in ``rings``."""
+
+    kind = "symbolic"
+    one, zero = RatFun.one(), RatFun.zero()
+    workprec = staticmethod(nullcontext)
+
+    def two_pow(self, p: int, q: int) -> RatFun:
+        return RatFun.t_power(p, Fraction(2) ** q)
+
+
 @dataclass(frozen=True)
 class ExpPair:
     """Exponent p*beta^2 + q of a power of two, kept in symbolic form."""
@@ -231,12 +256,6 @@ class ExpPair:
 
     def plus(self, other: "ExpPair") -> "ExpPair":
         return ExpPair(self.p + other.p, self.q + other.q)
-
-    def minus(self, other: "ExpPair") -> "ExpPair":
-        return ExpPair(self.p - other.p, self.q - other.q)
-
-    def neg(self) -> "ExpPair":
-        return ExpPair(-self.p, -self.q)
 
     def value_at(self, beta_sq):
         return self.p * beta_sq + self.q
@@ -257,10 +276,6 @@ class GenPoly:
 
     def __init__(self, terms: Dict[ExpPair, RatFun] | None = None) -> None:
         self.terms = {e: c for e, c in (terms or {}).items() if not c.is_zero()}
-
-    @classmethod
-    def zero(cls) -> "GenPoly":
-        return cls()
 
     @classmethod
     def single(cls, exponent: ExpPair, coeff: RatFun) -> "GenPoly":
@@ -290,9 +305,6 @@ class GenPoly:
                 c = c1 * c2
                 out[e] = out[e] + c if e in out else c
         return GenPoly(out)
-
-    def scale(self, coeff: RatFun) -> "GenPoly":
-        return GenPoly({e: c * coeff for e, c in self.terms.items()})
 
     def coefficient_sum(self) -> RatFun:
         """Value of the sum at n = 0."""

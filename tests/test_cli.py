@@ -134,6 +134,10 @@ class TestMomCommand:
             (("mom", "--k", "2", "--n", "3", "--beta-sq-rational=-1/2"),
              None),
             (("asym", "--k", "2", "--beta-sq-rational=-1/2"), None),
+            (("mom", "--k", "2", "--n", "1", "--beta", "5",
+              "--beta-sq-rational", "1/2"), None),
+            (("asym", "--k", "2", "--beta-sq-rational", "1/2", "--beta",
+              "0.1"), None),
         ]
         for args, env in cases:
             cp = run_cli(*args, env=env)

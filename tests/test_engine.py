@@ -1,13 +1,18 @@
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import mpmath
 import pytest
 from mpmath import mp
 
-from brwmom import (ExpPair, MomentTable, PoleAtCriticalBeta, Radical,
-                    RatFun, evaluate_genpoly, mom_dp, mom_polynomial,
-                    mom_symbolic, resolve_context)
+from brwmom import (ExpPair, GenPoly, MomentTable, PoleAtCriticalBeta,
+                    Radical, RatFun, RingMismatchError, critical_coefficient,
+                    evaluate_genpoly, geometric_sum, mom_dp, mom_polynomial,
+                    mom_symbolic, resolve_context, supercritical_coefficient)
+from brwmom.engine import _closed_forms
+from brwmom.rings import pow2
+from brwmom.symbolic import two_pow_sym
 
 
 def rf(num, den=(1,)):
@@ -206,6 +211,102 @@ class TestMomentTable:
             assert table.value(6, n).v == mom_dp(6, n, 1)
             counts.append(ctx.muls)
         assert counts[1] <= 2.2 * counts[0], counts
+
+
+@lru_cache(maxsize=None)
+def lambda_sum_symbolic(k):
+    """The k-th moment over Q(t) by structural induction on the lam-sum:
+    each product of lower-order closed forms is pushed through the sum
+    over the last common level lam by ``geometric_sum``.  Test-only
+    reference for the closed form of the depth recurrence."""
+    if k == 1:
+        return GenPoly.single(ExpPair(1, 0), RatFun.one())
+    diag = ExpPair(k * k, 1 - k)
+    total = GenPoly.single(diag, RatFun.one())
+    pref = RatFun.t_power(k * k, pow2(-k))
+    for j in range(1, k):
+        weight = pref * RatFun.t_power(2 * j * (j - k), comb(k, j))
+        product = lambda_sum_symbolic(j) * lambda_sum_symbolic(k - j)
+        for e, c in product.items():
+            # sum over lam of 2^(diag*lam) * 2^(e*(n-lam-1))
+            #   = 2^(-e) * (geometric sum with step diag-e) * 2^(e*n)
+            shifted = geometric_sum(ExpPair(diag.p - e.p, diag.q - e.q)) * \
+                GenPoly.single(e, two_pow_sym(ExpPair(-e.p, -e.q)) * c * weight)
+            total = total + shifted
+    return total
+
+
+def closed_form_value(form, ring, n):
+    """Sum over the terms of a closed form of P(n) * base^n, in ``ring``."""
+    total = ring.zero
+    for e, coeffs in form.values():
+        poly = sum((c * n ** d for d, c in enumerate(coeffs)), ring.zero)
+        total = total + poly * ring.two_pow(e.p * n, e.q * n)
+    return total
+
+
+CLOSED_FORM_BETA_SQ = [1, 4, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4),
+                       Fraction(1, 5), Fraction(2, 3), Fraction(1, 8)]
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("beta_sq", CLOSED_FORM_BETA_SQ)
+    def test_equals_dp_exactly(self, beta_sq):
+        # beta^2 = 1/m is critical for order m: its forms carry n^d 2^n
+        # terms (resonances), checked here like every other term.
+        ring = resolve_context(beta_sq)
+        forms = _closed_forms(8, ring)
+        table = MomentTable.build(8, 9, ring)
+        for j in range(1, 9):
+            for n in range(10):
+                assert closed_form_value(forms[j], ring, n) == \
+                    table.value(j, n), (beta_sq, j, n)
+
+    def test_critical_term_is_exact(self):
+        # k = 3 at beta^2 = 1/3: the n 2^n coefficient in Q(2^(1/3))
+        ring = resolve_context(Fraction(1, 3))
+        _, coeffs = _closed_forms(3, ring)[3][ring.two_pow(0, 1)]
+        assert len(coeffs) == 2
+        assert coeffs[1] == Radical(3, [Fraction(3, 4)] * 3)
+
+    def test_critical_coefficients_match_recursion(self):
+        # Two derivations: the exact resonant term of the closed form and
+        # the mpf recursion on the step and pair weights.
+        tol = mpmath.mpf(2) ** -240
+        for k in range(2, 9):
+            ring = resolve_context(Fraction(1, k))
+            form = _closed_forms(k, ring)[k]
+            # nothing grows faster than the critical n 2^n
+            assert max(e.value_at(ring.beta_sq) for e, _ in form.values()) \
+                == 1
+            _, coeffs = form[ring.two_pow(0, 1)]
+            assert len(coeffs) == 2
+            want = critical_coefficient(k, 256)
+            with mp.workprec(256):
+                got = coeffs[1].to_mpf(256)
+                assert abs(got - want) <= tol * want, k
+
+    def test_refuses_float_ring(self):
+        with pytest.raises(RingMismatchError):
+            _closed_forms(3, resolve_context(0.5, "float"))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_symbolic_equals_lambda_sum(self, k):
+        assert mom_symbolic(k) == lambda_sum_symbolic(k)
+
+    @pytest.mark.slow
+    def test_symbolic_equals_lambda_sum_order_six(self):
+        assert mom_symbolic(6) == lambda_sum_symbolic(6)
+
+    def test_exact_routes_skip_symbolic(self):
+        # poly and exact-beta^2 asym solve in Q or Q(2^(1/m)); only a
+        # float beta^2 needs the closed form over Q(t).
+        mom_symbolic.cache_clear()
+        mom_polynomial(5, 2)
+        supercritical_coefficient(5, Fraction(1, 2))
+        assert mom_symbolic.cache_info().misses == 0
+        supercritical_coefficient(5, 0.81)
+        assert mom_symbolic.cache_info().misses == 1
 
 
 class TestMomSymbolic:
