@@ -14,12 +14,10 @@ from .asymptotics import (CRITICAL, SUB, SUPER, LeadingTerm, RatioEstimate,
 from .closed_forms import leading_coefficient_closed_form
 from .engine import (MomentTable, MomPolynomial, PoleAtCriticalBeta,
                      evaluate_genpoly, mom_dp, mom_polynomial, mom_symbolic)
-from .montecarlo import (MomentEstimate, SimConfig, estimate_mom,
-                         sample_partition_function)
-from .oracle import EnumerationBudgetError, last_common_level, mom_bruteforce
-from .rings import (DEFAULT_PRECISION, FloatContext, Radical, RadicalContext,
-                    RationalContext, RingMismatchError, resolve_context,
-                    to_mpf)
+from .montecarlo import MomentEstimate, SimConfig, estimate_mom
+from .oracle import EnumerationBudgetError, mom_bruteforce
+from .rings import (DEFAULT_PRECISION, Radical, RingMismatchError,
+                    resolve_context, to_mpf)
 from .rmt import unitary_mom_k1, unitary_mom_k1_integer
 from .symbolic import (DegenerateExponent, ExpPair, GenPoly, RatFun,
                        geometric_sum)
@@ -27,8 +25,8 @@ from .symbolic import (DegenerateExponent, ExpPair, GenPoly, RatFun,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Radical", "RationalContext", "RadicalContext", "FloatContext",
-    "RingMismatchError", "DEFAULT_PRECISION", "resolve_context", "to_mpf",
+    "Radical", "RingMismatchError", "DEFAULT_PRECISION", "resolve_context",
+    "to_mpf",
     "ExpPair", "RatFun", "GenPoly", "DegenerateExponent",
     "geometric_sum",
     "MomentTable", "MomPolynomial", "PoleAtCriticalBeta",
@@ -38,9 +36,8 @@ __all__ = [
     "subcritical_coefficient", "critical_coefficient",
     "supercritical_coefficient", "leading_coefficient_numeric",
     "leading_term", "leading_coefficient_closed_form",
-    "EnumerationBudgetError", "last_common_level", "mom_bruteforce",
-    "SimConfig", "MomentEstimate", "sample_partition_function",
-    "estimate_mom",
+    "EnumerationBudgetError", "mom_bruteforce",
+    "SimConfig", "MomentEstimate", "estimate_mom",
     "unitary_mom_k1", "unitary_mom_k1_integer",
     "__version__",
 ]

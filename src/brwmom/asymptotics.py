@@ -52,8 +52,7 @@ class Regime:
 @dataclass(frozen=True)
 class LeadingTerm:
     coefficient: object
-    growth: ExpPair
-    n_power: int
+    regime: Regime
     method: str
 
 
@@ -192,12 +191,12 @@ def leading_term(k: int, beta_sq,
     regime = classify_regime(k, beta_sq)
     if k == 1:
         coeff = Fraction(1) if isinstance(beta_sq, (int, Fraction)) else mpmath.mpf(1)
-        return LeadingTerm(coeff, regime.growth, 0, method="exact")
+        return LeadingTerm(coeff, regime, method="exact")
     if regime.tag == SUB:
         value = subcritical_coefficient(k, beta_sq, precision)
-        return LeadingTerm(value, regime.growth, 0, method="recursion")
+        return LeadingTerm(value, regime, method="recursion")
     if regime.tag == CRITICAL:
         value = critical_coefficient(k, precision)
-        return LeadingTerm(value, regime.growth, 1, method="recursion")
+        return LeadingTerm(value, regime, method="recursion")
     value = supercritical_coefficient(k, beta_sq, precision)
-    return LeadingTerm(value, regime.growth, 0, method="symbolic")
+    return LeadingTerm(value, regime, method="symbolic")

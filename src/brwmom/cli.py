@@ -194,10 +194,10 @@ def cmd_asym(args) -> int:
                                     precision=args.precision)
     params = {"k": args.k, "precision": args.precision, **echo}
     result = {
-        "regime": asymptotics.classify_regime(args.k, beta_sq).tag,
-        "exponent": {"beta_sq_coeff": term.growth.p,
-                     "constant": term.growth.q},
-        "n_power": term.n_power,
+        "regime": term.regime.tag,
+        "exponent": {"beta_sq_coeff": term.regime.growth.p,
+                     "constant": term.regime.growth.q},
+        "n_power": term.regime.n_power,
         "coefficient": encode_value(term.coefficient, args.precision),
         "method": term.method,
     }
@@ -218,8 +218,7 @@ def cmd_sweep(args) -> int:
         term = asymptotics.leading_term(args.k, beta_sq,
                                         precision=args.precision)
         coeff = to_mpf(term.coefficient, args.precision)
-        regime = asymptotics.classify_regime(args.k, beta_sq).tag
-        lines.append(f"{beta!r},{regime},{mpmath.nstr(coeff, 17)},"
+        lines.append(f"{beta!r},{term.regime.tag},{mpmath.nstr(coeff, 17)},"
                      f"{term.method}")
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -240,7 +239,9 @@ def cmd_mc(args) -> int:
         print("error: k*beta^2 > 1; the estimator is heavy-tailed "
               "(pass --force to run anyway)", file=sys.stderr)
         return EXIT_HEAVY_TAIL
-    config = montecarlo.SimConfig(n=args.n, beta=args.beta,
+    # Z depends on beta only through beta^2 in law, but a trial's draws
+    # are scaled by 2*beta: simulate one sign so that both agree.
+    config = montecarlo.SimConfig(n=args.n, beta=abs(args.beta),
                                   trials=args.trials, seed=args.seed)
     est = montecarlo.estimate_mom(config, args.k)
     exact = engine.mom_dp(args.k, args.n, beta_sq, precision=args.precision)
@@ -353,7 +354,6 @@ def cmd_verify(args) -> int:
     suites = {
         "oracle": lambda: _verify_oracle(budget or 16, args.precision),
         "mc": lambda: _verify_mc(budget or 20000, args.precision),
-        "appendix": lambda: _verify_closed_forms(args.precision),
         "closedform": lambda: _verify_closed_forms(args.precision),
         "rmt": lambda: _verify_rmt(budget or 10000, args.precision),
     }
@@ -432,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a cross-check suite")
     p.add_argument("--suite", required=True,
-                   choices=["oracle", "mc", "appendix", "closedform", "rmt"])
+                   choices=["oracle", "mc", "closedform", "rmt"])
     p.add_argument("--budget", type=positive, default=None)
     add_precision(p)
     p.set_defaults(func=cmd_verify)

@@ -29,12 +29,10 @@ closed form here and comes from the recursion instead).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import mpmath
 from mpmath import mp
 
-from .rings import DEFAULT_PRECISION, fraction_to_mpf
+from .rings import DEFAULT_PRECISION, to_mpf
 
 SUB = "sub-critical"
 CRITICAL = "critical"
@@ -58,10 +56,7 @@ def leading_coefficient_closed_form(k: int, beta_sq, regime: str,
     if (k, regime) not in SUPPORTED:
         raise ValueError(f"no transcribed closed form for k={k}, {regime}")
     with mp.workprec(precision):
-        if isinstance(beta_sq, Fraction):
-            x = fraction_to_mpf(beta_sq, precision)
-        else:
-            x = mpmath.mpf(beta_sq) if beta_sq is not None else None
+        x = None if beta_sq is None else to_mpf(beta_sq, precision)
         two = mpmath.mpf(2)
 
         def p(e):

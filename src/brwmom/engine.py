@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import comb
 from typing import Dict, Tuple
 
-from .rings import (DEFAULT_PRECISION, RingContext, RingMismatchError, pow2,
+from .rings import (DEFAULT_PRECISION, RingContext, RingMismatchError,
                     resolve_context)
 from .symbolic import ExpPair, GenPoly, SymbolicContext, _trim
 
@@ -198,13 +198,6 @@ class MomPolynomial:
     @property
     def leading_coefficient(self) -> Fraction:
         return self.coefficients[self.degree]
-
-    def evaluate_at(self, x: Fraction) -> Fraction:
-        return sum((c * x ** d for d, c in self.coefficients.items()),
-                   Fraction(0))
-
-    def evaluate(self, n: int) -> Fraction:
-        return self.evaluate_at(pow2(n))
 
     def rows(self):
         """(degree, coefficient) pairs, highest degree first."""

@@ -120,12 +120,6 @@ def log_partition_function(config: SimConfig, trial_index: int) -> float:
                                               trial_index + 1))[0])
 
 
-def sample_partition_function(config: SimConfig, trial_index: int) -> float:
-    """One realization of the partition function; deterministic in
-    (seed, trial_index)."""
-    return math.exp(log_partition_function(config, trial_index))
-
-
 def _stderr(samples: np.ndarray) -> float:
     """Standard error of the sample mean, 0 for a single sample.
 

@@ -130,20 +130,6 @@ class Radical:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if not isinstance(e, int):
-            return NotImplemented
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = Radical.rational(self.m, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def inverse(self) -> "Radical":
         """Multiplicative inverse via the extended Euclidean algorithm
         against x^m - 2."""

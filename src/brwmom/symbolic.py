@@ -8,10 +8,12 @@ rational-function coefficients and represents a finite sum
     sum over (p, q) of  c_{p,q}(t) * 2^((p*beta^2 + q) * n).
 
 ``SymbolicContext`` is Q(t) as a ring context, in which ``engine``
-solves the moment recursion for generic beta; ``geometric_sum`` gives a
-geometric series in this form.  The dense polynomial helpers over Q
-(coefficient tuples, lowest degree first) are the only copy in the
-package; ``rings.Radical`` uses them for its inverse.
+solves the moment recursion for generic beta.  ``geometric_sum`` gives
+a geometric series in this form; no route calls it, and the tests build
+their lambda-sum reference for the closed form from it.  The dense
+polynomial helpers over Q (coefficient tuples, lowest degree first) are
+the only copy in the package; ``rings.Radical`` uses them for its
+inverse.
 """
 
 from __future__ import annotations
@@ -129,10 +131,6 @@ class RatFun:
         self.den = den
 
     @classmethod
-    def from_fraction(cls, c) -> "RatFun":
-        return cls((Fraction(c),))
-
-    @classmethod
     def zero(cls) -> "RatFun":
         return cls(())
 
@@ -147,9 +145,6 @@ class RatFun:
         if p >= 0:
             return cls((Fraction(0),) * p + (scale,))
         return cls((scale,), (Fraction(0),) * (-p) + (Fraction(1),))
-
-    def is_zero(self) -> bool:
-        return not self.num
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -177,7 +172,7 @@ class RatFun:
 
     def __truediv__(self, other):
         other = _lift(other)
-        if other.is_zero():
+        if not other:
             raise ZeroDivisionError("division by zero rational function")
         return RatFun(_pmul(self.num, other.den), _pmul(self.den, other.num))
 
@@ -197,13 +192,6 @@ class RatFun:
     def evaluate(self, t):
         num, den = self.evaluate_parts(t)
         return num / den
-
-    def to_fraction(self) -> Fraction:
-        if len(self.num) > 1 or len(self.den) > 1:
-            raise ValueError(f"{self!r} is not constant")
-        if not self.num:
-            return Fraction(0)
-        return self.num[0] / self.den[0]
 
     def __repr__(self) -> str:
         def fmt(cs):
@@ -260,14 +248,6 @@ class ExpPair:
     def value_at(self, beta_sq):
         return self.p * beta_sq + self.q
 
-    def is_zero(self) -> bool:
-        return self.p == 0 and self.q == 0
-
-
-def two_pow_sym(e: ExpPair) -> RatFun:
-    """2^(e.p*beta^2 + e.q) as an element of Q(t)."""
-    return RatFun.t_power(e.p, Fraction(2) ** e.q)
-
 
 class GenPoly:
     """Finite sum of terms c_{p,q}(t) * 2^((p*beta^2+q)*n)."""
@@ -275,25 +255,13 @@ class GenPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Dict[ExpPair, RatFun] | None = None) -> None:
-        self.terms = {e: c for e, c in (terms or {}).items() if not c.is_zero()}
-
-    @classmethod
-    def single(cls, exponent: ExpPair, coeff: RatFun) -> "GenPoly":
-        return cls({exponent: coeff})
+        self.terms = {e: c for e, c in (terms or {}).items() if c}
 
     def items(self) -> Iterator[Tuple[ExpPair, RatFun]]:
         return iter(sorted(self.terms.items(), key=lambda kv: (kv[0].p, kv[0].q)))
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def __add__(self, other):
-        if not isinstance(other, GenPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out[e] + c if e in out else c
-        return GenPoly(out)
 
     def __mul__(self, other):
         if not isinstance(other, GenPoly):
@@ -305,13 +273,6 @@ class GenPoly:
                 c = c1 * c2
                 out[e] = out[e] + c if e in out else c
         return GenPoly(out)
-
-    def coefficient_sum(self) -> RatFun:
-        """Value of the sum at n = 0."""
-        total = RatFun.zero()
-        for c in self.terms.values():
-            total = total + c
-        return total
 
     def __eq__(self, other):
         if not isinstance(other, GenPoly):
@@ -334,20 +295,21 @@ def geometric_sum(step: ExpPair, n: int | None = None):
     evaluated in Q(t) and returned as a RatFun, including the degenerate
     step where the sum is simply n.
     """
+    degenerate = step == ExpPair(0, 0)
+    ratio = SymbolicContext().two_pow(step.p, step.q)
     if n is not None:
         if n < 0:
             raise ValueError("n must be nonnegative")
-        if step.is_zero():
-            return RatFun.from_fraction(n)
-        ratio = two_pow_sym(step)
+        if degenerate:
+            return _lift(n)
         total = RatFun.zero()
         power = RatFun.one()
         for _ in range(n):
             total = total + power
             power = power * ratio
         return total
-    if step.is_zero():
+    if degenerate:
         raise DegenerateExponent(
             "unit-ratio geometric sum degenerates to n itself")
-    inv = RatFun.one() / (two_pow_sym(step) - RatFun.one())
+    inv = RatFun.one() / (ratio - RatFun.one())
     return GenPoly({step: inv, ExpPair(0, 0): -inv})

@@ -278,7 +278,7 @@ class TestClosedFormFixtures:
             return RatFun.t_power(p, Fraction(s))
 
         def c(x):
-            return RatFun.from_fraction(Fraction(x))
+            return RatFun((Fraction(x),))
 
         ext4 = mom_symbolic(4).terms[ExpPair(16, -3)]
         delta4 = c(6) / ((t(8) - c(2)) * (t(10) - c(4)))

@@ -88,11 +88,14 @@ class TestMomCommand:
         validate_schema(rec)
 
     def test_beta_sign_symmetry_byte_identical(self):
-        a = run_cli("mom", "--k", "2", "--n", "5", "--beta", "0.7")
-        b = run_cli("mom", "--k", "2", "--n", "5", "--beta", "-0.7")
-        # the record echoes beta as given, so compare results only
-        ra, rb = json.loads(a.stdout), json.loads(b.stdout)
-        assert ra["result"] == rb["result"]
+        cases = [(("mom", "--k", "2", "--n", "5"), "0.7"),
+                 (("mc", "--k", "2", "--n", "6", "--trials", "200",
+                   "--seed", "3"), "0.3")]
+        for args, beta in cases:
+            a = record(run_cli(*args, "--beta", beta))
+            b = record(run_cli(*args, "--beta", "-" + beta))
+            # the record echoes beta as given, so compare results only
+            assert a["result"] == b["result"], args
 
     def test_repeat_invocations_byte_identical(self):
         a = run_cli("mom", "--k", "3", "--n", "6", "--beta", "0.4")
@@ -297,8 +300,12 @@ class TestVerifyCommand:
     def test_closed_form_suite_and_alias(self):
         cp = run_cli("verify", "--suite", "closedform")
         assert cp.returncode == 0, cp.stdout
+        # the former alias "appendix" is an invalid choice
         cp2 = run_cli("verify", "--suite", "appendix")
-        assert cp2.returncode == 0
+        assert cp2.returncode == 2
+        assert cp2.stdout == ""
+        assert cp2.stderr.startswith("error:")
+        assert cp2.stderr.count("\n") == 1
 
     def test_rmt_suite(self):
         cp = run_cli("verify", "--suite", "rmt", "--budget", "2000")

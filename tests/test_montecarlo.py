@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp, ndtri
 
-from brwmom import (SimConfig, estimate_mom, mom_dp, sample_partition_function,
-                    to_mpf)
+from brwmom import SimConfig, estimate_mom, mom_dp, to_mpf
 from brwmom import montecarlo
 from brwmom.montecarlo import _edge_gaussians, _stderr, log_partition_function
 
@@ -49,28 +48,28 @@ class TestSampling:
     def test_depth_zero_is_one(self):
         cfg = SimConfig(n=0, beta=0.7, trials=5, seed=11)
         for t in range(5):
-            assert sample_partition_function(cfg, t) == 1.0
+            assert math.exp(log_partition_function(cfg, t)) == 1.0
 
     def test_beta_zero_is_one(self):
         cfg = SimConfig(n=5, beta=0.0, trials=8, seed=3)
         for t in range(8):
-            assert sample_partition_function(cfg, t) == 1.0
+            assert math.exp(log_partition_function(cfg, t)) == 1.0
 
     def test_deterministic_across_calls(self):
         cfg = SimConfig(n=6, beta=0.4, trials=3, seed=123)
-        a = [sample_partition_function(cfg, t) for t in range(3)]
-        b = [sample_partition_function(cfg, t) for t in range(3)]
+        a = [log_partition_function(cfg, t) for t in range(3)]
+        b = [log_partition_function(cfg, t) for t in range(3)]
         assert a == b
 
     def test_trials_are_distinct_streams(self):
         cfg = SimConfig(n=6, beta=0.4, trials=2, seed=123)
-        assert sample_partition_function(cfg, 0) != \
-            sample_partition_function(cfg, 1)
+        assert log_partition_function(cfg, 0) != \
+            log_partition_function(cfg, 1)
 
     def test_trial_index_validated(self):
         cfg = SimConfig(n=2, beta=0.4, trials=2, seed=1)
         with pytest.raises(ValueError):
-            sample_partition_function(cfg, 2)
+            log_partition_function(cfg, 2)
 
     def test_straight_line_reimplementation_depth_two(self):
         # independent recomputation reading the same six draws: two level-1
@@ -79,7 +78,7 @@ class TestSampling:
         g = _edge_gaussians(77, range(1), 6)[0]
         walks = [g[0] + g[2], g[0] + g[3], g[1] + g[4], g[1] + g[5]]
         z = sum(math.exp(2 * 0.6 * x) for x in walks) / 4.0
-        got = sample_partition_function(cfg, 0)
+        got = math.exp(log_partition_function(cfg, 0))
         assert got == pytest.approx(z, rel=1e-15)
 
     def test_gaussian_construction(self):

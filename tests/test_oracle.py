@@ -3,8 +3,8 @@ from itertools import product
 
 import pytest
 
-from brwmom import (EnumerationBudgetError, Radical, last_common_level,
-                    mom_bruteforce, mom_dp)
+from brwmom import EnumerationBudgetError, Radical, mom_bruteforce, mom_dp
+from brwmom.oracle import last_common_level
 
 
 class TestLastCommonLevel:

@@ -44,11 +44,6 @@ class TestRatFun:
         t = Radical.root_power(2, 1)  # sqrt(2)
         assert f.evaluate(t) == Radical.rational(2, Fraction(1, -2))
 
-    def test_constant_extraction(self):
-        assert rf([7], [2]).to_fraction() == Fraction(7, 2)
-        with pytest.raises(ValueError):
-            rf([0, 1]).to_fraction()
-
 
 poly_strategy = st.lists(
     st.fractions(min_value=-3, max_value=3, max_denominator=6),
@@ -61,7 +56,7 @@ class TestRatFunField:
     def test_multiply_then_divide_roundtrips(self, f_num, g_num):
         f = RatFun(f_num)
         g = RatFun(g_num)
-        if g.is_zero():
+        if not g:
             return
         assert (f * g) / g == f
 
@@ -74,10 +69,10 @@ class TestRatFunField:
 
 class TestGeometricSum:
     def test_integer_n_plain(self):
-        assert geometric_sum(ExpPair(0, 1), 3).to_fraction() == 7
+        assert geometric_sum(ExpPair(0, 1), 3) == rf([7])
 
     def test_integer_n_degenerate(self):
-        assert geometric_sum(ExpPair(0, 0), 5).to_fraction() == 5
+        assert geometric_sum(ExpPair(0, 0), 5) == rf([5])
 
     def test_symbolic_degenerate_raises(self):
         with pytest.raises(DegenerateExponent):
@@ -126,12 +121,7 @@ class TestGenPoly:
         assert len(g) == 1
 
     def test_product_adds_exponents(self):
-        a = GenPoly.single(ExpPair(1, 0), RatFun.one())
-        b = GenPoly.single(ExpPair(2, -1), RatFun.from_fraction(3))
+        a = GenPoly({ExpPair(1, 0): RatFun.one()})
+        b = GenPoly({ExpPair(2, -1): rf([3])})
         prod = a * b
-        assert prod.terms[ExpPair(3, -1)] == RatFun.from_fraction(3)
-
-    def test_addition_merges(self):
-        a = GenPoly.single(ExpPair(1, 0), RatFun.one())
-        b = GenPoly.single(ExpPair(1, 0), RatFun.from_fraction(-1))
-        assert len(a + b) == 0
+        assert prod.terms[ExpPair(3, -1)] == rf([3])
