@@ -14,7 +14,6 @@ from .asymptotics import (CRITICAL, SUB, SUPER, LeadingTerm, RatioEstimate,
 from .closed_forms import leading_coefficient_closed_form
 from .engine import (MomentTable, MomPolynomial, PoleAtCriticalBeta,
                      evaluate_genpoly, mom_dp, mom_polynomial, mom_symbolic)
-from .montecarlo import MomentEstimate, SimConfig, estimate_mom
 from .oracle import EnumerationBudgetError, mom_bruteforce
 from .rings import (DEFAULT_PRECISION, Radical, RingMismatchError,
                     resolve_context, to_mpf)
@@ -23,6 +22,10 @@ from .symbolic import (DegenerateExponent, ExpPair, GenPoly, RatFun,
                        geometric_sum)
 
 __version__ = "0.1.0"
+
+# Monte Carlo needs numpy and scipy, which take most of the import time;
+# its names load on first use (PEP 562).
+_MONTECARLO = ("MomentEstimate", "SimConfig", "estimate_mom")
 
 __all__ = [
     "Radical", "RingMismatchError", "DEFAULT_PRECISION", "resolve_context",
@@ -41,3 +44,14 @@ __all__ = [
     "unitary_mom_k1", "unitary_mom_k1_integer",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name in _MONTECARLO:
+        from . import montecarlo
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MONTECARLO))

@@ -8,6 +8,9 @@ floating-point payloads carry their precision in bits.
 Exit codes: 0 success, 1 failed verification, 2 invalid flags (one
 ``error:`` line on stderr), 3 ring/beta mismatch, 4 unwritable output
 file, 5 heavy-tail refusal.
+
+numpy and scipy are imported only by ``mc`` and ``verify --suite mc``,
+through ``montecarlo`` imported inside ``cmd_mc`` and ``_verify_mc``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 
 import mpmath
 
-from . import asymptotics, closed_forms, engine, montecarlo, oracle, rmt
+from . import asymptotics, closed_forms, engine, oracle, rmt
 from .rings import (DEFAULT_PRECISION, MIN_PRECISION, Radical,
                     RingMismatchError, resolve_context, to_mpf)
 
@@ -33,21 +36,27 @@ EXIT_RING_MISMATCH = 3
 EXIT_UNWRITABLE = 4
 EXIT_HEAVY_TAIL = 5
 
+# Deepest tree ``mc`` simulates.  One trial's peak memory doubles per
+# level: 65 MiB at n = 20 (tracemalloc), so 520 MiB at 23 and over 1 GiB
+# at 24.
+MC_MAX_DEPTH = 23
+
 # How close k*beta^2 (or m*beta^2 for m < k) must be to 1 before a float
 # beta is treated as exactly critical for that order.
 CRITICAL_SNAP_TOL = 1e-9
 
 
-def _int_at_least(low: int, hint: str = ""):
-    """argparse type: an integer no smaller than ``low``."""
+def _int_in(low: int, high: float = math.inf, hint: str = ""):
+    """argparse type: an integer in [low, high]."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = None
-        if value is None or value < low:
+        if value is None or not low <= value <= high:
+            bound = f"in {low}..{high}" if high < math.inf else f">= {low}"
             raise argparse.ArgumentTypeError(
-                f"must be an integer >= {low}{hint}, got {text!r}")
+                f"must be an integer {bound}{hint}, got {text!r}")
         return value
     return parse
 
@@ -239,6 +248,7 @@ def cmd_mc(args) -> int:
         print("error: k*beta^2 > 1; the estimator is heavy-tailed "
               "(pass --force to run anyway)", file=sys.stderr)
         return EXIT_HEAVY_TAIL
+    from . import montecarlo
     # Z depends on beta only through beta^2 in law, but a trial's draws
     # are scaled by 2*beta: simulate one sign so that both agree.
     config = montecarlo.SimConfig(n=args.n, beta=abs(args.beta),
@@ -293,6 +303,7 @@ def _verify_oracle(budget: int, precision: int) -> list:
 
 
 def _verify_mc(trials: int, precision: int) -> list:
+    from . import montecarlo
     checks = []
     for k, n, beta in ((1, 6, 0.3), (2, 6, 0.3)):
         config = montecarlo.SimConfig(n=n, beta=beta, trials=trials, seed=42)
@@ -374,7 +385,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    positive, depth = _int_at_least(1), _int_at_least(0)
+    positive, depth = _int_in(1), _int_in(0)
     parser = _Parser(
         prog="brwmom",
         description="Moments of the branching random walk partition "
@@ -385,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
         # A string default goes through ``type`` too, so a bad
         # $BRWMOM_PRECISION is rejected like a bad flag.
         p.add_argument("--precision",
-                       type=_int_at_least(MIN_PRECISION, " bits (--precision"
-                                          f" or ${ENV_PRECISION})"),
+                       type=_int_in(MIN_PRECISION, hint=" bits (--precision"
+                                    f" or ${ENV_PRECISION})"),
                        default=os.environ.get(ENV_PRECISION,
                                               str(DEFAULT_PRECISION)),
                        help="float precision in bits, at least "
@@ -439,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc", help="Monte Carlo moment estimate vs engine")
     p.add_argument("--k", type=positive, required=True)
-    p.add_argument("--n", type=depth, required=True)
+    p.add_argument("--n", type=_int_in(0, MC_MAX_DEPTH, " (a deeper trial "
+                                       "needs over 1 GiB)"), required=True)
     p.add_argument("--beta", type=_finite_float, required=True)
     p.add_argument("--trials", type=positive, default=10000)
     p.add_argument("--seed", type=int, default=0)

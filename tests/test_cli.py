@@ -128,6 +128,8 @@ class TestMomCommand:
             (("mom", "--k", "2", "--n", "1", "--beta", "1e400"), None),
             (("mc", "--k", "1", "--n", "2", "--beta=-inf"), None),
             (("mc", "--k", "1", "--n", "2", "--beta", "nan"), None),
+            (("mc", "--k", "1", "--n", "30", "--beta", "0.3", "--trials",
+              "1"), None),
             (("sweep", "--k", "2", "--beta-min", "nan", "--beta-max", "1",
               "--steps", "3"), None),
             (("sweep", "--k", "2", "--beta-min", "0", "--beta-max", "inf",
@@ -147,6 +149,12 @@ class TestMomCommand:
             assert cp.returncode == 2, (args, env, cp.stderr)
             assert cp.stderr.startswith("error: "), (args, env, cp.stderr)
             assert cp.stderr.count("\n") == 1, (args, env, cp.stderr)
+
+    def test_mc_depth_cap_is_inclusive(self):
+        # Parsed only: a trial at the cap needs about 520 MiB.
+        args = cli.build_parser().parse_args(
+            ["mc", "--k", "1", "--n", str(cli.MC_MAX_DEPTH), "--beta", "0.3"])
+        assert args.n == cli.MC_MAX_DEPTH
 
     def test_rational_beyond_int_digit_limit(self, capsys):
         # 2^16000 has 4817 digits, more than str(int) allows by default
