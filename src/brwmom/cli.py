@@ -61,15 +61,27 @@ def _int_in(low: int, high: float = math.inf, hint: str = ""):
     return parse
 
 
-def _finite_float(text: str) -> float:
-    """argparse type: a finite float (no nan or inf)."""
+def _beta(text: str) -> float:
+    """argparse type: a float beta whose square is a finite double."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not math.isfinite(value):
+    if not math.isfinite(value * value):
         raise argparse.ArgumentTypeError(
-            f"must be a finite number, got {text!r}")
+            f"must be a finite number with a finite square, got {text!r}")
+    return value
+
+
+def _beta_sq_rational(text: str) -> Fraction:
+    """argparse type: an exact beta^2 >= 0, written p/m or p."""
+    try:
+        value = Fraction(*map(int, text.split("/")))
+    except (TypeError, ValueError, ZeroDivisionError):
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a rational p/m >= 0, got {text!r}")
     return value
 
 
@@ -131,29 +143,11 @@ def parse_beta_args(args) -> tuple:
     an exact Fraction (activating exact rings); otherwise beta^2 is the
     float square, so the two signs of beta agree identically.
     """
-    if getattr(args, "beta_sq_rational", None):
-        text = args.beta_sq_rational
-        try:
-            if "/" in text:
-                p, m = text.split("/")
-                bs = Fraction(int(p), int(m))
-            else:
-                bs = Fraction(int(text))
-            if bs < 0:
-                raise ValueError(text)
-        except (ValueError, ZeroDivisionError):
-            print(f"error: --beta-sq-rational must be a rational p/m >= 0, "
-                  f"got {text!r}", file=sys.stderr)
-            raise SystemExit(2)
-        if bs.denominator == 1:
-            return int(bs), {"beta_sq": _fraction_str(bs)}
+    bs = getattr(args, "beta_sq_rational", None)
+    if bs is not None:
         return bs, {"beta_sq": _fraction_str(bs)}
     beta = args.beta
-    if beta is None:
-        print("error: one of --beta or --beta-sq-rational is required",
-              file=sys.stderr)
-        raise SystemExit(2)
-    if float(beta).is_integer():
+    if beta.is_integer():
         b = int(beta)
         return b * b, {"beta": b}
     return beta * beta, {"beta": beta}
@@ -215,9 +209,8 @@ def cmd_asym(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if not args.beta_min < args.beta_max or args.steps < 2:
-        print("error: need beta-min < beta-max and steps >= 2",
-              file=sys.stderr)
+    if not args.beta_min < args.beta_max:
+        print("error: need beta-min < beta-max", file=sys.stderr)
         return 2
     lines = ["beta,regime,coefficient,method"]
     step = (args.beta_max - args.beta_min) / (args.steps - 1)
@@ -405,9 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
                             f"or ${ENV_PRECISION})")
 
     def add_beta(p):
-        given = p.add_mutually_exclusive_group()
-        given.add_argument("--beta", type=_finite_float, default=None)
-        given.add_argument("--beta-sq-rational", default=None, metavar="P/M",
+        given = p.add_mutually_exclusive_group(required=True)
+        given.add_argument("--beta", type=_beta)
+        given.add_argument("--beta-sq-rational", type=_beta_sq_rational,
+                           metavar="P/M",
                            help="exact beta^2 as a rational, e.g. 1/2")
 
     p = sub.add_parser("mom", help="moment value at one (k, n, beta)")
@@ -434,9 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="leading coefficient curve over beta")
     p.add_argument("--k", type=positive, required=True)
-    p.add_argument("--beta-min", type=_finite_float, required=True)
-    p.add_argument("--beta-max", type=_finite_float, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--beta-min", type=_beta, required=True)
+    p.add_argument("--beta-max", type=_beta, required=True)
+    p.add_argument("--steps", type=_int_in(2), required=True)
     p.add_argument("--out", default=None)
     add_precision(p)
     p.set_defaults(func=cmd_sweep)
@@ -452,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=positive, required=True)
     p.add_argument("--n", type=_int_in(0, MC_MAX_DEPTH, " (a deeper trial "
                                        "needs over 1 GiB)"), required=True)
-    p.add_argument("--beta", type=_finite_float, required=True)
+    p.add_argument("--beta", type=_beta, required=True)
     p.add_argument("--trials", type=positive, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true",

@@ -53,6 +53,8 @@ class SimConfig:
             raise ValueError("depth must be nonnegative")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if not math.isfinite(self.beta * self.beta):
+            raise ValueError("beta and beta^2 must be finite")
 
 
 @dataclass(frozen=True)

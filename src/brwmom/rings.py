@@ -37,11 +37,6 @@ def pow2(exponent: int) -> Fraction:
     return Fraction(2) ** exponent
 
 
-def fraction_to_mpf(value: Fraction, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
-    with mp.workprec(precision):
-        return mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator)
-
-
 class Radical:
     """Element of the field Q(2^(1/m)), stored as m rational coefficients.
 
@@ -117,16 +112,12 @@ class Radical:
             return NotImplemented
         self._check(other)
         m = self.m
-        out = [Fraction(0)] * m
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b:
-                    continue
-                s, r = divmod(i + j, m)
-                out[r] += a * b * pow2(s)
-        return Radical(m, out)
+        out = list(_pmul(self.coeffs, other.coeffs))
+        out += [Fraction(0)] * (m - len(out))
+        # Degrees reach 2m - 2, so one pass of r^m = 2 reduces them all.
+        for d in range(m, len(out)):
+            out[d - m] += 2 * out[d]
+        return Radical(m, out[:m])
 
     __rmul__ = __mul__
 
@@ -188,7 +179,7 @@ class Radical:
             total = mpmath.mpf(0)
             for j, c in enumerate(self.coeffs):
                 if c:
-                    total += fraction_to_mpf(c, precision) * root ** j
+                    total += to_mpf(c, precision) * root ** j
             return total
 
     def __float__(self) -> float:
@@ -208,7 +199,7 @@ class RationalContext:
 
     kind = "rational"
 
-    def __init__(self, beta_sq: int) -> None:
+    def __init__(self, beta_sq: ExactScalar) -> None:
         if isinstance(beta_sq, Fraction) and beta_sq.denominator == 1:
             beta_sq = int(beta_sq)
         if not isinstance(beta_sq, int):
@@ -283,10 +274,8 @@ class FloatContext:
             raise ValueError(f"precision must be >= {MIN_PRECISION} bits")
         self.precision = precision
         with mp.workprec(precision):
-            if isinstance(beta_sq, Fraction):
-                self.beta_sq = fraction_to_mpf(beta_sq, precision)
-            else:
-                self.beta_sq = mpmath.mpf(beta_sq)
+            # Unary plus rounds an mpf, which to_mpf passes through as is.
+            self.beta_sq = +to_mpf(beta_sq, precision)
 
     @property
     def tag(self) -> str:
@@ -325,19 +314,17 @@ def resolve_context(beta_sq, ring: str = "auto",
     incompatible inputs rather than silently lifting floats to rationals.
     """
     if ring == "auto":
-        if isinstance(beta_sq, int) or (
-                isinstance(beta_sq, Fraction) and beta_sq.denominator == 1):
-            return RationalContext(int(beta_sq))
-        if isinstance(beta_sq, Fraction):
-            return RadicalContext(beta_sq)
-        return FloatContext(beta_sq, precision)
+        if not isinstance(beta_sq, (int, Fraction)):
+            ring = "float"
+        else:
+            ring = "rational" if beta_sq.denominator == 1 else "radical"
     if ring == "rational":
         return RationalContext(beta_sq)
     if ring == "radical":
         if not isinstance(beta_sq, (int, Fraction)):
             raise RingMismatchError(
                 "radical ring needs an exact rational beta^2")
-        return RadicalContext(Fraction(beta_sq))
+        return RadicalContext(beta_sq)
     if ring == "float":
         return FloatContext(beta_sq, precision)
     raise ValueError(f"unknown ring {ring!r}")
@@ -353,7 +340,7 @@ def to_mpf(value, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
         return value
     if isinstance(value, Radical):
         return value.to_mpf(precision)
-    if isinstance(value, (int, Fraction)):
-        return fraction_to_mpf(Fraction(value), precision)
     with mp.workprec(precision):
+        if isinstance(value, (int, Fraction)):
+            return mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator)
         return mpmath.mpf(value)

@@ -51,10 +51,11 @@ def _pmul(a: Coeffs, b: Coeffs) -> Coeffs:
     if not a or not b:
         return ()
     out = [Fraction(0)] * (len(a) + len(b) - 1)
+    b_terms = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
         if not x:
             continue
-        for j, y in enumerate(b):
+        for j, y in b_terms:
             out[i + j] += x * y
     return _trim(out)
 

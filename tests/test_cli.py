@@ -143,12 +143,42 @@ class TestMomCommand:
               "--beta-sq-rational", "1/2"), None),
             (("asym", "--k", "2", "--beta-sq-rational", "1/2", "--beta",
               "0.1"), None),
+            (("sweep", "--k", "2", "--beta-min", "0", "--beta-max", "1",
+              "--steps", "1"), None),
+            # beta^2 overflows a double.
+            (("mc", "--k", "1", "--n", "2", "--beta", "1e200", "--trials",
+              "3", "--force"), None),
+            (("sweep", "--k", "2", "--beta-min", "0", "--beta-max", "1e200",
+              "--steps", "2"), None),
+            (("mom", "--k", "2", "--n", "1", "--beta", "1e200"), None),
+            (("asym", "--k", "2", "--beta", "1e200"), None),
         ]
         for args, env in cases:
             cp = run_cli(*args, env=env)
             assert cp.returncode == 2, (args, env, cp.stderr)
             assert cp.stderr.startswith("error: "), (args, env, cp.stderr)
             assert cp.stderr.count("\n") == 1, (args, env, cp.stderr)
+
+    @pytest.mark.parametrize("text, echo, ring", [
+        ("1/2", "1/2", "radical(2)"), ("4", "4/1", "rational"),
+        ("0", "0/1", "rational"), (" 1/3", "1/3", "radical(3)")])
+    def test_beta_sq_rational_accepted(self, text, echo, ring, capsys):
+        argv = ["mom", "--k", "1", "--n", "1", f"--beta-sq-rational={text}"]
+        assert cli.main(argv) == 0
+        params = json.loads(capsys.readouterr().out)["parameters"]
+        assert (params["beta_sq"], params["ring"]) == (echo, ring)
+
+    @pytest.mark.parametrize("text", ["1/", "1/0", "1/-3", "-1/2", "1.5",
+                                      "1/2/3"])
+    def test_beta_sq_rational_rejected(self, text, capsys):
+        argv = ["mom", "--k", "1", "--n", "1", f"--beta-sq-rational={text}"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
     def test_mc_depth_cap_is_inclusive(self):
         # Parsed only: a trial at the cap needs about 520 MiB.

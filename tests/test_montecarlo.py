@@ -134,6 +134,14 @@ class TestEstimates:
         with pytest.raises(ValueError):
             estimate_mom(SimConfig(n=2, beta=0.3, trials=2, seed=0), 0)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 1e200,
+                                      -1e155])
+    def test_beta_with_non_finite_square_rejected(self, beta):
+        # The largest finite square is about (1.34e154)^2.
+        with pytest.raises(ValueError):
+            SimConfig(n=2, beta=beta, trials=2, seed=0)
+        SimConfig(n=2, beta=1.3e154, trials=2, seed=0)
+
 
 def trials_per_block(n):
     return max(1, montecarlo._BLOCK_DOUBLES // max(2 ** (n + 1) - 2, 1))

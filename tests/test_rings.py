@@ -13,6 +13,18 @@ def rad(m, *coeffs):
     return Radical(m, [Fraction(c) for c in coeffs])
 
 
+def radical_product_reference(x, y):
+    """x * y by the schoolbook double loop: 2^(i/m) * 2^(j/m) is
+    2^s * 2^(r/m) with (s, r) = divmod(i + j, m)."""
+    m = x.m
+    out = [Fraction(0)] * m
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            s, r = divmod(i + j, m)
+            out[r] += a * b * 2 ** s
+    return Radical(m, out)
+
+
 class TestRadicalBasics:
     def test_sqrt_two_squares_to_two(self):
         assert rad(2, 0, 1) * rad(2, 0, 1) == rad(2, 2, 0)
@@ -62,6 +74,18 @@ coeff_strategy = st.fractions(
 
 
 class TestRadicalField:
+    @given(st.integers(1, 6), st.lists(coeff_strategy, min_size=6, max_size=6),
+           st.lists(coeff_strategy, min_size=6, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_product_matches_reference(self, m, a, b):
+        x, y = Radical(m, a[:m]), Radical(m, b[:m])
+        product = x * y
+        assert product == radical_product_reference(x, y)
+        with mpmath.mp.workprec(256):
+            want = x.to_mpf(256) * y.to_mpf(256)
+            error = abs(product.to_mpf(256) - want)
+            assert error <= abs(want) * mpmath.mpf(2) ** -200
+
     @given(st.integers(2, 5), st.lists(coeff_strategy, min_size=5, max_size=5))
     @settings(max_examples=150, deadline=None)
     def test_inverse_roundtrip(self, m, coeffs):
