@@ -36,10 +36,16 @@ EXIT_RING_MISMATCH = 3
 EXIT_UNWRITABLE = 4
 EXIT_HEAVY_TAIL = 5
 
-# Deepest tree ``mc`` simulates.  One trial's peak memory doubles per
-# level: 65 MiB at n = 20 (tracemalloc), so 520 MiB at 23 and over 1 GiB
-# at 24.
-MC_MAX_DEPTH = 23
+# Deepest tree ``mc`` simulates.  One trial's peak memory is ~1.07
+# doubles per edge and doubles per level: 34 MiB at n = 21 (tracemalloc),
+# so ~545 MiB at 25 and over 1 GiB at 26.
+MC_MAX_DEPTH = 25
+
+# Largest |beta| of an exact beta^2.  The exact rings build
+# 2^(p*beta^2 + q): at k = 2 and beta = 256 one command takes ~0.3 s,
+# each doubling of beta costs ~8 times more, and beta = 1e100 runs
+# without end.
+MAX_EXACT_BETA = 2 ** 8
 
 # How close k*beta^2 (or m*beta^2 for m < k) must be to 1 before a float
 # beta is treated as exactly critical for that order.
@@ -61,7 +67,7 @@ def _int_in(low: int, high: float = math.inf, hint: str = ""):
     return parse
 
 
-def _beta(text: str) -> float:
+def _float_beta(text: str) -> float:
     """argparse type: a float beta whose square is a finite double."""
     try:
         value = float(text)
@@ -73,15 +79,28 @@ def _beta(text: str) -> float:
     return value
 
 
+def _beta(text: str) -> float:
+    """argparse type: a _float_beta, at most MAX_EXACT_BETA in magnitude
+    when integral, since an integral beta gives an exact beta^2."""
+    value = _float_beta(text)
+    if value.is_integer() and abs(value) > MAX_EXACT_BETA:
+        raise argparse.ArgumentTypeError(
+            f"an integral beta is exact and must be at most {MAX_EXACT_BETA}"
+            f" in magnitude, got {text!r}")
+    return value
+
+
 def _beta_sq_rational(text: str) -> Fraction:
-    """argparse type: an exact beta^2 >= 0, written p/m or p."""
+    """argparse type: an exact beta^2 in [0, MAX_EXACT_BETA^2], written
+    p/m or p."""
     try:
         value = Fraction(*map(int, text.split("/")))
     except (TypeError, ValueError, ZeroDivisionError):
         value = None
-    if value is None or value < 0:
+    if value is None or not 0 <= value <= MAX_EXACT_BETA ** 2:
         raise argparse.ArgumentTypeError(
-            f"must be a rational p/m >= 0, got {text!r}")
+            f"must be a rational p/m in 0..{MAX_EXACT_BETA ** 2}, "
+            f"got {text!r}")
     return value
 
 
@@ -248,9 +267,15 @@ def cmd_mc(args) -> int:
                                   trials=args.trials, seed=args.seed)
     est = montecarlo.estimate_mom(config, args.k)
     exact = engine.mom_dp(args.k, args.n, beta_sq, precision=args.precision)
-    exact_f = float(to_mpf(exact, args.precision))
-    z = 0.0 if est.stderr == 0 and est.mean == exact_f else (
-        float("inf") if est.stderr == 0 else (est.mean - exact_f) / est.stderr)
+    # In mpf at a double's 53 bits: each step rounds as double arithmetic
+    # would, so a z-score within the double range is that double, but an
+    # exact value beyond the range does not overflow to inf.
+    with mpmath.workprec(53):
+        exact_53 = +to_mpf(exact, args.precision)
+        if est.stderr == 0:
+            z = 0.0 if est.mean == exact_53 else math.inf
+        else:
+            z = float((est.mean - exact_53) / est.stderr)
     params = {"k": args.k, "n": args.n, "beta": args.beta,
               "trials": args.trials, "seed": args.seed,
               "precision": args.precision}
@@ -416,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("poly", help="exact polynomial in 2^n for integer "
                                     "k, beta")
     p.add_argument("--k", type=positive, required=True)
-    p.add_argument("--beta", type=positive, required=True)
+    p.add_argument("--beta", type=_int_in(1, MAX_EXACT_BETA), required=True)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_poly)
 
@@ -428,8 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="leading coefficient curve over beta")
     p.add_argument("--k", type=positive, required=True)
-    p.add_argument("--beta-min", type=_beta, required=True)
-    p.add_argument("--beta-max", type=_beta, required=True)
+    p.add_argument("--beta-min", type=_float_beta, required=True)
+    p.add_argument("--beta-max", type=_float_beta, required=True)
     p.add_argument("--steps", type=_int_in(2), required=True)
     p.add_argument("--out", default=None)
     add_precision(p)

@@ -9,8 +9,13 @@ execution order or batching.
 
 Trials run in blocks of at most _BLOCK_DOUBLES draws (one trial when a
 trial alone has more), each trial filling its own row from its own
-stream; a block shares one inverse-CDF pass and one log-sum-exp.  The
-contract is unchanged: a trial's log Z is the same double in any block.
+stream; a block shares one inverse-CDF pass.  The tree is built inside
+that array of draws: level by level, each edge gets its parent's walk
+value added in place, so the last level holds the leaves and nothing
+else of leaf size is allocated.  The leaves are then reduced in place
+by _logsumexp_rows, which repeats scipy.special.logsumexp's operations
+in scipy's order and so gives the same doubles.  The contract holds: a
+trial's log Z is the same double in any block.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, ndtri
+from scipy.special import ndtri
 
 # Edge weights are centred Gaussians with variance (1/2) * ln 2.
 _EDGE_SIGMA = math.sqrt(0.5 * math.log(2.0))
@@ -97,21 +102,36 @@ def _log_partition(config: SimConfig, trials: range) -> np.ndarray:
     n, m = config.n, len(trials)
     if n == 0:
         return np.zeros(m)
-    draws = _edge_gaussians(config.seed, trials, 2 ** (n + 1) - 2)
-    # Row i of sums holds the walk values of trial i's vertices at the
-    # current level; a vertex's value is its parent's plus its own edge.
-    sums = np.zeros((m, 1))
-    offset = 0
-    for level in range(1, n + 1):
-        half = 2 ** (level - 1)
-        edge = draws[:, offset:offset + 2 * half].reshape(m, half, 2)
-        children = np.empty((m, half, 2))
-        np.add(sums, edge[:, :, 0], out=children[:, :, 0])
-        np.add(sums, edge[:, :, 1], out=children[:, :, 1])
-        sums = children.reshape(m, 2 * half)
-        offset += 2 * half
-    sums *= 2.0 * config.beta
-    return logsumexp(sums, axis=1) - math.log(2.0 ** n)
+    tree = _edge_gaussians(config.seed, trials, 2 ** (n + 1) - 2)
+    # Level l holds columns 2^l - 2 .. 2^(l+1) - 3 of a row; adding each
+    # parent's walk value to its two edges turns them into walk values.
+    for level in range(2, n + 1):
+        parents = tree[:, 2 ** (level - 1) - 2:2 ** level - 2]
+        children = tree[:, 2 ** level - 2:2 ** (level + 1) - 2]
+        siblings = children.reshape(m, -1, 2)
+        siblings += parents[:, :, None]
+    leaves = tree[:, 2 ** n - 2:]
+    leaves *= 2.0 * config.beta
+    return _logsumexp_rows(leaves) - math.log(2.0 ** n)
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """scipy.special.logsumexp(a, axis=1) of finite a, overwriting a.
+
+    The same operations in the same order as scipy 1.17, so every value
+    is the same double: the row maxima are taken out of the sum and
+    counted (a - top == 0 exactly when a == top), exp runs on a - top,
+    and the row sum is numpy's pairwise one.  A row has at least one
+    tie, so scipy's guard against dividing a zero sum changes nothing.
+    """
+    top = a.max(axis=1, keepdims=True)
+    a -= top
+    is_top = a == 0
+    ties = is_top.sum(axis=1, keepdims=True, dtype=a.dtype)
+    np.exp(a, out=a)
+    np.copyto(a, 0.0, where=is_top)
+    s = a.sum(axis=1, keepdims=True)
+    return (np.log1p(s / ties) + np.log(ties) + top)[:, 0]
 
 
 def log_partition_function(config: SimConfig, trial_index: int) -> float:

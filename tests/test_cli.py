@@ -152,12 +152,32 @@ class TestMomCommand:
               "--steps", "2"), None),
             (("mom", "--k", "2", "--n", "1", "--beta", "1e200"), None),
             (("asym", "--k", "2", "--beta", "1e200"), None),
+            # An exact beta^2 too large to build.
+            (("mom", "--k", "2", "--n", "1", "--beta", "1e100"), None),
+            (("asym", "--k", "2", "--beta", "1e100"), None),
+            (("poly", "--k", "2", "--beta", "100000000"), None),
+            (("mom", "--k", "2", "--n", "1", "--beta-sq-rational",
+              "65537"), None),
+            (("mc", "--k", "1", "--n", "26", "--beta", "0.3", "--trials",
+              "1"), None),
         ]
         for args, env in cases:
             cp = run_cli(*args, env=env)
             assert cp.returncode == 2, (args, env, cp.stderr)
             assert cp.stderr.startswith("error: "), (args, env, cp.stderr)
             assert cp.stderr.count("\n") == 1, (args, env, cp.stderr)
+
+    @pytest.mark.parametrize("argv", [
+        ["mom", "--k", "1", "--n", "1", "--beta", "-256"],
+        ["mom", "--k", "1", "--n", "1", "--beta-sq-rational", "65536"],
+        ["poly", "--k", "1", "--beta", "256"],
+        ["sweep", "--k", "1", "--beta-min", "0", "--beta-max", "300",
+         "--steps", "2"]])
+    def test_exact_beta_bound_accepted(self, argv, capsys):
+        # The largest exact beta^2 runs; sweep squares its beta as a
+        # float, so the bound does not apply to it.
+        assert cli.main(argv) == 0
+        capsys.readouterr()
 
     @pytest.mark.parametrize("text, echo, ring", [
         ("1/2", "1/2", "radical(2)"), ("4", "4/1", "rational"),
@@ -304,9 +324,14 @@ class TestMcCommand:
             (("mc", "--k", "1", "--n", "3", "--beta", "0.3", "--trials",
               "1"), ["z_score"]),
             # Samples up to ~7e174 are finite, and so is their stderr;
-            # the exact value ~4e3218 is not a double.
+            # the exact value ~4e3218 is not a double, nor is the z-score,
+            # ~-1.2e3045.
             (("mc", "--k", "10", "--n", "12", "--beta", "3", "--trials",
               "20", "--force"), ["z_score"]),
+            # The exact value ~8e310 is not a double, but the z-score,
+            # ~-5.9e288, is: it is computed in mpf.
+            (("mc", "--k", "8", "--n", "1", "--beta", "4.05", "--trials",
+              "20", "--force"), []),
         ]
         for args, nulls in cases:
             cp = run_cli(*args)

@@ -189,6 +189,33 @@ class TestBlocking:
                 assert (est.mean, est.stderr) == \
                     per_trial_estimate(ref[:trials], 2), (cap, trials)
 
+    # beta 0 makes every leaf of a row tie (s == 0); at 1e150 every leaf
+    # but the top one underflows in exp (s == 0 with one tie).
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 3.0, 1e150])
+    @pytest.mark.parametrize("n, trials", [(1, range(0, 1)),
+                                           (1, range(2, 9)),
+                                           (5, range(3, 12)),
+                                           (11, range(1, 5)),
+                                           (14, range(0, 3))])
+    def test_block_equals_scipy_reference(self, beta, n, trials):
+        cfg = SimConfig(n=n, beta=beta, trials=trials.stop, seed=17)
+        got = montecarlo._log_partition(cfg, trials).tolist()
+        assert got == [per_trial_log_partition(cfg, t) for t in trials]
+
+    def test_single_trial_memory_near_its_draws(self):
+        # The tree is built in the array of draws and reduced in place, so
+        # one trial's peak stays near its 2^(n+1) - 2 doubles.
+        n = 16
+        config = SimConfig(n=n, beta=0.3, trials=1, seed=1)
+        estimate_mom(config, 2)  # warm-up: first-call allocations
+        tracemalloc.start()
+        try:
+            estimate_mom(config, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * (2 ** (n + 1) - 2), peak
+
     def test_memory_per_block_bounded(self):
         def peak(trials):
             config = SimConfig(n=12, beta=0.3, trials=trials, seed=1)
