@@ -91,8 +91,9 @@ def classify_regime(k: int, beta_sq) -> Regime:
 
 def _recursion_coefficient(k: int, beta_sq, precision: int,
                            critical: bool = False) -> mpmath.mpf:
-    """c_1 = 1, c_j = sum_i w'_i c_i c_{j-i} / (2^(j*beta^2) - step_j) on
-    the coefficients of ``engine.recurrence_coefficients``.  With
+    """c_1 = 1, c_j = sum_{0<i<=j/2} w_i c_i c_{j-i} / (2^(j*beta^2) -
+    step_j) on the coefficients of ``engine.recurrence_coefficients``,
+    one term per unordered split, so about half the products.  With
     ``critical`` order k divides by 2 instead: at beta^2 = 1/k its growth
     equals its step, 2, and the pair sum accumulates linearly in depth."""
     ctx = resolve_context(beta_sq, "float", precision)
@@ -113,9 +114,9 @@ def subcritical_coefficient(k: int, beta_sq,
     """Leading coefficient in the regime k*beta^2 < 1.
 
     Defined by recursion on the moment order: order 1 contributes 1, and
-    order k combines all lower splits j | k-j with the depth recurrence's
-    weights and a final division by 2^(k*beta^2) - 2^(k^2*beta^2-k+1),
-    which is positive throughout the regime.
+    order k combines each unordered split j | k-j once, with the depth
+    recurrence's paired weights, and a final division by
+    2^(k*beta^2) - 2^(k^2*beta^2-k+1), positive throughout the regime.
     """
     if k < 1:
         raise ValueError("moment order must be positive")

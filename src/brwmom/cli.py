@@ -473,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
                                        "needs over 1 GiB)"), required=True)
     p.add_argument("--beta", type=_beta, required=True)
     p.add_argument("--trials", type=positive, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_in(0, 2 ** 64 - 1), default=0)
     p.add_argument("--force", action="store_true",
                    help="run even in the heavy-tailed regime k*beta^2 > 1")
     add_precision(p)

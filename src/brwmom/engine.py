@@ -7,9 +7,12 @@ Z_n = 2^(-n) * sum over leaves of exp(2*beta*X_n(leaf)):
   the root the k paths either share a child or split j / k-j between the
   two children, leaving independent subtrees one level shallower:
     M_k(d) = 2^(k^2 beta^2 + 1 - k) M_k(d-1) + sum_{0<j<k} C(k, j)
-             2^((k^2 + 2j(j-k)) beta^2 - k) M_j(d-1) M_{k-j}(d-1),
-  O(k^2 n) ring products for the whole table.  It never divides, so every
-  beta (critical points included) is in range.
+             2^((k^2 + 2j(j-k)) beta^2 - k) M_j(d-1) M_{k-j}(d-1).
+  The subtrees are exchangeable, so the splits j and k-j have the same
+  weight and the sum runs over the unordered splits 0 < j <= k/2, the
+  weight doubled for j < k/2: about k^2 n / 2 ring products for the
+  whole table.  It never divides, so every beta (critical points
+  included) is in range.
 
 * ``mom_symbolic``: the same recurrence solved in closed form,
   M_k(n) = sum over bases b = 2^(p beta^2 + q) of P_b(n) b^n, by
@@ -39,12 +42,15 @@ class PoleAtCriticalBeta(ArithmeticError):
 
 
 def recurrence_coefficients(j: int, ring: RingContext):
-    """(step, [(i, w'_i)]) of order j's depth recurrence in ``ring``,
-    M_j(d) = step M_j(d-1) + sum_{0<i<j} w'_i M_i(d-1) M_{j-i}(d-1) (see
-    the module docstring).  Call it under ``ring.workprec()``."""
+    """(step, [(i, w_i)]) of order j's depth recurrence in ``ring``,
+    M_j(d) = step M_j(d-1) + sum_{0<i<=j/2} w_i M_i(d-1) M_{j-i}(d-1) (see
+    the module docstring).  The split i stands for itself and j - i, so
+    w_i is twice their common weight unless 2i = j; the factor 2 rides on
+    the integer binomial.  Call it under ``ring.workprec()``."""
     step = ring.two_pow(j * j, 1 - j)
-    weights = [(i, comb(j, i) * ring.two_pow(j * j + 2 * i * (i - j), -j))
-               for i in range(1, j)]
+    weights = [(i, (2 - (2 * i == j)) * comb(j, i)
+                * ring.two_pow(j * j + 2 * i * (i - j), -j))
+               for i in range(1, j // 2 + 1)]
     return step, weights
 
 
@@ -57,9 +63,6 @@ class MomentTable:
     tables are immutable and safe to share; construction is single-writer.
     """
 
-    k_max: int
-    n_max: int
-    ring: RingContext
     entries: Dict[Tuple[int, int], object] = field(default_factory=dict)
 
     @classmethod
@@ -68,7 +71,7 @@ class MomentTable:
             raise ValueError("moment order must be positive")
         if n_max < 0:
             raise ValueError("depth must be nonnegative")
-        table = cls(k_max=k_max, n_max=n_max, ring=ring)
+        table = cls()
         ent = table.entries
         with ring.workprec():
             for j in range(1, k_max + 1):
@@ -124,8 +127,7 @@ def _closed_forms(k: int, ring) -> list:
         for j in range(1, k + 1):
             step, weights = recurrence_coefficients(j, ring)
             forcing = {step: (ExpPair(j * j, 1 - j), [])}
-            for i, w in weights[:j // 2]:
-                w = w if 2 * i == j else 2 * w  # w'_i = w'_{j-i}
+            for i, w in weights:
                 for e1, p1 in forms[i].values():
                     p1 = [w * x for x in p1]
                     for e2, p2 in forms[j - i].values():

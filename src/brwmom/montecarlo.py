@@ -35,7 +35,6 @@ HEAVY_TAIL_THRESHOLD = 1.0
 # edges than this runs in a block of its own.
 _BLOCK_DOUBLES = 2 ** 17
 
-_MASK64 = (1 << 64) - 1
 _ZERO4 = np.zeros(4, dtype=np.uint64)
 
 
@@ -60,6 +59,8 @@ class SimConfig:
             raise ValueError("need at least one trial")
         if not math.isfinite(self.beta * self.beta):
             raise ValueError("beta and beta^2 must be finite")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError("seed must be in 0..2^64 - 1")
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,7 @@ def _edge_gaussians(seed: int, trials: range, count: int) -> np.ndarray:
         # The state of a fresh Philox(key=(seed, trial_index)): counter
         # zero, nothing buffered.  Setting it is cheaper than building a
         # new generator per trial.
-        key = np.array([seed & _MASK64, trial_index & _MASK64],
-                       dtype=np.uint64)
+        key = np.array([seed, trial_index], dtype=np.uint64)
         bitgen.state = {"bit_generator": "Philox",
                         "state": {"counter": _ZERO4, "key": key},
                         "buffer": _ZERO4, "buffer_pos": 4,
@@ -174,7 +174,7 @@ def estimate_mom(config: SimConfig, k: int) -> MomentEstimate:
     samples = np.exp(k * logz)
     mean = float(np.mean(samples))
     stderr = _stderr(samples)
-    heavy = k * k * config.beta ** 2 > HEAVY_TAIL_THRESHOLD
+    heavy = k * k * (config.beta * config.beta) > HEAVY_TAIL_THRESHOLD
     return MomentEstimate(k=k, mean=mean, stderr=stderr,
                           trials=config.trials, seed=config.seed,
                           heavy_tail=heavy)

@@ -197,7 +197,9 @@ class Radical:
 class RationalContext:
     """Exact rational arithmetic; requires an integer beta^2."""
 
-    kind = "rational"
+    kind = tag = "rational"
+    one, zero = Fraction(1), Fraction(0)
+    workprec = staticmethod(nullcontext)
 
     def __init__(self, beta_sq: ExactScalar) -> None:
         if isinstance(beta_sq, Fraction) and beta_sq.denominator == 1:
@@ -207,91 +209,55 @@ class RationalContext:
                 f"rational ring needs integer beta^2, got {beta_sq!r}")
         self.beta_sq = beta_sq
 
-    @property
-    def tag(self) -> str:
-        return "rational"
-
     def two_pow(self, p: int, q: int) -> Fraction:
         return pow2(p * self.beta_sq + q)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
 
     def vanishes(self, value) -> bool:
         """Whether a computed denominator is zero; exact in this ring."""
         return not value
-
-    def workprec(self):
-        return nullcontext()
 
 
 class RadicalContext:
     """Arithmetic in Q(2^(1/m)) for beta^2 = a/m in lowest terms."""
 
     kind = "radical"
+    workprec = staticmethod(nullcontext)
 
     def __init__(self, beta_sq) -> None:
         bs = Fraction(beta_sq)
         self.beta_sq = bs
         self.numer = bs.numerator
         self.m = bs.denominator
-
-    @property
-    def tag(self) -> str:
-        return f"radical({self.m})"
+        self.tag = f"radical({self.m})"
+        self.one = Radical.rational(self.m, 1)
+        self.zero = Radical.rational(self.m, 0)
 
     def two_pow(self, p: int, q: int) -> Radical:
         return Radical.root_power(self.m, p * self.numer + q * self.m)
 
-    @property
-    def one(self) -> Radical:
-        return Radical.rational(self.m, 1)
-
-    @property
-    def zero(self) -> Radical:
-        return Radical.rational(self.m, 0)
-
     def vanishes(self, value) -> bool:
         """Whether a computed denominator is zero; exact in this ring."""
         return not value
-
-    def workprec(self):
-        return nullcontext()
 
 
 class FloatContext:
     """Correctly rounded binary floats at a configurable precision in bits."""
 
     kind = "float"
+    one, zero = mpmath.mpf(1), mpmath.mpf(0)
 
     def __init__(self, beta_sq, precision: int = DEFAULT_PRECISION) -> None:
         if precision < MIN_PRECISION:
             raise ValueError(f"precision must be >= {MIN_PRECISION} bits")
         self.precision = precision
+        self.tag = f"float({precision})"
         with mp.workprec(precision):
             # Unary plus rounds an mpf, which to_mpf passes through as is.
             self.beta_sq = +to_mpf(beta_sq, precision)
 
-    @property
-    def tag(self) -> str:
-        return f"float({self.precision})"
-
     def two_pow(self, p: int, q: int) -> mpmath.mpf:
         with mp.workprec(self.precision):
             return mpmath.mpf(2) ** (p * self.beta_sq + q)
-
-    @property
-    def one(self) -> mpmath.mpf:
-        return mpmath.mpf(1)
-
-    @property
-    def zero(self) -> mpmath.mpf:
-        return mpmath.mpf(0)
 
     def vanishes(self, value) -> bool:
         """Whether a computed denominator is zero, read conservatively as

@@ -160,6 +160,11 @@ class TestMomCommand:
               "65537"), None),
             (("mc", "--k", "1", "--n", "26", "--beta", "0.3", "--trials",
               "1"), None),
+            # A Philox key word holds 0..2^64 - 1.
+            (("mc", "--k", "1", "--n", "3", "--beta", "0.3", "--trials", "5",
+              "--seed", "-1"), None),
+            (("mc", "--k", "1", "--n", "3", "--beta", "0.3", "--trials", "5",
+              "--seed", str(2 ** 64)), None),
         ]
         for args, env in cases:
             cp = run_cli(*args, env=env)

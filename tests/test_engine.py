@@ -211,6 +211,10 @@ class TestMomentTable:
             assert table.value(6, n).v == mom_dp(6, n, 1)
             counts.append(ctx.muls)
         assert counts[1] <= 2.2 * counts[0], counts
+        # Per depth step order j takes one product for its step and two
+        # for each unordered split i | j - i, 0 < i <= j/2.
+        per_step = sum(1 + 2 * (j // 2) for j in range(1, 7))
+        assert counts[1] - counts[0] == 20 * per_step == 480, counts
 
 
 @lru_cache(maxsize=None)

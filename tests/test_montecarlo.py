@@ -133,6 +133,14 @@ class TestEstimates:
             SimConfig(n=2, beta=0.3, trials=0, seed=0)
         with pytest.raises(ValueError):
             estimate_mom(SimConfig(n=2, beta=0.3, trials=2, seed=0), 0)
+        # The seed is one word of a Philox key; outside [0, 2^64) it
+        # would alias a seed inside modulo 2^64.
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ValueError):
+                SimConfig(n=2, beta=0.3, trials=2, seed=seed)
+        cfg = SimConfig(n=2, beta=0.3, trials=2, seed=2 ** 64 - 1)
+        assert log_partition_function(cfg, 1) == \
+            per_trial_log_partition(cfg, 1)
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 1e200,
                                       -1e155])
