@@ -89,13 +89,12 @@ def classify_regime(k: int, beta_sq) -> Regime:
     return Regime(tag=SUPER, growth=ExpPair(k * k, 1 - k), n_power=0)
 
 
-def _recursion_coefficient(k: int, beta_sq, precision: int,
-                           critical: bool = False) -> mpmath.mpf:
+def _recursion_coefficient(k: int, beta_sq, precision: int) -> mpmath.mpf:
     """c_1 = 1, c_j = sum_{0<i<=j/2} w_i c_i c_{j-i} / (2^(j*beta^2) -
-    step_j) on the coefficients of ``engine.recurrence_coefficients``,
-    one term per unordered split, so about half the products.  With
-    ``critical`` order k divides by 2 instead: at beta^2 = 1/k its growth
-    equals its step, 2, and the pair sum accumulates linearly in depth."""
+    step_j) on the coefficients of ``engine.recurrence_coefficients``, one
+    term per unordered split, so about half the products.  The one order
+    with j*beta^2 = 1, k at the critical 1/k, divides by 2 instead: its
+    growth equals its step, 2, and its pair sum adds up linearly in depth."""
     ctx = resolve_context(beta_sq, "float", precision)
     with ctx.workprec():
         coeffs = [None, ctx.one]
@@ -104,7 +103,7 @@ def _recursion_coefficient(k: int, beta_sq, precision: int,
             pair_sum = ctx.zero
             for i, w in weights:
                 pair_sum += w * coeffs[i] * coeffs[j - i]
-            gap = 2 if critical and j == k else ctx.two_pow(j, 0) - step
+            gap = 2 if j * beta_sq == 1 else ctx.two_pow(j, 0) - step
             coeffs.append(pair_sum / gap)
         return coeffs[k]
 
@@ -131,7 +130,7 @@ def critical_coefficient(k: int, precision: int = DEFAULT_PRECISION) -> mpmath.m
     """Coefficient of n*2^n at the transition point beta^2 = 1/k, k >= 2."""
     if k < 2:
         raise ValueError("critical coefficient needs k >= 2")
-    return _recursion_coefficient(k, Fraction(1, k), precision, critical=True)
+    return _recursion_coefficient(k, Fraction(1, k), precision)
 
 
 def supercritical_coefficient(k: int, beta_sq,

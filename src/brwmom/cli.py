@@ -7,7 +7,8 @@ floating-point payloads carry their precision in bits.
 
 Exit codes: 0 success, 1 failed verification, 2 invalid flags (one
 ``error:`` line on stderr), 3 ring/beta mismatch, 4 unwritable output
-file, 5 heavy-tail refusal.
+file, 5 heavy-tail refusal.  Each flag value is checked by one
+``_checked`` argparse type, and ``emit`` prints every JSON record.
 
 numpy and scipy are imported only by ``mc`` and ``verify --suite mc``,
 through ``montecarlo`` imported inside ``cmd_mc`` and ``_verify_mc``.
@@ -19,6 +20,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -52,56 +54,36 @@ MAX_EXACT_BETA = 2 ** 8
 CRITICAL_SNAP_TOL = 1e-9
 
 
-def _int_in(low: int, high: float = math.inf, hint: str = ""):
-    """argparse type: an integer in [low, high]."""
-    def parse(text: str) -> int:
+def _checked(convert, ok, what: str):
+    """argparse type: ``convert(text)`` when ``ok`` holds for it, else one
+    ``must be <what>`` error, also when ``convert`` raises."""
+    def parse(text: str):
         try:
-            value = int(text)
-        except ValueError:
-            value = None
-        if value is None or not low <= value <= high:
-            bound = f"in {low}..{high}" if high < math.inf else f">= {low}"
-            raise argparse.ArgumentTypeError(
-                f"must be an integer {bound}{hint}, got {text!r}")
-        return value
+            value = convert(text)
+            if ok(value):
+                return value
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
     return parse
 
 
-def _float_beta(text: str) -> float:
-    """argparse type: a float beta whose square is a finite double."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value * value):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number with a finite square, got {text!r}")
-    return value
+def _int_in(low: int, high: float = math.inf, hint: str = ""):
+    """argparse type: an integer in [low, high]."""
+    bound = f"in {low}..{high}" if high < math.inf else f">= {low}"
+    return _checked(int, lambda v: low <= v <= high,
+                    f"an integer {bound}{hint}")
 
 
-def _beta(text: str) -> float:
-    """argparse type: a _float_beta, at most MAX_EXACT_BETA in magnitude
-    when integral, since an integral beta gives an exact beta^2."""
-    value = _float_beta(text)
-    if value.is_integer() and abs(value) > MAX_EXACT_BETA:
-        raise argparse.ArgumentTypeError(
-            f"an integral beta is exact and must be at most {MAX_EXACT_BETA}"
-            f" in magnitude, got {text!r}")
-    return value
-
-
-def _beta_sq_rational(text: str) -> Fraction:
-    """argparse type: an exact beta^2 in [0, MAX_EXACT_BETA^2], written
-    p/m or p."""
-    try:
-        value = Fraction(*map(int, text.split("/")))
-    except (TypeError, ValueError, ZeroDivisionError):
-        value = None
-    if value is None or not 0 <= value <= MAX_EXACT_BETA ** 2:
-        raise argparse.ArgumentTypeError(
-            f"must be a rational p/m in 0..{MAX_EXACT_BETA ** 2}, "
-            f"got {text!r}")
-    return value
+_float_beta = _checked(float, lambda v: math.isfinite(v * v),
+                       "a finite number with a finite square")
+_beta = _checked(_float_beta,
+                 lambda v: not v.is_integer() or abs(v) <= MAX_EXACT_BETA,
+                 f"at most {MAX_EXACT_BETA} in magnitude when integral "
+                 "(an integral beta is exact)")
+_beta_sq_rational = _checked(lambda t: Fraction(*map(int, t.split("/"))),
+                             lambda v: 0 <= v <= MAX_EXACT_BETA ** 2,
+                             f"a rational p/m in 0..{MAX_EXACT_BETA ** 2}")
 
 
 def _fraction_str(f: Fraction) -> str:
@@ -137,13 +119,11 @@ def encode_value(value, precision: int) -> dict:
             "precision_bits": precision}
 
 
-def output_record(command: str, parameters: dict, result: dict,
-                  provenance: str) -> dict:
-    return {"command": command, "parameters": parameters,
-            "result": result, "provenance": provenance}
-
-
-def emit(record: dict) -> None:
+def emit(command: str, parameters: dict, result: dict,
+         provenance: str) -> None:
+    """Print one JSON output record."""
+    record = {"command": command, "parameters": parameters,
+              "result": result, "provenance": provenance}
     # allow_nan=False: a NaN or infinity raises instead of printing a
     # token that is not JSON.
     sys.stdout.write(json.dumps(record, sort_keys=True, allow_nan=False)
@@ -189,9 +169,8 @@ def cmd_mom(args) -> int:
     value = engine.MomentTable.build(args.k, args.n, ctx).value(args.k, args.n)
     params = {"k": args.k, "n": args.n, "ring": ctx.tag,
               "precision": args.precision, **echo}
-    emit(output_record("mom", params,
-                       {"value": encode_value(value, args.precision)},
-                       "engine"))
+    emit("mom", params, {"value": encode_value(value, args.precision)},
+         "engine")
     return 0
 
 
@@ -205,7 +184,7 @@ def cmd_poly(args) -> int:
         return 0
     params = {"k": args.k, "beta": args.beta}
     result = {"degree": poly.degree, "rows": [[d, c] for d, c in rows]}
-    emit(output_record("poly", params, result, "engine"))
+    emit("poly", params, result, "engine")
     return 0
 
 
@@ -223,7 +202,7 @@ def cmd_asym(args) -> int:
         "coefficient": encode_value(term.coefficient, args.precision),
         "method": term.method,
     }
-    emit(output_record("asym", params, result, "engine"))
+    emit("asym", params, result, "engine")
     return 0
 
 
@@ -286,7 +265,7 @@ def cmd_mc(args) -> int:
         "z_score": _finite_or_null(z),
         "heavy_tail": est.heavy_tail,
     }
-    emit(output_record("mc", params, result, "montecarlo"))
+    emit("mc", params, result, "montecarlo")
     return 0
 
 
@@ -336,21 +315,16 @@ def _verify_mc(trials: int, precision: int) -> list:
 
 
 def _verify_closed_forms(precision: int) -> list:
+    # No grid point has k*beta^2 = 1; the other regimes have forms to k = 5.
     checks = []
-    grid = [0.25, 0.45, 0.8, 1.0]
     for k in (2, 3, 4, 5):
-        for beta in grid:
-            beta_sq = beta * beta
-            regime = asymptotics.classify_regime(k, beta_sq)
-            if (k, regime.tag) not in closed_forms.SUPPORTED:
-                continue
+        for beta in (0.25, 0.45, 0.8, 1.0):
+            term = asymptotics.leading_term(k, beta * beta, precision)
             ref = closed_forms.leading_coefficient_closed_form(
-                k, beta_sq, regime.tag, precision)
-            val = to_mpf(asymptotics.leading_term(
-                k, beta_sq, precision).coefficient, precision)
+                k, beta * beta, term.regime.tag, precision)
             checks.append(_check(
-                f"closed form k={k} beta={beta} {regime.tag}", val, ref,
-                1e-12))
+                f"closed form k={k} beta={beta} {term.regime.tag}",
+                to_mpf(term.coefficient, precision), ref, 1e-12))
     sigma3 = asymptotics.critical_coefficient(3, precision)
     ref3 = closed_forms.leading_coefficient_closed_form(
         3, None, closed_forms.CRITICAL, precision)
@@ -381,7 +355,8 @@ def cmd_verify(args) -> int:
         return 2
     budget = args.budget or 0
     suites = {
-        "oracle": lambda: _verify_oracle(budget or 16, args.precision),
+        "oracle": lambda: _verify_oracle(
+            budget or oracle.DEFAULT_ENUMERATION_BUDGET, args.precision),
         "mc": lambda: _verify_mc(budget or 20000, args.precision),
         "closedform": lambda: _verify_closed_forms(args.precision),
         "rmt": lambda: _verify_rmt(budget or 10000, args.precision),
@@ -390,13 +365,17 @@ def cmd_verify(args) -> int:
     ok = all(c["pass"] for c in checks)
     params = {"suite": args.suite, "budget": budget,
               "precision": args.precision}
-    emit(output_record("verify", params,
-                       {"checks": checks, "pass": ok}, "engine"))
+    emit("verify", params, {"checks": checks, "pass": ok}, "engine")
     return 0 if ok else EXIT_VERIFY_FAILED
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a bad flag as one ``error:`` line and exit code 2."""
+    """Reports a bad flag as one ``error:`` line and exit code 2; reads
+    ``-1e-3`` and ``-1.`` as numbers, which argparse takes for flags."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")

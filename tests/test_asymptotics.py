@@ -187,6 +187,16 @@ class TestSupercriticalCoefficient:
                 mpmath.mpf(1e-30)
             assert leading_term(k, bs).method == "symbolic"
 
+    def test_float_route_matches_exact_at_interior_critical_points(self):
+        # The Q(t) coefficient evaluated at t = 2^(beta^2) is finite and
+        # exact-valued at beta^2 = 1/m, m < k, only if its poles cancel.
+        for k, bs in ((3, Fraction(1, 2)), (4, Fraction(1, 2)),
+                      (5, Fraction(1, 2)), (5, Fraction(1, 4))):
+            exact = to_mpf(supercritical_coefficient(k, bs, 256), 256)
+            got = supercritical_coefficient(k, float(bs), 256)
+            with mp.workprec(256):
+                assert abs(got - exact) <= abs(exact) * mpmath.mpf(2) ** -240
+
     def test_exact_value_at_half_order_three(self):
         assert supercritical_coefficient(3, Fraction(1, 2)) == \
             Radical.rational(2, Fraction(13, 4))

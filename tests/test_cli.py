@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,8 +11,9 @@ import pytest
 
 from brwmom import cli, mom_dp
 
-SCHEMA_PATH = (Path(__file__).resolve().parent.parent / "src" / "brwmom"
-               / "schema" / "output_record.schema.json")
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA_PATH = ROOT / "src" / "brwmom" / "schema" / "output_record.schema.json"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
@@ -88,14 +90,19 @@ class TestMomCommand:
         validate_schema(rec)
 
     def test_beta_sign_symmetry_byte_identical(self):
-        cases = [(("mom", "--k", "2", "--n", "5"), "0.7"),
-                 (("mc", "--k", "2", "--n", "6", "--trials", "200",
-                   "--seed", "3"), "0.3")]
+        mc = ("mc", "--k", "2", "--n", "6", "--trials", "200", "--seed", "3")
+        # A negative beta in any float notation is a value, not a flag.
+        cases = [(("mom", "--k", "2", "--n", "5"), "0.7"), (mc, "0.3"),
+                 (("mom", "--k", "2", "--n", "1"), "1e-3"), (mc, "3e-1"),
+                 (("asym", "--k", "2"), "3e-1")]
         for args, beta in cases:
             a = record(run_cli(*args, "--beta", beta))
             b = record(run_cli(*args, "--beta", "-" + beta))
             # the record echoes beta as given, so compare results only
             assert a["result"] == b["result"], args
+        cp = run_cli("sweep", "--k", "2", "--beta-min", "-5e-1",
+                     "--beta-max", "5e-1", "--steps", "3")
+        assert cp.returncode == 0, cp.stderr
 
     def test_repeat_invocations_byte_identical(self):
         a = run_cli("mom", "--k", "3", "--n", "6", "--beta", "0.4")
@@ -204,6 +211,19 @@ class TestMomCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    def test_benchmark_jobs_parse(self):
+        # A validator that refuses a benchmark input fails here, not as
+        # failed jobs in the benchmark.
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        parser = cli.build_parser()
+        for workload in workloads.WORKLOADS:
+            for job in workloads.all_variants(workload):
+                if isinstance(job, list):
+                    parser.parse_args(job)
 
     def test_mc_depth_cap_is_inclusive(self):
         # Parsed only: a trial at the cap needs about 520 MiB.
@@ -349,7 +369,7 @@ class TestMcCommand:
 
     def test_emit_refuses_non_json_numbers(self):
         with pytest.raises(ValueError):
-            cli.emit({"x": float("nan")})
+            cli.emit("mc", {}, {"estimate": float("nan")}, "montecarlo")
 
     def test_seeded_reruns_byte_identical(self):
         args = ("mc", "--k", "1", "--n", "5", "--beta", "0.3", "--trials",
