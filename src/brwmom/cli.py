@@ -108,7 +108,8 @@ def encode_value(value, precision: int) -> dict:
         payload = {
             "type": "radical",
             "root_index": value.m,
-            "coeffs": [_fraction_str(c) for c in value.coeffs],
+            "coeffs": [_fraction_str(c) for c in value.coeffs
+                       + (Fraction(0),) * (value.m - len(value.coeffs))],
         }
         if value.is_rational():
             payload["value"] = _fraction_str(value.to_fraction())
@@ -371,11 +372,13 @@ def cmd_verify(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Reports a bad flag as one ``error:`` line and exit code 2; reads
-    ``-1e-3`` and ``-1.`` as numbers, which argparse takes for flags."""
+    ``-1e-3``, ``-1.``, ``-inf`` and ``-nan`` as numbers, which argparse
+    takes for flags, so the value's validator reports them."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)",
+                                                   re.I)
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")

@@ -32,11 +32,8 @@ from __future__ import annotations
 import mpmath
 from mpmath import mp
 
+from .asymptotics import CRITICAL, SUB, SUPER
 from .rings import DEFAULT_PRECISION, to_mpf
-
-SUB = "sub-critical"
-CRITICAL = "critical"
-SUPER = "super-critical"
 
 SUPPORTED = {
     (2, SUB), (2, CRITICAL), (2, SUPER),

@@ -33,7 +33,7 @@ from typing import Dict, Tuple
 
 from .rings import (DEFAULT_PRECISION, RingContext, RingMismatchError,
                     resolve_context)
-from .symbolic import ExpPair, GenPoly, SymbolicContext, _trim
+from .symbolic import ExpPair, GenPoly, SymbolicContext, _padd, _pmul, _trim
 
 
 class PoleAtCriticalBeta(ArithmeticError):
@@ -126,19 +126,16 @@ def _closed_forms(k: int, ring) -> list:
     with ring.workprec():
         for j in range(1, k + 1):
             step, weights = recurrence_coefficients(j, ring)
-            forcing = {step: (ExpPair(j * j, 1 - j), [])}
+            forcing = {step: (ExpPair(j * j, 1 - j), ())}
             for i, w in weights:
                 for e1, p1 in forms[i].values():
-                    p1 = [w * x for x in p1]
+                    p1 = tuple(w * x for x in p1)
                     for e2, p2 in forms[j - i].values():
                         e = e1.plus(e2)
-                        _, acc = forcing.setdefault(ring.two_pow(e.p, e.q),
-                                                    (e, []))
-                        acc += [ring.zero] * (len(p1) + len(p2) - 1 - len(acc))
-                        for a, x in enumerate(p1):
-                            for c, y in enumerate(p2):
-                                acc[a + c] = acc[a + c] + x * y
-            form = {b: (e, _particular(b, step, _trim(p)))
+                        b = ring.two_pow(e.p, e.q)
+                        e, acc = forcing.get(b, (e, ()))
+                        forcing[b] = (e, _padd(acc, _pmul(p1, p2)))
+            form = {b: (e, _particular(b, step, p))
                     for b, (e, p) in forcing.items()}
             constant = ring.one
             for b, (_, q) in form.items():

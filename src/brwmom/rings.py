@@ -38,12 +38,15 @@ def pow2(exponent: int) -> Fraction:
 
 
 class Radical:
-    """Element of the field Q(2^(1/m)), stored as m rational coefficients.
+    """Element of the field Q(2^(1/m)): ``coeffs[j]`` multiplies 2^(j/m).
 
-    ``coeffs[j]`` multiplies 2^(j/m).  Multiplication reduces with
-    (2^(1/m))^m = 2.  Since x^m - 2 is irreducible over Q (Eisenstein at 2)
-    the ring is a field, so division is exact.  The root index m is fixed
-    per value; mixing indices raises RingMismatchError.
+    The rational coefficients are stored trimmed: at most m of them, no
+    trailing zeros, and zero has none, so equal values have equal
+    coefficients.  Every operation runs on the polynomial helpers of
+    ``symbolic``; a product reduces with (2^(1/m))^m = 2.  Since x^m - 2
+    is irreducible over Q (Eisenstein at 2) the ring is a field, so
+    division is exact.  The root index m is fixed per value; mixing
+    indices raises RingMismatchError.
     """
 
     __slots__ = ("m", "coeffs")
@@ -52,126 +55,108 @@ class Radical:
         if m < 1:
             raise ValueError(f"root index must be positive, got {m}")
         cs = tuple(Fraction(c) for c in coeffs)
-        if len(cs) != m:
-            raise ValueError(f"expected {m} coefficients, got {len(cs)}")
+        if len(cs) > m:
+            raise ValueError(
+                f"expected at most {m} coefficients, got {len(cs)}")
         self.m = m
-        self.coeffs = cs
+        self.coeffs = _trim(cs)
 
     @classmethod
     def rational(cls, m: int, value: ExactScalar) -> "Radical":
-        return cls(m, (Fraction(value),) + (Fraction(0),) * (m - 1))
+        return cls(m, (value,))
 
     @classmethod
     def root_power(cls, m: int, e: int) -> "Radical":
         """2^(e/m) for any integer e, reduced so the root exponent is in [0, m)."""
         s, r = divmod(e, m)
-        coeffs = [Fraction(0)] * m
-        coeffs[r] = pow2(s)
-        return cls(m, coeffs)
+        return cls(m, (0,) * r + (pow2(s),))
 
-    def _check(self, other: "Radical") -> None:
-        if self.m != other.m:
-            raise RingMismatchError(
-                f"mixed root indices {self.m} and {other.m}")
+    def _new(self, coeffs) -> "Radical":
+        # The helpers return trimmed Fraction tuples: nothing to check.
+        out = object.__new__(Radical)
+        out.m, out.coeffs = self.m, coeffs
+        return out
 
-    def _coerce(self, value) -> "Radical | None":
+    def _coerce(self, value):
+        """The coefficients of a Radical of the same root index or of a
+        rational; None for any other operand."""
         if isinstance(value, Radical):
-            self._check(value)
-            return value
+            if value.m != self.m:
+                raise RingMismatchError(
+                    f"mixed root indices {self.m} and {value.m}")
+            return value.coeffs
         if isinstance(value, (int, Fraction)):
-            return Radical.rational(self.m, value)
+            return _trim((Fraction(value),))
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Radical(self.m, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return (NotImplemented if o is None
+                else self._new(_padd(self.coeffs, o)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Radical(self.m, tuple(-a for a in self.coeffs))
+        return self._new(_pneg(self.coeffs))
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Radical(self.m, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return (NotImplemented if o is None
+                else self._new(_padd(self.coeffs, _pneg(o))))
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return (NotImplemented if o is None
+                else self._new(_padd(o, _pneg(self.coeffs))))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Radical(self.m, tuple(a * other for a in self.coeffs))
-        if not isinstance(other, Radical):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        self._check(other)
-        m = self.m
-        out = list(_pmul(self.coeffs, other.coeffs))
-        out += [Fraction(0)] * (m - len(out))
+        m, out = self.m, list(_pmul(self.coeffs, o))
         # Degrees reach 2m - 2, so one pass of r^m = 2 reduces them all.
         for d in range(m, len(out)):
             out[d - m] += 2 * out[d]
-        return Radical(m, out[:m])
+        return self._new(_trim(out[:m]))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Radical":
         """Multiplicative inverse via the extended Euclidean algorithm
         against x^m - 2."""
-        if not any(self.coeffs):
+        if not self.coeffs:
             raise ZeroDivisionError("inverse of zero radical element")
-        m = self.m
-        modulus = [Fraction(-2)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
-        r0, r1 = modulus, _trim(self.coeffs)
-        t0, t1 = (), (Fraction(1),)
+        r0 = (Fraction(-2),) + (Fraction(0),) * (self.m - 1) + (Fraction(1),)
+        r1, t0, t1 = self.coeffs, (), (Fraction(1),)
         while r1:
             q, rem = _pdivmod(r0, r1)
             r0, r1 = r1, rem
             t0, t1 = t1, _padd(t0, _pneg(_pmul(q, t1)))
         # r0 is a nonzero constant: x^m - 2 is irreducible.
-        inv_const = Fraction(1) / r0[0]
-        coeffs = [c * inv_const for c in t0]
-        coeffs += [Fraction(0)] * (m - len(coeffs))
-        return Radical(m, coeffs[:m])
+        inv_const = 1 / r0[0]
+        return self._new(tuple(c * inv_const for c in t0))
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        if isinstance(other, Radical):
-            self._check(other)
-            return self * other.inverse()
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.inverse() * other
-        return NotImplemented
+        o = self._coerce(other)
+        return NotImplemented if o is None else self * self._new(o).inverse()
 
     def __eq__(self, other):
-        o = self._coerce(other) if isinstance(other, (int, Fraction, Radical)) else None
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
+        o = self._coerce(other)
+        return NotImplemented if o is None else self.coeffs == o
 
     def __hash__(self):
         return hash((self.m, self.coeffs))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return bool(self.coeffs)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return len(self.coeffs) <= 1
 
     def to_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return self.coeffs[0] if self.coeffs else Fraction(0)
 
     def to_mpf(self, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
         with mp.workprec(precision):
@@ -186,12 +171,9 @@ class Radical:
         return float(self.to_mpf(DEFAULT_PRECISION))
 
     def __repr__(self) -> str:
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if not c and not (j == 0 and not any(self.coeffs)):
-                continue
-            parts.append(str(c) if j == 0 else f"{c}*2^({j}/{self.m})")
-        return " + ".join(parts) if parts else "0"
+        parts = [str(c) if j == 0 else f"{c}*2^({j}/{self.m})"
+                 for j, c in enumerate(self.coeffs) if c]
+        return " + ".join(parts) or "0"
 
 
 class RationalContext:

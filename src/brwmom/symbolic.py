@@ -11,9 +11,11 @@ rational-function coefficients and represents a finite sum
 solves the moment recursion for generic beta.  ``geometric_sum`` gives
 a geometric series in this form; no route calls it, and the tests build
 their lambda-sum reference for the closed form from it.  The dense
-polynomial helpers over Q (coefficient tuples, lowest degree first) are
-the only copy in the package; ``rings.Radical`` uses them for its
-inverse.
+polynomial helpers (coefficient tuples, lowest degree first) are the
+package's one polynomial arithmetic.  ``_padd``, ``_pneg`` and ``_pmul``
+take coefficients from any exact ring (Fraction, ``Radical``, ``RatFun``)
+and serve every ``rings.Radical`` operation and the polynomials in n of
+``engine._closed_forms``; ``_pdivmod`` and ``_pgcd`` work over Q.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ def _trim(cs) -> Coeffs:
 
 
 def _padd(a: Coeffs, b: Coeffs) -> Coeffs:
-    n = max(len(a), len(b))
-    return _trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                 for i in range(n))
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
 
 def _pneg(a: Coeffs) -> Coeffs:
@@ -50,14 +52,16 @@ def _pneg(a: Coeffs) -> Coeffs:
 def _pmul(a: Coeffs, b: Coeffs) -> Coeffs:
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [None] * (len(a) + len(b) - 1)
     b_terms = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
         if not x:
             continue
         for j, y in b_terms:
-            out[i + j] += x * y
-    return _trim(out)
+            c = out[i + j]
+            out[i + j] = x * y if c is None else c + x * y
+    # A degree no product reached holds the ring's zero, a - a.
+    return _trim(a[-1] - a[-1] if c is None else c for c in out)
 
 
 def _pdivmod(a: Coeffs, b: Coeffs) -> Tuple[Coeffs, Coeffs]:

@@ -276,6 +276,8 @@ class TestClosedFormFixtures:
             sup = leading_coefficient_closed_form(2, 1.0, SUPER)
         assert abs(sub - 1 / (2 * (1 - 2 ** (2 * 0.09 - 1)))) < 1e-12
         assert abs(sup - 1.5) < 1e-30
+        crit = leading_coefficient_closed_form(2, None, CRITICAL)
+        assert crit == critical_coefficient(2) == mpmath.mpf(1) / 2
 
     def test_corrections_recorded_exactly(self):
         # the as-printed variants of the k=4 and k=5 super-critical forms

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from brwmom import cli, mom_dp
+from brwmom import Radical, cli, mom_dp
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_PATH = ROOT / "src" / "brwmom" / "schema" / "output_record.schema.json"
@@ -211,6 +211,34 @@ class TestMomCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["-inf", "-nan", "-Infinity"])
+    @pytest.mark.parametrize("args, flag", [
+        (("mom", "--k", "2", "--n", "1"), "--beta"),
+        (("asym", "--k", "2"), "--beta"),
+        (("mc", "--k", "1", "--n", "2"), "--beta"),
+        (("sweep", "--k", "2", "--beta-max", "1", "--steps", "3"),
+         "--beta-min")])
+    def test_negative_non_finite_beta_is_a_value(self, args, flag, value,
+                                                 capsys):
+        # Read as a flag, "-inf" gets "expected one argument" instead of
+        # the validator's message, which "--beta=-inf" gets.
+        errors = []
+        for argv in ([*args, flag, value], [*args, f"{flag}={value}"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "must be a finite number" in errors[0]
+
+    def test_radical_coeffs_padded_to_root_index(self):
+        # A Radical stores trimmed coefficients; the record keeps m.
+        payload = cli.encode_value(Radical.rational(3, 5), 256)
+        assert payload["coeffs"] == ["5/1", "0/1", "0/1"]
+        payload = cli.encode_value(Radical(2, []), 256)
+        assert payload["coeffs"] == ["0/1", "0/1"]
+        assert payload["value"] == "0/1"
 
     def test_benchmark_jobs_parse(self):
         # A validator that refuses a benchmark input fails here, not as

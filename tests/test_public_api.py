@@ -4,7 +4,10 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import brwmom
+from brwmom import ExpPair
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -43,3 +46,28 @@ def test_readme_library_imports_are_exported():
                 for alias in node.names}
     assert imported, "README's Library block imports nothing from brwmom"
     assert imported <= set(brwmom.__all__), imported - set(brwmom.__all__)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: brwmom.classify_regime(0, 0.1), "order"),
+    (lambda: brwmom.subcritical_coefficient(0, 0.1), "order"),
+    (lambda: brwmom.supercritical_coefficient(0, 2.0), "order"),
+    (lambda: brwmom.MomentTable.build(1, -1, brwmom.resolve_context(1)),
+     "depth"),
+    (lambda: brwmom.mom_symbolic(0), "order"),
+    (lambda: brwmom.mom_bruteforce(0, 1, 1), "order"),
+    (lambda: brwmom.mom_bruteforce(1, -1, 1), "depth"),
+    (lambda: brwmom.unitary_mom_k1_integer(-1, 1), "matrix size"),
+    (lambda: brwmom.unitary_mom_k1_integer(1, -1), "beta"),
+    (lambda: brwmom.geometric_sum(ExpPair(1, 0), -1), "n must"),
+    (lambda: brwmom.resolve_context(1, "complex"), "unknown ring"),
+    (lambda: brwmom.Radical(0, []), "root index"),
+], ids=["classify_regime", "subcritical_coefficient",
+        "supercritical_coefficient", "MomentTable.build", "mom_symbolic",
+        "mom_bruteforce-k", "mom_bruteforce-n", "unitary_mom_k1_integer-N",
+        "unitary_mom_k1_integer-beta", "geometric_sum", "resolve_context",
+        "Radical"])
+def test_out_of_range_input_raises_value_error(call, message):
+    # Input checks that no other test reaches.
+    with pytest.raises(ValueError, match=message):
+        call()

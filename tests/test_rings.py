@@ -61,6 +61,17 @@ class TestRadicalBasics:
         with pytest.raises(ValueError):
             rad(2, 0, 1).to_fraction()
 
+    def test_trimmed_form(self):
+        # Trailing zeros are not stored, so padded inputs are one value.
+        assert Radical(2, [1]) == Radical(2, [1, 0]) == 1
+        assert hash(Radical(2, [1])) == hash(Radical(2, [1, 0]))
+        assert Radical(2, [1, 0]).coeffs == (Fraction(1),)
+        assert Radical(3, [0, 0, 0]).coeffs == () and not Radical(3, [])
+        assert (rad(2, 1, 1) - rad(2, 0, 1)).coeffs == (Fraction(1),)
+        assert (rad(2, 0, 1) * rad(2, 0, 1)).coeffs == (Fraction(2),)
+        with pytest.raises(ValueError):
+            Radical(2, [1, 0, 0])
+
     def test_scalar_mixing(self):
         x = rad(2, 1, 2)
         assert 3 * x == rad(2, 3, 6)
