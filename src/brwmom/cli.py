@@ -24,6 +24,7 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 
 import mpmath
 
@@ -373,12 +374,20 @@ def cmd_verify(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """Reports a bad flag as one ``error:`` line and exit code 2; reads
     ``-1e-3``, ``-1.``, ``-inf`` and ``-nan`` as numbers, which argparse
-    takes for flags, so the value's validator reports them."""
+    takes for flags, so the value's validator reports them.  Built once
+    per process, it reads $BRWMOM_PRECISION on each ``parse_args``."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)",
                                                    re.I)
+        self.precision_flags = []
+
+    def parse_args(self, args=None, namespace=None):
+        default = os.environ.get(ENV_PRECISION, str(DEFAULT_PRECISION))
+        for flag in self.precision_flags:
+            flag.default = default
+        return super().parse_args(args, namespace)
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")
@@ -393,16 +402,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_precision(p):
-        # A string default goes through ``type`` too, so a bad
-        # $BRWMOM_PRECISION is rejected like a bad flag.
-        p.add_argument("--precision",
-                       type=_int_in(MIN_PRECISION, hint=" bits (--precision"
-                                    f" or ${ENV_PRECISION})"),
-                       default=os.environ.get(ENV_PRECISION,
-                                              str(DEFAULT_PRECISION)),
-                       help="float precision in bits, at least "
-                            f"{MIN_PRECISION} (default {DEFAULT_PRECISION}, "
-                            f"or ${ENV_PRECISION})")
+        # The default, a string set by ``_Parser.parse_args``, goes
+        # through ``type`` too, so a bad $BRWMOM_PRECISION is rejected
+        # like a bad flag.
+        parser.precision_flags.append(p.add_argument(
+            "--precision",
+            type=_int_in(MIN_PRECISION, hint=f" bits (--precision or "
+                         f"${ENV_PRECISION})"),
+            help=f"float precision in bits, at least {MIN_PRECISION} "
+                 f"(default {DEFAULT_PRECISION}, or ${ENV_PRECISION})"))
 
     def add_beta(p):
         given = p.add_mutually_exclusive_group(required=True)
@@ -418,20 +426,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring", choices=["auto", "rational", "radical", "float"],
                    default="auto")
     add_precision(p)
-    p.set_defaults(func=cmd_mom)
 
     p = sub.add_parser("poly", help="exact polynomial in 2^n for integer "
                                     "k, beta")
     p.add_argument("--k", type=positive, required=True)
     p.add_argument("--beta", type=_int_in(1, MAX_EXACT_BETA), required=True)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("asym", help="growth regime and leading coefficient")
     p.add_argument("--k", type=positive, required=True)
     add_beta(p)
     add_precision(p)
-    p.set_defaults(func=cmd_asym)
 
     p = sub.add_parser("sweep", help="leading coefficient curve over beta")
     p.add_argument("--k", type=positive, required=True)
@@ -440,14 +445,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_int_in(2), required=True)
     p.add_argument("--out", default=None)
     add_precision(p)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run a cross-check suite")
     p.add_argument("--suite", required=True,
                    choices=["oracle", "mc", "closedform", "rmt"])
     p.add_argument("--budget", type=positive, default=None)
     add_precision(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("mc", help="Monte Carlo moment estimate vs engine")
     p.add_argument("--k", type=positive, required=True)
@@ -459,16 +462,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true",
                    help="run even in the heavy-tailed regime k*beta^2 > 1")
     add_precision(p)
-    p.set_defaults(func=cmd_mc)
 
     return parser
 
 
+@cache
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Looked up per call, so a cmd_* replaced after import is the one run.
+        return globals()[f"cmd_{args.command}"](args)
     except RingMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RING_MISMATCH

@@ -12,7 +12,8 @@ Z_n = 2^(-n) * sum over leaves of exp(2*beta*X_n(leaf)):
   weight and the sum runs over the unordered splits 0 < j <= k/2, the
   weight doubled for j < k/2: about k^2 n / 2 ring products for the
   whole table.  It never divides, so every beta (critical points
-  included) is in range.
+  included) is in range.  ``MomentTable`` runs it on 2^(kn) M_k(n), in
+  ints or int coefficients, and divides by 2^(kn) once, as it is read.
 
 * ``mom_symbolic``: the same recurrence solved in closed form,
   M_k(n) = sum over bases b = 2^(p beta^2 + q) of P_b(n) b^n, by
@@ -25,11 +26,11 @@ Z_n = 2^(-n) * sum over leaves of exp(2*beta*X_n(leaf)):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Dict, Tuple
+from typing import Dict
 
 from .rings import (DEFAULT_PRECISION, RingContext, RingMismatchError,
                     resolve_context)
@@ -54,16 +55,21 @@ def recurrence_coefficients(j: int, ring: RingContext):
     return step, weights
 
 
-@dataclass
 class MomentTable:
-    """Bottom-up table of moment values, keyed by (order j, depth).
+    """Bottom-up table of moment values, keyed by (order j, depth d).
 
     Depth 0 is 1; each row then takes one step of the depth recurrence
-    per depth (order 1 has no split term: (2^(beta^2))^d).  Completed
-    tables are immutable and safe to share; construction is single-writer.
+    per depth (order 1 has no split term: (2^(beta^2))^d).  The table
+    holds N_j(d) = 2^(jd) M_j(d), whose recurrence has the coefficients
+    2^j step and 2^j w_i (products with the exact 2^j, as two_pow(j*j, 1)
+    rounds otherwise in mpf): integers times 2^(p beta^2), p >= 0.  So at
+    beta^2 = a/m every entry is in Z[2^(1/m)], and the exact rings run on
+    ints, with no gcd; ``value`` divides by 2^(jd) once.  In mpf the
+    scaling is exact: each value is the unscaled recurrence's to the bit.
     """
 
-    entries: Dict[Tuple[int, int], object] = field(default_factory=dict)
+    def __init__(self, ring: RingContext, scaled: dict) -> None:
+        self._ring, self._scaled = ring, scaled
 
     @classmethod
     def build(cls, k_max: int, n_max: int, ring: RingContext) -> "MomentTable":
@@ -71,21 +77,26 @@ class MomentTable:
             raise ValueError("moment order must be positive")
         if n_max < 0:
             raise ValueError("depth must be nonnegative")
-        table = cls()
-        ent = table.entries
+        if ring.beta_sq < 0:
+            raise ValueError("beta^2 must be nonnegative")
+        ent = {}
         with ring.workprec():
             for j in range(1, k_max + 1):
                 step, weights = recurrence_coefficients(j, ring)
-                ent[(j, 0)] = ring.one
+                scale = ring.two_pow(0, j)
+                step = ring.to_integral(step * scale)
+                weights = [(i, ring.to_integral(w * scale))
+                           for i, w in weights]
+                ent[(j, 0)] = ring.to_integral(ring.one)
                 for d in range(n_max):
                     total = step * ent[(j, d)]
                     for i, w in weights:
                         total = total + w * ent[(i, d)] * ent[(j - i, d)]
                     ent[(j, d + 1)] = total
-        return table
+        return cls(ring, ent)
 
     def value(self, j: int, depth: int):
-        return self.entries[(j, depth)]
+        return self._ring.from_integral(self._scaled[(j, depth)], j * depth)
 
 
 def mom_dp(k: int, n: int, beta_sq, precision: int = DEFAULT_PRECISION):

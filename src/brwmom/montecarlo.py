@@ -79,15 +79,16 @@ def _edge_gaussians(seed: int, trials: range, count: int) -> np.ndarray:
     draws = np.empty((len(trials), count))
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
+    # The state of a fresh Philox(key=(seed, trial_index)): counter zero,
+    # nothing buffered.  Setting it (the setter copies the key) is cheaper
+    # than building a new generator per trial.
+    key = np.array([seed, 0], dtype=np.uint64)
+    state = {"bit_generator": "Philox", "buffer": _ZERO4, "buffer_pos": 4,
+             "state": {"counter": _ZERO4, "key": key},
+             "has_uint32": 0, "uinteger": 0}
     for row, trial_index in zip(draws, trials):
-        # The state of a fresh Philox(key=(seed, trial_index)): counter
-        # zero, nothing buffered.  Setting it is cheaper than building a
-        # new generator per trial.
-        key = np.array([seed, trial_index], dtype=np.uint64)
-        bitgen.state = {"bit_generator": "Philox",
-                        "state": {"counter": _ZERO4, "key": key},
-                        "buffer": _ZERO4, "buffer_pos": 4,
-                        "has_uint32": 0, "uinteger": 0}
+        key[1] = trial_index
+        bitgen.state = state
         gen.random(out=row)
     # random() yields j/2^53; the half-step shift keeps the inverse CDF
     # away from both endpoints.

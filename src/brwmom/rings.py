@@ -8,7 +8,9 @@ powers in one of three backends:
 * the radical field Q(2^(1/m)) when beta^2 = a/m in lowest terms,
 * correctly rounded binary floats (mpmath) at a configurable precision.
 
-All values are immutable; operations are pure functions.
+``to_integral`` gives an integral value the int form in which ``engine``
+builds its tables, and ``from_integral(v, e)`` is v / 2^e in the ring's
+own type.  All values are immutable; operations are pure functions.
 """
 
 from __future__ import annotations
@@ -194,6 +196,12 @@ class RationalContext:
     def two_pow(self, p: int, q: int) -> Fraction:
         return pow2(p * self.beta_sq + q)
 
+    def to_integral(self, value: Fraction) -> int:
+        return value.numerator
+
+    def from_integral(self, value: int, e: int) -> Fraction:
+        return Fraction(value, 1 << e)
+
     def vanishes(self, value) -> bool:
         """Whether a computed denominator is zero; exact in this ring."""
         return not value
@@ -217,6 +225,12 @@ class RadicalContext:
     def two_pow(self, p: int, q: int) -> Radical:
         return Radical.root_power(self.m, p * self.numer + q * self.m)
 
+    def to_integral(self, value: Radical) -> Radical:
+        return value._new(tuple(c.numerator for c in value.coeffs))
+
+    def from_integral(self, value: Radical, e: int) -> Radical:
+        return value._new(tuple(Fraction(c, 1 << e) for c in value.coeffs))
+
     def vanishes(self, value) -> bool:
         """Whether a computed denominator is zero; exact in this ring."""
         return not value
@@ -227,6 +241,7 @@ class FloatContext:
 
     kind = "float"
     one, zero = mpmath.mpf(1), mpmath.mpf(0)
+    to_integral = staticmethod(lambda value: value)  # 2^e scales exactly
 
     def __init__(self, beta_sq, precision: int = DEFAULT_PRECISION) -> None:
         if precision < MIN_PRECISION:
@@ -240,6 +255,10 @@ class FloatContext:
     def two_pow(self, p: int, q: int) -> mpmath.mpf:
         with mp.workprec(self.precision):
             return mpmath.mpf(2) ** (p * self.beta_sq + q)
+
+    @staticmethod
+    def from_integral(value: mpmath.mpf, e: int) -> mpmath.mpf:
+        return mpmath.ldexp(value, -e)
 
     def vanishes(self, value) -> bool:
         """Whether a computed denominator is zero, read conservatively as

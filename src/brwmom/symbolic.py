@@ -200,20 +200,10 @@ class RatFun:
 
     def __repr__(self) -> str:
         def fmt(cs):
-            if not cs:
-                return "0"
-            parts = []
-            for i in range(len(cs) - 1, -1, -1):
-                c = cs[i]
-                if not c:
-                    continue
-                if i == 0:
-                    parts.append(f"{c}")
-                elif i == 1:
-                    parts.append(f"{c}*t" if c != 1 else "t")
-                else:
-                    parts.append(f"{c}*t^{i}" if c != 1 else f"t^{i}")
-            return " + ".join(parts)
+            terms = [f"{c}" if i == 0 else ("" if c == 1 else f"{c}*")
+                     + ("t" if i == 1 else f"t^{i}")
+                     for i, c in reversed(list(enumerate(cs))) if c]
+            return " + ".join(terms) or "0"
 
         if self.den == (Fraction(1),):
             return fmt(self.num)

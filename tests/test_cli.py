@@ -272,6 +272,51 @@ class TestMomCommand:
         assert get_limit() == limit
 
 
+class TestSharedParser:
+    ARGV = ["mom", "--k", "2", "--n", "4", "--beta", "0.3"]
+
+    def test_built_once_per_process(self, monkeypatch, capsys):
+        assert cli.main(self.ARGV) == 0
+
+        def refuse():
+            raise AssertionError("parser rebuilt")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert cli.main(self.ARGV) == 0
+        capsys.readouterr()
+
+    def test_precision_env_read_per_call(self, monkeypatch, capsys):
+        def bits():
+            assert cli.main(self.ARGV) == 0
+            return json.loads(capsys.readouterr().out)["parameters"][
+                "precision"]
+
+        monkeypatch.delenv(cli.ENV_PRECISION, raising=False)
+        assert bits() == 256
+        monkeypatch.setenv(cli.ENV_PRECISION, "100")
+        assert bits() == 100
+        monkeypatch.setenv(cli.ENV_PRECISION, "32")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(self.ARGV)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == run_cli(*self.ARGV, env={cli.ENV_PRECISION: "32"}
+                              ).stderr
+        monkeypatch.delenv(cli.ENV_PRECISION)
+        assert bits() == 256
+
+    def test_handler_looked_up_per_call(self, monkeypatch, capsys):
+        # perfbench/tracer.py replaces the cmd_* functions after import.
+        assert cli.main(self.ARGV) == 0
+        capsys.readouterr()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_mom",
+                            lambda args: seen.append(args.k) or 7)
+        assert cli.main(self.ARGV) == 7
+        assert seen == [2]
+
+
 class TestPolyCommand:
     def test_csv_rows(self):
         cp = run_cli("poly", "--k", "2", "--beta", "1", "--format", "csv")

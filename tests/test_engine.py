@@ -10,7 +10,7 @@ from brwmom import (ExpPair, GenPoly, MomentTable, PoleAtCriticalBeta,
                     Radical, RatFun, RingMismatchError, critical_coefficient,
                     evaluate_genpoly, geometric_sum, mom_dp, mom_polynomial,
                     mom_symbolic, resolve_context, supercritical_coefficient)
-from brwmom.engine import _closed_forms
+from brwmom.engine import _closed_forms, recurrence_coefficients
 from brwmom.rings import pow2
 from brwmom.symbolic import SymbolicContext
 
@@ -139,6 +139,7 @@ class CountingContext:
 
     def __init__(self, beta_sq):
         self.inner = resolve_context(beta_sq)
+        self.beta_sq = beta_sq
         self.muls = 0
 
     def two_pow(self, p, q):
@@ -154,6 +155,29 @@ class CountingContext:
 
     def workprec(self):
         return self.inner.workprec()
+
+    def to_integral(self, value):
+        return CountedValue(self, self.inner.to_integral(value.v))
+
+    def from_integral(self, value, e):
+        return CountedValue(self, self.inner.from_integral(value.v, e))
+
+
+def unscaled_table(k_max, n_max, ring):
+    """Entries of the moment table by the depth recurrence on M_j(d)
+    itself, as ``MomentTable.build`` ran it before it scaled row j by
+    2^(jd).  Test-only reference for the scaled table."""
+    ent = {}
+    with ring.workprec():
+        for j in range(1, k_max + 1):
+            step, weights = recurrence_coefficients(j, ring)
+            ent[(j, 0)] = ring.one
+            for d in range(n_max):
+                total = step * ent[(j, d)]
+                for i, w in weights:
+                    total = total + w * ent[(i, d)] * ent[(j - i, d)]
+                ent[(j, d + 1)] = total
+    return ent
 
 
 EXACT_BETA_SQ = [0, 1, 2, Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)]
@@ -187,20 +211,21 @@ class TestMomentTable:
     def test_recurrence_equals_lambda_sum_exactly(self, beta_sq):
         ctx = resolve_context(beta_sq)
         for k, n in ((6, 30), (6, 0), (1, 30)):
-            assert MomentTable.build(k, n, ctx).entries == \
-                lambda_sum_table(k, n, ctx)
+            table = MomentTable.build(k, n, ctx)
+            want = lambda_sum_table(k, n, ctx)
+            assert {key: table.value(*key) for key in want} == want
 
     @pytest.mark.parametrize("precision", [128, 256])
     def test_recurrence_matches_lambda_sum_in_floats(self, precision):
         tol = mpmath.mpf(2) ** (16 - precision)
         for beta_sq in EXACT_BETA_SQ + [0.09, 0.55]:
             ctx = resolve_context(beta_sq, "float", precision)
-            got = MomentTable.build(6, 30, ctx).entries
+            table = MomentTable.build(6, 30, ctx)
             want = lambda_sum_table(6, 30, ctx)
-            assert got.keys() == want.keys()
             with mp.workprec(precision):
                 for key, w in want.items():
-                    assert abs(got[key] - w) <= tol * abs(w), (beta_sq, key)
+                    got = table.value(*key)
+                    assert abs(got - w) <= tol * abs(w), (beta_sq, key)
 
     def test_multiplications_linear_in_depth(self):
         # the lam-sum costs ~4x the products at twice the depth
@@ -215,6 +240,51 @@ class TestMomentTable:
         # for each unordered split i | j - i, 0 < i <= j/2.
         per_step = sum(1 + 2 * (j // 2) for j in range(1, 7))
         assert counts[1] - counts[0] == 20 * per_step == 480, counts
+
+    @pytest.mark.parametrize("beta_sq", [0, 1, 2, 4, Fraction(1, 2),
+                                         Fraction(1, 3), Fraction(2, 5),
+                                         Fraction(3, 7)])
+    def test_equals_unscaled_recurrence_exactly(self, beta_sq):
+        ctx = resolve_context(beta_sq)
+        table = MomentTable.build(8, 30, ctx)
+        for key, want in unscaled_table(8, 30, ctx).items():
+            assert table.value(*key) == want, key
+
+    @pytest.mark.parametrize("precision", [64, 256, 1024])
+    @pytest.mark.parametrize("beta_sq", [0.09, 0.55, 1.21])
+    def test_equals_unscaled_recurrence_in_floats(self, beta_sq, precision):
+        # Bit for bit: scaling by 2^(jd) is exact in mpf.  At 0.09 and 64
+        # bits, order 9's step formed as two_pow(81, 1) rounds away from
+        # two_pow(81, -8) * 2^9, and this fails.
+        ctx = resolve_context(beta_sq, "float", precision)
+        table = MomentTable.build(10, 40, ctx)
+        for key, want in unscaled_table(10, 40, ctx).items():
+            assert table.value(*key)._mpf_ == want._mpf_, key
+
+    def test_value_types(self):
+        # The table runs on ints; none may leave it.
+        assert type(mom_dp(2, 3, 1)) is Fraction
+        assert type(mom_dp(2, 3, 0)) is Fraction
+        for beta_sq in (0, 1, 4):
+            table = MomentTable.build(3, 2, resolve_context(beta_sq))
+            assert all(type(table.value(j, 0)) is Fraction
+                       for j in (1, 2, 3))
+        x = mom_dp(3, 5, Fraction(1, 3))
+        assert x.coeffs and all(type(c) is Fraction for c in x.coeffs)
+        assert x * x.inverse() == 1
+        table = MomentTable.build(2, 1, resolve_context(Fraction(1, 2)))
+        assert type(table.value(2, 0).coeffs[0]) is Fraction
+        for precision in (64, 300):
+            v = mom_dp(2, 5, 0.49, precision)
+            assert isinstance(v, mpmath.mpf)
+            assert v._mpf_[3] <= precision
+        assert v._mpf_[3] > 256
+
+    @pytest.mark.parametrize("beta_sq", [-1, Fraction(-1, 2), -0.25])
+    def test_refuses_negative_beta_sq(self, beta_sq):
+        # The scaled table is integral only for beta^2 >= 0.
+        with pytest.raises(ValueError, match="beta\\^2 must be nonneg"):
+            MomentTable.build(2, 3, resolve_context(beta_sq))
 
 
 @lru_cache(maxsize=None)
