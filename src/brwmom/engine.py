@@ -162,11 +162,13 @@ def _closed_forms(k: int, ring) -> list:
 def mom_symbolic(k: int) -> GenPoly:
     """Closed form of the k-th moment as a GenPoly over Q(t): no product
     of lower orders has a step's power of t, so no coefficient has a
-    power of n, and the critical denominators remain as poles."""
+    power of n, and the critical denominators remain as poles.  It is
+    solved with factored denominators and no gcd per operation, and each
+    coefficient is reduced to a ``RatFun`` once."""
     if k < 1:
         raise ValueError("moment order must be positive")
     form = _closed_forms(k, SymbolicContext())[k]
-    return GenPoly({e: c for e, (c,) in form.values()})
+    return GenPoly({e: c.to_ratfun() for e, (c,) in form.values()})
 
 
 def evaluate_genpoly(g: GenPoly, beta_sq, n: int,

@@ -7,15 +7,19 @@ rational-function coefficients and represents a finite sum
 
     sum over (p, q) of  c_{p,q}(t) * 2^((p*beta^2 + q) * n).
 
-``SymbolicContext`` is Q(t) as a ring context, in which ``engine``
-solves the moment recursion for generic beta.  ``geometric_sum`` gives
-a geometric series in this form; no route calls it, and the tests build
-their lambda-sum reference for the closed form from it.  The dense
-polynomial helpers (coefficient tuples, lowest degree first) are the
-package's one polynomial arithmetic.  ``_padd``, ``_pneg`` and ``_pmul``
-take coefficients from any exact ring (Fraction, ``Radical``, ``RatFun``)
-and serve every ``rings.Radical`` operation and the polynomials in n of
-``engine._closed_forms``; ``_pdivmod`` and ``_pgcd`` work over Q.
+``SymbolicContext`` is Q(t) as a ring context, in which ``engine`` solves
+the moment recursion for generic beta.  Its elements keep denominators
+factored, num / (t^v * prod of core^m): every divisor of the closed form
+is a binomial 2^q t^p - 2^q' t^p', so sums and products take no gcd, and
+``to_ratfun`` reduces each coefficient to a ``RatFun`` once, at the end.
+``geometric_sum`` gives a geometric series in this form; no route calls
+it, and the tests build their lambda-sum reference for the closed form
+from it.  The dense polynomial helpers (coefficient tuples, lowest degree
+first) are the package's one polynomial arithmetic.  ``_padd``, ``_pneg``
+and ``_pmul`` take coefficients from any exact ring (Fraction,
+``Radical``, Q(t)) and serve every ``rings.Radical`` operation and the
+polynomials in n of ``engine._closed_forms``; ``_pdivmod`` and ``_pgcd``
+work over Q.
 """
 
 from __future__ import annotations
@@ -219,15 +223,119 @@ def _lift(value) -> RatFun:
     return value
 
 
+def _times_cores(num: Coeffs, cores: dict) -> Coeffs:
+    for core, m in cores.items():
+        for _ in range(m):
+            num = _pmul(num, core)
+    return num
+
+
+def _cancel(num: Coeffs, core: Coeffs):
+    """num / core if core divides num, else None.  A binomial core
+    t^d + c folds in O(len(num)); any other core takes ``_pdivmod``."""
+    d, c = len(core) - 1, core[0]
+    if any(core[1:d]):
+        q, r = _pdivmod(num, core)
+        return None if r else q
+    w = list(num)
+    for i in range(len(w) - 1, d - 1, -1):
+        w[i - d] -= c * w[i]  # w[i] is now the quotient's t^(i-d) term
+    return None if any(w[:d]) else tuple(w[d:])
+
+
+class _Factored:
+    """num / (t^v * prod of core^m): ``num`` has a non-zero constant term
+    (its leading zeros move into v) and each core is monic with a non-zero
+    constant term, so equal monomials t^p 2^q have equal representations."""
+
+    __slots__ = ("num", "v", "cores")
+
+    def __init__(self, num, v: int = 0, cores: dict | None = None) -> None:
+        num = _trim(num)
+        z = next((i for i, c in enumerate(num) if c), 0)
+        self.num, self.v = num[z:], v - z
+        self.cores = (cores or {}) if num else {}
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
+    def __add__(self, other):
+        other = _factored(other)
+        if not self.num or not other.num:
+            return self if self.num else other
+        v, cores = max(self.v, other.v), dict(self.cores)
+        for core, m in other.cores.items():
+            cores[core] = max(cores.get(core, 0), m)
+
+        def lift(x):
+            missing = {c: m - x.cores.get(c, 0) for c, m in cores.items()}
+            return _times_cores((Fraction(0),) * (v - x.v) + x.num, missing)
+
+        return _Factored(_padd(lift(self), lift(other)), v, cores)
+
+    def __neg__(self):
+        return _Factored(_pneg(self.num), self.v, self.cores)
+
+    def __sub__(self, other):
+        return self + -_factored(other)
+
+    def __mul__(self, other):
+        other = _factored(other)
+        cores = dict(self.cores)
+        for core, m in other.cores.items():
+            cores[core] = cores.get(core, 0) + m
+        return _Factored(_pmul(self.num, other.num), self.v + other.v, cores)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        # other = lead core / (t^w C): times t^w C / lead, over the core.
+        other = _factored(other)
+        if not other:
+            raise ZeroDivisionError("division by zero rational function")
+        lead = other.num[-1]
+        cores = dict(self.cores)
+        if len(other.num) > 1:
+            core = tuple(c / lead for c in other.num)
+            cores[core] = cores.get(core, 0) + 1
+        num = _times_cores(self.num, other.cores)
+        return _Factored(tuple(c / lead for c in num), self.v - other.v, cores)
+
+    def __eq__(self, other):
+        if not isinstance(other, (_Factored, int, Fraction)):
+            return NotImplemented
+        return not self - other
+
+    def __hash__(self):
+        return hash(self.to_ratfun())
+
+    def to_ratfun(self) -> RatFun:
+        """Divide each core out of num while it divides; RatFun's one gcd
+        takes what cores share, as t^16 - 4 = (t^8 - 2)(t^8 + 2) does."""
+        num, den = self.num, (Fraction(1),)
+        for core, m in self.cores.items():
+            while m and (q := _cancel(num, core)) is not None:
+                num, m = q, m - 1
+            den = _times_cores(den, {core: m})
+        pad = (Fraction(0),) * abs(self.v)
+        return (RatFun(pad + num, den) if self.v < 0
+                else RatFun(num, pad + den))
+
+
+def _factored(value) -> _Factored:
+    return (value if isinstance(value, _Factored)
+            else _Factored((Fraction(value),)))
+
+
 class SymbolicContext:
-    """Q(t) with the interface of the contexts in ``rings``."""
+    """Q(t) of ``_Factored`` elements, with the interface of ``rings``."""
 
     kind = "symbolic"
-    one, zero = RatFun.one(), RatFun.zero()
+    one, zero = _Factored((Fraction(1),)), _Factored(())
     workprec = staticmethod(nullcontext)
 
-    def two_pow(self, p: int, q: int) -> RatFun:
-        return RatFun.t_power(p, Fraction(2) ** q)
+    def two_pow(self, p: int, q: int) -> _Factored:
+        return _Factored((Fraction(2) ** q,), -p)
 
 
 @dataclass(frozen=True)
@@ -291,7 +399,7 @@ def geometric_sum(step: ExpPair, n: int | None = None):
     step where the sum is simply n.
     """
     degenerate = step == ExpPair(0, 0)
-    ratio = SymbolicContext().two_pow(step.p, step.q)
+    ratio = RatFun.t_power(step.p, Fraction(2) ** step.q)
     if n is not None:
         if n < 0:
             raise ValueError("n must be nonnegative")

@@ -11,8 +11,7 @@ from brwmom import (ExpPair, GenPoly, MomentTable, PoleAtCriticalBeta,
                     evaluate_genpoly, geometric_sum, mom_dp, mom_polynomial,
                     mom_symbolic, resolve_context, supercritical_coefficient)
 from brwmom.engine import _closed_forms, recurrence_coefficients
-from brwmom.rings import pow2
-from brwmom.symbolic import SymbolicContext
+from brwmom.rings import RadicalContext, pow2
 
 
 def rf(num, den=(1,)):
@@ -304,7 +303,7 @@ def lambda_sum_symbolic(k):
         for e, c in product.items():
             # sum over lam of 2^(diag*lam) * 2^(e*(n-lam-1))
             #   = 2^(-e) * (geometric sum with step diag-e) * 2^(e*n)
-            shift = SymbolicContext().two_pow(-e.p, -e.q) * c * weight
+            shift = RatFun.t_power(-e.p, pow2(-e.q)) * c * weight
             shifted = geometric_sum(ExpPair(diag.p - e.p, diag.q - e.q)) * \
                 GenPoly({e: shift})
             for e2, c2 in shifted.terms.items():
@@ -431,6 +430,19 @@ class TestMomSymbolic:
 
     def test_cross_check_k3_beta1_depth2(self):
         assert evaluate_genpoly(mom_symbolic(3), 1, 2) == mom_dp(3, 2, 1)
+
+    @pytest.mark.parametrize("k,beta_sq", [
+        (6, Fraction(1, 5)), (6, Fraction(2, 5)), (6, Fraction(1, 2)),
+        *(pytest.param(7, b, marks=pytest.mark.slow)
+          for b in (Fraction(1, 6), Fraction(2, 5), Fraction(1, 2)))])
+    def test_dominant_coefficient_matches_radical_route(self, k, beta_sq):
+        # The float route's coefficient, reduced over Q(t), at the exact
+        # t = 2^(beta^2) against the closed form solved in Q(2^(1/m)).
+        # At a pole of a lower order (beta^2 = 1/5 for order 5) a core
+        # that the reduction failed to cancel raises ZeroDivisionError.
+        coeff = mom_symbolic(k).terms[ExpPair(k * k, 1 - k)]
+        t = RadicalContext(beta_sq).two_pow(1, 0)
+        assert coeff.evaluate(t) == supercritical_coefficient(k, beta_sq)
 
 
 class TestEvaluateGenpoly:

@@ -9,6 +9,7 @@ from mpmath import mp
 from brwmom import (DegenerateExponent, ExpPair, GenPoly, RatFun,
                     geometric_sum)
 from brwmom.engine import evaluate_genpoly
+from brwmom.symbolic import SymbolicContext
 
 
 def rf(num, den=(1,)):
@@ -125,3 +126,103 @@ class TestGenPoly:
         b = GenPoly({ExpPair(2, -1): rf([3])})
         prod = a * b
         assert prod.terms[ExpPair(3, -1)] == rf([3])
+
+
+CTX = SymbolicContext()
+
+
+def monomial(c, p, q):
+    """c t^p 2^q in the factored ring of SymbolicContext and as a RatFun."""
+    return c * CTX.two_pow(p, q), RatFun.t_power(p, c * Fraction(2) ** q)
+
+
+def binomial(p, q, p2, q2):
+    """2^q t^p - 2^q2 t^p2, the shape of every divisor b - s_j of the
+    closed form, in both rings."""
+    (f1, r1), (f2, r2) = monomial(1, p, q), monomial(1, p2, q2)
+    return f1 - f2, r1 - r2
+
+
+# t^8 - 2 and t^16 - 4 = (t^8 - 2)(t^8 + 2) share a factor; t^3 - 2 t^3
+# is a pure power of t.
+SHARED = [(8, 0, 0, 1), (16, 0, 0, 2), (16, 0, 8, 1), (3, 0, 3, 1)]
+binomials = st.one_of(
+    st.sampled_from(SHARED),
+    st.tuples(st.integers(0, 6), st.integers(-2, 2), st.integers(0, 6),
+              st.integers(-2, 2)).filter(lambda b: b[:2] != b[2:]))
+monomials = st.tuples(st.integers(-3, 3), st.integers(-4, 4),
+                      st.integers(-2, 2))
+steps = st.lists(st.one_of(
+    st.tuples(st.sampled_from("+-*"), st.just(monomial), monomials),
+    st.tuples(st.sampled_from("+-*/"), st.just(binomial), binomials)),
+    max_size=8)
+OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+       "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+
+
+def run_both(start, ops):
+    f, r = monomial(*start)
+    for op, make, args in ops:
+        g, s = make(*args)
+        f, r = OPS[op](f, g), OPS[op](r, s)
+    return f, r
+
+
+class TestFactoredRing:
+    @given(monomials, steps)
+    @settings(max_examples=150, deadline=None)
+    def test_reduced_equals_ratfun(self, start, ops):
+        f, r = run_both(start, ops)
+        assert f.to_ratfun() == r
+        assert repr(f.to_ratfun()) == repr(r)
+        assert bool(f) == bool(r)
+
+    @given(monomials, steps, monomials, steps)
+    @settings(max_examples=50, deadline=None)
+    def test_quotient_of_factored_values(self, start, ops, start2, ops2):
+        # The divisor carries cores of its own, unlike b - s_j.
+        (f, r), (g, s) = run_both(start, ops), run_both(start2, ops2)
+        if s:
+            assert (f / g).to_ratfun() == r / s
+
+    @given(monomials, steps, binomials)
+    @settings(max_examples=50, deadline=None)
+    def test_equal_values_hash_equally(self, start, ops, b):
+        # f * b / b files b's core below the line: another representation
+        # of the same value.
+        f, _ = run_both(start, ops)
+        g = f * binomial(*b)[0] / binomial(*b)[0]
+        assert g == f and hash(g) == hash(f)
+        assert f + CTX.one != f
+
+    def test_shared_factor_cancels_in_the_reduction(self):
+        core, _ = binomial(8, 0, 0, 1)
+        wide, _ = binomial(16, 0, 0, 2)
+        x = CTX.one / core
+        y = (CTX.two_pow(8, 0) + 2) / wide
+        assert x == y
+        assert y.to_ratfun() == RatFun.one() / rf([-2] + [0] * 7 + [1])
+        assert (x - y).to_ratfun() == RatFun.zero()
+
+    def test_cancels_to_zero(self):
+        x = 3 * CTX.two_pow(2, -1) / binomial(8, 0, 0, 1)[0]
+        y = CTX.two_pow(-1, 2) / binomial(5, 1, 2, 0)[0]
+        z = (x + y) - y - x
+        assert not z and z == 0
+        assert z.to_ratfun() == RatFun.zero()
+
+    def test_pure_power_of_t(self):
+        x = CTX.two_pow(3, 1) / binomial(5, 0, 5, 1)[0]  # 2 t^3 / -t^5
+        assert x.to_ratfun() == RatFun.t_power(-2, -2)
+
+    def test_monomials_equal_exactly_when_exponents_do(self):
+        grid = [(p, q) for p in range(-3, 4) for q in range(-2, 3)]
+        for a in grid:
+            for b in grid:
+                x, y = CTX.two_pow(*a), CTX.two_pow(*b)
+                assert (x == y) == (a == b), (a, b)
+                if a == b:
+                    assert hash(x) == hash(y)
+        # A product of monomials is the same dict key as the monomial.
+        key = CTX.two_pow(2, 0) * CTX.two_pow(-1, 1)
+        assert {CTX.two_pow(1, 1): "b"}[key] == "b"
