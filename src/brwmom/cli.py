@@ -10,8 +10,11 @@ Exit codes: 0 success, 1 failed verification, 2 invalid flags (one
 file, 5 heavy-tail refusal.  Each flag value is checked by one
 ``_checked`` argparse type, and ``emit`` prints every JSON record.
 
-numpy and scipy are imported only by ``mc`` and ``verify --suite mc``,
-through ``montecarlo`` imported inside ``cmd_mc`` and ``_verify_mc``.
+Each handler imports the modules it calls in its own body, so a fresh
+process loads only its route's: mpmath for float and radical output,
+``asymptotics``, ``closed_forms``, ``oracle`` and ``rmt`` for their
+commands and suites, and numpy and scipy (through ``montecarlo``) for
+``mc`` and ``verify --suite mc`` alone.
 """
 
 from __future__ import annotations
@@ -26,9 +29,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 
-import mpmath
-
-from . import asymptotics, closed_forms, engine, oracle, rmt
+from . import engine
 from .rings import (DEFAULT_PRECISION, MIN_PRECISION, Radical,
                     RingMismatchError, resolve_context, to_mpf)
 
@@ -96,6 +97,7 @@ def _fraction_str(f: Fraction) -> str:
 def _float_str(x, precision: int) -> str:
     # Conversion must happen at the payload's precision: mpf() rounds to
     # the ambient context.
+    import mpmath
     digits = max(int(precision * 0.30103), 17)
     with mpmath.mp.workprec(precision):
         return mpmath.nstr(mpmath.mpf(x), digits, strip_zeros=True)
@@ -191,6 +193,7 @@ def cmd_poly(args) -> int:
 
 
 def cmd_asym(args) -> int:
+    from . import asymptotics
     beta_sq, echo = parse_beta_args(args)
     beta_sq = snap_to_critical(beta_sq, args.k)
     term = asymptotics.leading_term(args.k, beta_sq,
@@ -212,6 +215,9 @@ def cmd_sweep(args) -> int:
     if not args.beta_min < args.beta_max:
         print("error: need beta-min < beta-max", file=sys.stderr)
         return 2
+    import mpmath
+
+    from . import asymptotics
     lines = ["beta,regime,coefficient,method"]
     step = (args.beta_max - args.beta_min) / (args.steps - 1)
     for i in range(args.steps):
@@ -241,6 +247,8 @@ def cmd_mc(args) -> int:
         print("error: k*beta^2 > 1; the estimator is heavy-tailed "
               "(pass --force to run anyway)", file=sys.stderr)
         return EXIT_HEAVY_TAIL
+    import mpmath
+
     from . import montecarlo
     # Z depends on beta only through beta^2 in law, but a trial's draws
     # are scaled by 2*beta: simulate one sign so that both agree.
@@ -283,6 +291,8 @@ def _check(name: str, lhs, rhs, tol) -> dict:
 
 
 def _verify_oracle(budget: int, precision: int) -> list:
+    from . import oracle
+    budget = budget or oracle.DEFAULT_ENUMERATION_BUDGET
     checks = []
     for k in (1, 2, 3):
         for n in range(0, 5):
@@ -318,6 +328,7 @@ def _verify_mc(trials: int, precision: int) -> list:
 
 def _verify_closed_forms(precision: int) -> list:
     # No grid point has k*beta^2 = 1; the other regimes have forms to k = 5.
+    from . import asymptotics, closed_forms
     checks = []
     for k in (2, 3, 4, 5):
         for beta in (0.25, 0.45, 0.8, 1.0):
@@ -335,6 +346,7 @@ def _verify_closed_forms(precision: int) -> list:
 
 
 def _verify_rmt(n_max: int, precision: int) -> list:
+    from . import rmt
     checks = []
     ok = all(rmt.unitary_mom_k1_integer(N, 1) == N + 1
              for N in range(1, n_max + 1))
@@ -357,8 +369,7 @@ def cmd_verify(args) -> int:
         return 2
     budget = args.budget or 0
     suites = {
-        "oracle": lambda: _verify_oracle(
-            budget or oracle.DEFAULT_ENUMERATION_BUDGET, args.precision),
+        "oracle": lambda: _verify_oracle(budget, args.precision),
         "mc": lambda: _verify_mc(budget or 20000, args.precision),
         "closedform": lambda: _verify_closed_forms(args.precision),
         "rmt": lambda: _verify_rmt(budget or 10000, args.precision),

@@ -11,6 +11,8 @@ powers in one of three backends:
 ``to_integral`` gives an integral value the int form in which ``engine``
 builds its tables, and ``from_integral(v, e)`` is v / 2^e in the ring's
 own type.  All values are immutable; operations are pure functions.
+mpmath is imported by the functions that use it, so arithmetic in the
+exact rings never loads it.
 """
 
 from __future__ import annotations
@@ -18,9 +20,6 @@ from __future__ import annotations
 from contextlib import nullcontext
 from fractions import Fraction
 from typing import Union
-
-import mpmath
-from mpmath import mp
 
 from .symbolic import _padd, _pdivmod, _pmul, _pneg, _trim
 
@@ -161,7 +160,8 @@ class Radical:
         return self.coeffs[0] if self.coeffs else Fraction(0)
 
     def to_mpf(self, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
-        with mp.workprec(precision):
+        import mpmath
+        with mpmath.workprec(precision):
             root = mpmath.mpf(2) ** (mpmath.mpf(1) / self.m)
             total = mpmath.mpf(0)
             for j, c in enumerate(self.coeffs):
@@ -240,33 +240,38 @@ class FloatContext:
     """Correctly rounded binary floats at a configurable precision in bits."""
 
     kind = "float"
-    one, zero = mpmath.mpf(1), mpmath.mpf(0)
     to_integral = staticmethod(lambda value: value)  # 2^e scales exactly
 
     def __init__(self, beta_sq, precision: int = DEFAULT_PRECISION) -> None:
+        import mpmath
         if precision < MIN_PRECISION:
             raise ValueError(f"precision must be >= {MIN_PRECISION} bits")
         self.precision = precision
         self.tag = f"float({precision})"
-        with mp.workprec(precision):
+        self.one, self.zero = mpmath.mpf(1), mpmath.mpf(0)
+        with mpmath.workprec(precision):
             # Unary plus rounds an mpf, which to_mpf passes through as is.
             self.beta_sq = +to_mpf(beta_sq, precision)
 
     def two_pow(self, p: int, q: int) -> mpmath.mpf:
-        with mp.workprec(self.precision):
+        import mpmath
+        with mpmath.workprec(self.precision):
             return mpmath.mpf(2) ** (p * self.beta_sq + q)
 
     @staticmethod
     def from_integral(value: mpmath.mpf, e: int) -> mpmath.mpf:
+        import mpmath
         return mpmath.ldexp(value, -e)
 
     def vanishes(self, value) -> bool:
         """Whether a computed denominator is zero, read conservatively as
         |value| < 2^(-precision/2): rounding hides an exact zero."""
+        import mpmath
         return abs(value) < mpmath.mpf(2) ** (-(self.precision // 2))
 
     def workprec(self):
-        return mp.workprec(self.precision)
+        import mpmath
+        return mpmath.workprec(self.precision)
 
 
 RingContext = Union[RationalContext, RadicalContext, FloatContext]
@@ -303,11 +308,12 @@ def to_mpf(value, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
     Values that are already mpf pass through unrounded; everything else is
     converted under a context of the requested precision.
     """
+    import mpmath
     if isinstance(value, mpmath.mpf):
         return value
     if isinstance(value, Radical):
         return value.to_mpf(precision)
-    with mp.workprec(precision):
+    with mpmath.workprec(precision):
         if isinstance(value, (int, Fraction)):
             return mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator)
         return mpmath.mpf(value)

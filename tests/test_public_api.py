@@ -1,6 +1,7 @@
 """The package root exports what the documentation imports from it."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -15,6 +16,25 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 def test_every_exported_name_resolves():
     for name in brwmom.__all__:
         assert hasattr(brwmom, name), name
+
+
+# The submodule of each exported constant; classes and functions name
+# theirs in __module__.
+CONSTANT_HOME = {"SUB": "asymptotics", "CRITICAL": "asymptotics",
+                 "SUPER": "asymptotics", "DEFAULT_PRECISION": "rings"}
+
+
+@pytest.mark.parametrize("name", sorted(set(brwmom.__all__)
+                                        - {"__version__"}))
+def test_exported_name_is_the_submodules_object(name):
+    value = getattr(brwmom, name)
+    home = CONSTANT_HOME.get(name) or value.__module__.removeprefix(
+        "brwmom.")
+    assert value is getattr(importlib.import_module(f"brwmom.{home}"), name)
+
+
+def test_dir_lists_every_exported_name():
+    assert set(brwmom.__all__) <= set(dir(brwmom))
 
 
 def test_monte_carlo_names_import_lazily():
