@@ -10,11 +10,11 @@ Each regime has one route to its coefficient:
   the dynamic program's depth recurrence,
 * critical: the same recursion at beta^2 = 1/k, last order halved,
 * super-critical: the coefficient of the dominant exponent in the
-  closed form of the depth recurrence, solved in the exact ring of an
-  exact beta^2, or over Q(t) and evaluated at t = 2^(beta^2) for a
-  float one.  That exponent strictly dominates every other, so its
-  coefficient has no pole: the denominators of the closed form that
-  vanish at beta = 1/sqrt(m), m < k, cancel out of it.
+  closed form of the depth recurrence, solved in the ring of beta^2.
+  That exponent strictly dominates every other, so its coefficient has
+  no pole: the denominators that vanish at beta = 1/sqrt(m), m < k,
+  cancel out of it (in mpf only numerically: see
+  ``supercritical_coefficient``).
 
 ``leading_coefficient_numeric`` estimates the same coefficients from
 finite depths of the dynamic program; it is an independent reference,
@@ -28,8 +28,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .engine import (MomentTable, _closed_forms, mom_symbolic,
-                     recurrence_coefficients)
+from .engine import MomentTable, _closed_forms, recurrence_coefficients
 from .rings import DEFAULT_PRECISION, resolve_context, to_mpf
 from .symbolic import ExpPair
 
@@ -136,21 +135,25 @@ def critical_coefficient(k: int, precision: int = DEFAULT_PRECISION) -> mpmath.m
 def supercritical_coefficient(k: int, beta_sq,
                               precision: int = DEFAULT_PRECISION):
     """Leading coefficient in the regime k*beta^2 > 1: the coefficient
-    of the dominant exponent k^2*beta^2 + 1 - k in the closed form, exact
-    for an int or Fraction beta^2, from Q(t) at t = 2^(beta^2) for a
-    float beta^2."""
+    of the dominant exponent k^2*beta^2 + 1 - k in the closed form.  In
+    mpf its terms grow and cancel near a pole 1/m, m < k, by a loss that
+    the distance to the pole fixes, so the solve takes 64 guard bits,
+    doubled until two runs agree to ``precision`` bits, and rounds."""
     if k < 1:
         raise ValueError("moment order must be positive")
     if _compare_k_beta_sq(k, beta_sq) <= 0:
         raise RegimeError(f"k*beta^2 <= 1 for k={k}, beta^2={beta_sq}")
-    ctx = resolve_context(beta_sq, "auto", precision)
-    if ctx.kind != "float":
+    guard, last = 64, mpmath.inf
+    while True:
+        ctx = resolve_context(beta_sq, "auto", precision + guard)
         # No forcing base reaches the dominant one: no power of n.
         _, (coeff,) = _closed_forms(k, ctx)[k][ctx.two_pow(k * k, 1 - k)]
-        return coeff
-    coeff = mom_symbolic(k).terms[ExpPair(k * k, 1 - k)]
-    with ctx.workprec():
-        return coeff.evaluate(ctx.two_pow(1, 0))
+        if ctx.kind != "float":
+            return coeff
+        with mpmath.workprec(precision):
+            if abs(coeff - last) <= abs(coeff) * mpmath.ldexp(1, -precision):
+                return +coeff
+        guard, last = 2 * guard, coeff
 
 
 def leading_coefficient_numeric(k: int, beta_sq, n_lo: int, n_hi: int,
@@ -187,7 +190,7 @@ def leading_term(k: int, beta_sq,
                  precision: int = DEFAULT_PRECISION) -> LeadingTerm:
     """Regime, growth exponent, and coefficient with the method that
     produced it: exact for k = 1, the recursion up to the transition, and
-    symbolic extraction above it."""
+    the closed form's dominant term above it (method "symbolic")."""
     regime = classify_regime(k, beta_sq)
     if k == 1:
         coeff = Fraction(1) if isinstance(beta_sq, (int, Fraction)) else mpmath.mpf(1)

@@ -51,8 +51,8 @@ MC_MAX_DEPTH = 25
 # without end.
 MAX_EXACT_BETA = 2 ** 8
 
-# How close k*beta^2 (or m*beta^2 for m < k) must be to 1 before a float
-# beta is treated as exactly critical for that order.
+# How close k*beta^2 must be to 1 before a float beta is treated as
+# exactly critical for order k.
 CRITICAL_SNAP_TOL = 1e-9
 
 
@@ -157,13 +157,12 @@ def parse_beta_args(args) -> tuple:
 
 
 def snap_to_critical(beta_sq, k: int):
-    """Return Fraction(1, m) when a float beta^2 sits within snapping
-    distance of a transition point 1/m for m <= k, else beta_sq."""
-    if isinstance(beta_sq, (int, Fraction)):
-        return beta_sq
-    for m in range(1, k + 1):
-        if abs(m * beta_sq - 1.0) < CRITICAL_SNAP_TOL:
-            return Fraction(1, m)
+    """Fraction(1, k) for a float beta^2 within snapping distance of
+    order k's transition 1/k, where the snap decides the regime, else
+    beta_sq."""
+    if (not isinstance(beta_sq, (int, Fraction))
+            and abs(k * beta_sq - 1.0) < CRITICAL_SNAP_TOL):
+        return Fraction(1, k)
     return beta_sq
 
 

@@ -32,8 +32,7 @@ from functools import lru_cache
 from math import comb
 from typing import Dict
 
-from .rings import (DEFAULT_PRECISION, RingContext, RingMismatchError,
-                    resolve_context)
+from .rings import DEFAULT_PRECISION, RingContext, resolve_context
 from .symbolic import ExpPair, GenPoly, SymbolicContext, _padd, _pmul, _trim
 
 
@@ -129,10 +128,8 @@ def _closed_forms(k: int, ring) -> list:
     (c_0, c_1, ...)), where M_j(n) = sum of (c_0 + c_1 n + ...) b^n.  The
     products of lower orders force order j's depth recurrence; a forcing
     base equal to the step s_j (a resonance, as the critical n 2^n) gains
-    a power of n, and s_j^n takes the rest of M_j(0) = 1.  Floats are
-    refused: b - s_j can round to a tiny non-zero divisor there."""
-    if ring.kind == "float":
-        raise RingMismatchError("the closed form needs an exact ring")
+    a power of n, and s_j^n takes the rest of M_j(0) = 1.  In mpf, near a
+    pole, b - s_j is tiny: the terms grow and cancel, at a cost in bits."""
     forms = [None]
     with ring.workprec():
         for j in range(1, k + 1):

@@ -8,8 +8,9 @@ from brwmom import (CRITICAL, SUB, SUPER, ExpPair, Radical, RegimeError,
                     classify_regime, critical_coefficient,
                     leading_coefficient_closed_form,
                     leading_coefficient_numeric, leading_term, mom_symbolic,
-                    subcritical_coefficient, supercritical_coefficient,
-                    to_mpf)
+                    resolve_context, subcritical_coefficient,
+                    supercritical_coefficient, to_mpf)
+from brwmom.engine import _closed_forms
 
 
 class TestClassifyRegime:
@@ -210,6 +211,61 @@ class TestSupercriticalCoefficient:
                 for e, _ in mom_symbolic(k).items():
                     if e != ExpPair(k * k, 1 - k):
                         assert e.value_at(bs) < lead, (k, bs, e)
+
+
+def _near_pole_grid(k):
+    """Float beta^2 at and around every q/p, p <= k^2, q <= k, with
+    k*beta^2 > 1: the poles 1/m of lower orders and the other points
+    where two bases of the closed form meet."""
+    poles = sorted({Fraction(q, p) for p in range(1, k * k + 1)
+                    for q in range(1, k + 1) if k * q > p})
+    return [float(f) + off for f in poles
+            for off in (0.0, 1e-15, -1e-15, 1e-9, -1e-9)]
+
+
+class TestFloatSupercriticalRoute:
+    """The mpf closed form against the Q(t) coefficient of the dominant
+    exponent, reduced and evaluated at 1024 bits."""
+
+    @pytest.mark.parametrize("k", [
+        2, 3, 4, 5, *(pytest.param(k, marks=pytest.mark.slow)
+                      for k in (6, 7))])
+    def test_near_pole_grid(self, k):
+        coeff = mom_symbolic(k).terms[ExpPair(k * k, 1 - k)]
+        for bs in _near_pole_grid(k):
+            with mp.workprec(1024):
+                want = coeff.evaluate(mpmath.mpf(2) ** mpmath.mpf(bs))
+            for precision in (128, 256):
+                got = supercritical_coefficient(k, bs, precision)
+                with mp.workprec(1024):
+                    assert abs(got - want) <= abs(want) * mpmath.mpf(2) ** (
+                        1 - precision), (k, bs, precision)
+
+    @pytest.mark.parametrize("bs,exact", [(0.5, Fraction(1, 2)),
+                                          (0.375, Fraction(3, 8))])
+    def test_order_eight_at_dyadic_beta(self, bs, exact):
+        # A dyadic beta^2 is exact in mpf, so its resonances are found
+        # exactly, as in Q(2^(1/8)).
+        want = to_mpf(supercritical_coefficient(8, exact), 256)
+        got = supercritical_coefficient(8, bs, 256)
+        with mp.workprec(256):
+            assert abs(got - want) <= abs(want) * mpmath.mpf(2) ** -255
+
+
+class TestSubcriticalFromClosedForm:
+    """The closed-form coefficient of the base 2^(k beta^2) against the
+    recursion of ``subcritical_coefficient``."""
+
+    @pytest.mark.parametrize("k,beta_sq", [
+        (3, Fraction(1, 5)), (4, Fraction(2, 9)), (5, Fraction(1, 7)),
+        (6, Fraction(1, 8)), (3, 0.3), (4, 0.23), (5, 0.17), (6, 0.15)])
+    def test_matches_recursion(self, k, beta_sq):
+        ring = resolve_context(beta_sq, "auto", 256)
+        _, (coeff,) = _closed_forms(k, ring)[k][ring.two_pow(k, 0)]
+        want = subcritical_coefficient(k, beta_sq, 256)
+        with mp.workprec(256):
+            got = to_mpf(coeff, 256)
+            assert abs(got - want) <= want * mpmath.mpf(2) ** -240
 
 
 class TestLeadingCoefficientNumeric:

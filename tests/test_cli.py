@@ -352,6 +352,26 @@ class TestAsymCommand:
         assert rec["result"]["n_power"] == 1
         assert rec["result"]["coefficient"]["value"].startswith("0.5")
 
+    def test_no_snap_near_lower_order_pole(self):
+        # beta^2 = 0.2 + 1e-10 sits near the pole 1/5 of order 5, not at
+        # order 6's transition 1/6: the regime is decided without a snap,
+        # and the coefficient is the float one at the given beta^2, not
+        # the Q(2^(1/5)) one at 1/5.
+        import mpmath
+
+        from brwmom import ExpPair, mom_symbolic
+        beta = 0.4472135956117614
+        rec = record(run_cli("asym", "--k", "6", "--beta", repr(beta)))
+        assert rec["result"]["regime"] == "super-critical"
+        coeff = rec["result"]["coefficient"]
+        assert coeff["type"] == "float"
+        assert coeff["value"].startswith("41.62200168340447348")
+        with mpmath.mp.workprec(512):
+            t = mpmath.mpf(2) ** mpmath.mpf(beta * beta)
+            want = mom_symbolic(6).terms[ExpPair(36, -5)].evaluate(t)
+            got = mpmath.mpf(coeff["value"])
+            assert abs(got - want) <= want * mpmath.mpf(2) ** -240
+
     def test_subcritical_method(self):
         rec = record(run_cli("asym", "--k", "3", "--beta", "0.3"))
         assert rec["result"]["regime"] == "sub-critical"

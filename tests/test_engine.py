@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp
 
 from brwmom import (ExpPair, GenPoly, MomentTable, PoleAtCriticalBeta,
-                    Radical, RatFun, RingMismatchError, critical_coefficient,
+                    Radical, RatFun, critical_coefficient,
                     evaluate_genpoly, geometric_sum, mom_dp, mom_polynomial,
                     mom_symbolic, resolve_context, supercritical_coefficient)
 from brwmom.engine import _closed_forms, recurrence_coefficients
@@ -361,9 +361,20 @@ class TestClosedForms:
                 got = coeffs[1].to_mpf(256)
                 assert abs(got - want) <= tol * want, k
 
-    def test_refuses_float_ring(self):
-        with pytest.raises(RingMismatchError):
-            _closed_forms(3, resolve_context(0.5, "float"))
+    def test_float_ring_matches_symbolic(self):
+        # Away from a pole every base of the mpf closed form carries the
+        # Q(t) coefficient of its exponent, evaluated at t = 2^(beta^2).
+        for k, beta_sq in ((3, 0.3), (4, 0.41), (5, 1.7)):
+            ring = resolve_context(beta_sq, "float", 256)
+            form = _closed_forms(k, ring)[k]
+            terms = mom_symbolic(k).terms
+            assert {e for e, _ in form.values()} == set(terms)
+            with mp.workprec(256):
+                t = ring.two_pow(1, 0)
+                for e, (c,) in form.values():
+                    want = terms[e].evaluate(t)
+                    assert abs(c - want) <= abs(want) * mpmath.mpf(2) ** -240, \
+                        (k, beta_sq, e)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_symbolic_equals_lambda_sum(self, k):
@@ -373,15 +384,21 @@ class TestClosedForms:
     def test_symbolic_equals_lambda_sum_order_six(self):
         assert mom_symbolic(6) == lambda_sum_symbolic(6)
 
-    def test_exact_routes_skip_symbolic(self):
-        # poly and exact-beta^2 asym solve in Q or Q(2^(1/m)); only a
-        # float beta^2 needs the closed form over Q(t).
+    def test_no_route_calls_symbolic(self):
+        # Every ring solves the closed form itself; the Q(t) form is a
+        # library function and a test reference only.
+        from brwmom import cli
         mom_symbolic.cache_clear()
         mom_polynomial(5, 2)
         supercritical_coefficient(5, Fraction(1, 2))
-        assert mom_symbolic.cache_info().misses == 0
         supercritical_coefficient(5, 0.81)
-        assert mom_symbolic.cache_info().misses == 1
+        for argv in (["asym", "--k", "5", "--beta", "0.9"],
+                     ["asym", "--k", "6", "--beta", "0.4472135956117614"],
+                     ["sweep", "--k", "5", "--beta-min", "0.1",
+                      "--beta-max", "1.2", "--steps", "12"],
+                     ["verify", "--suite", "closedform"]):
+            assert cli.main(argv) == 0, argv
+        assert mom_symbolic.cache_info().misses == 0
 
 
 class TestMomSymbolic:
