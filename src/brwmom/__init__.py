@@ -7,7 +7,8 @@ moment of moments of random-unitary characteristic polynomials.
 
 The root imports no submodule: each exported name loads its submodule
 on first use (PEP 562), so mpmath, numpy and scipy load only with a
-route that needs them.
+route that needs them, and the Q(t) layer (``symbolic``) only with its
+own names.
 """
 
 import importlib
@@ -17,8 +18,8 @@ __version__ = "0.1.0"
 # Exported name -> the submodule that defines it, in the order of __all__.
 _SUBMODULE = {name: module for module, names in (
     ("rings", "Radical RingMismatchError DEFAULT_PRECISION resolve_context "
-              "to_mpf"),
-    ("symbolic", "ExpPair RatFun GenPoly DegenerateExponent geometric_sum"),
+              "to_mpf ExpPair"),
+    ("symbolic", "RatFun GenPoly DegenerateExponent geometric_sum"),
     ("engine", "MomentTable MomPolynomial PoleAtCriticalBeta mom_dp "
                "mom_symbolic evaluate_genpoly mom_polynomial"),
     ("asymptotics", "Regime RegimeError LeadingTerm RatioEstimate SUB "

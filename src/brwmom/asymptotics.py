@@ -29,8 +29,7 @@ from fractions import Fraction
 import mpmath
 
 from .engine import MomentTable, _closed_forms, recurrence_coefficients
-from .rings import DEFAULT_PRECISION, resolve_context, to_mpf
-from .symbolic import ExpPair
+from .rings import DEFAULT_PRECISION, ExpPair, resolve_context, to_mpf
 
 SUB = "sub-critical"
 CRITICAL = "critical"

@@ -13,12 +13,13 @@ Z_n = 2^(-n) * sum over leaves of exp(2*beta*X_n(leaf)):
   weight doubled for j < k/2: about k^2 n / 2 ring products for the
   whole table.  It never divides, so every beta (critical points
   included) is in range.  ``MomentTable`` runs it on 2^(kn) M_k(n), in
-  ints or int coefficients, and divides by 2^(kn) once, as it is read.
+  ints or int coefficients, and multiplies by 2^(-kn) as it is read.
 
 * ``mom_symbolic``: the same recurrence solved in closed form,
   M_k(n) = sum over bases b = 2^(p beta^2 + q) of P_b(n) b^n, by
   ``_closed_forms`` over Q(t), t = 2^(beta^2).  Valid for generic beta;
-  the critical denominators survive as poles of the coefficients.
+  the critical denominators survive as poles of the coefficients.  No
+  other route loads ``symbolic``, which it imports in its own body.
 
 * ``mom_polynomial``: for integer k and beta, the closed form in the
   rationals, an exact polynomial in 2^n of degree k^2*beta^2 - k + 1.
@@ -32,8 +33,8 @@ from functools import lru_cache
 from math import comb
 from typing import Dict
 
-from .rings import DEFAULT_PRECISION, RingContext, resolve_context
-from .symbolic import ExpPair, GenPoly, SymbolicContext, _padd, _pmul, _trim
+from .rings import (DEFAULT_PRECISION, ExpPair, RingContext, _padd, _pmul,
+                    _trim, resolve_context)
 
 
 class PoleAtCriticalBeta(ArithmeticError):
@@ -63,8 +64,9 @@ class MomentTable:
     2^j step and 2^j w_i (products with the exact 2^j, as two_pow(j*j, 1)
     rounds otherwise in mpf): integers times 2^(p beta^2), p >= 0.  So at
     beta^2 = a/m every entry is in Z[2^(1/m)], and the exact rings run on
-    ints, with no gcd; ``value`` divides by 2^(jd) once.  In mpf the
-    scaling is exact: each value is the unscaled recurrence's to the bit.
+    ints, with no gcd; ``value`` multiplies by ``two_pow(0, -jd)``, and
+    the scaling is exact: in mpf each value is the unscaled recurrence's
+    to the bit.
     """
 
     def __init__(self, ring: RingContext, scaled: dict) -> None:
@@ -95,7 +97,9 @@ class MomentTable:
         return cls(ring, ent)
 
     def value(self, j: int, depth: int):
-        return self._ring.from_integral(self._scaled[(j, depth)], j * depth)
+        ring = self._ring
+        with ring.workprec():
+            return ring.two_pow(0, -j * depth) * self._scaled[(j, depth)]
 
 
 def mom_dp(k: int, n: int, beta_sq, precision: int = DEFAULT_PRECISION):
@@ -156,19 +160,20 @@ def _closed_forms(k: int, ring) -> list:
 
 
 @lru_cache(maxsize=None)
-def mom_symbolic(k: int) -> GenPoly:
+def mom_symbolic(k: int) -> "GenPoly":
     """Closed form of the k-th moment as a GenPoly over Q(t): no product
     of lower orders has a step's power of t, so no coefficient has a
     power of n, and the critical denominators remain as poles.  It is
     solved with factored denominators and no gcd per operation, and each
     coefficient is reduced to a ``RatFun`` once."""
+    from .symbolic import GenPoly, SymbolicContext
     if k < 1:
         raise ValueError("moment order must be positive")
     form = _closed_forms(k, SymbolicContext())[k]
     return GenPoly({e: c.to_ratfun() for e, (c,) in form.values()})
 
 
-def evaluate_genpoly(g: GenPoly, beta_sq, n: int,
+def evaluate_genpoly(g: "GenPoly", beta_sq, n: int,
                      precision: int = DEFAULT_PRECISION):
     """Value of a GenPoly at a concrete beta^2 and depth n.
 

@@ -1,36 +1,105 @@
 """Exact and high-precision coefficient rings.
 
 Every power appearing in the moment recursion has the shape
-2^(p*beta^2 + q) with integer p, q.  The ring contexts below evaluate such
-powers in one of three backends:
+2^(p*beta^2 + q) with integer p, q, kept symbolic as ``ExpPair(p, q)``.
+The ring contexts below evaluate such powers in one of three backends:
 
 * exact rationals (``fractions.Fraction``) when beta^2 is an integer,
 * the radical field Q(2^(1/m)) when beta^2 = a/m in lowest terms,
 * correctly rounded binary floats (mpmath) at a configurable precision.
 
 ``to_integral`` gives an integral value the int form in which ``engine``
-builds its tables, and ``from_integral(v, e)`` is v / 2^e in the ring's
-own type.  All values are immutable; operations are pure functions.
-mpmath is imported by the functions that use it, so arithmetic in the
-exact rings never loads it.
+builds its tables; a product with ``two_pow(0, -e)`` divides it by 2^e,
+exactly in every ring.  The dense polynomial helpers (coefficient
+tuples, lowest degree first) are the package's one polynomial
+arithmetic, for ``Radical``, ``engine._closed_forms`` and the Q(t) layer
+of ``symbolic``; ``_pdivmod`` works over Q, the others over any exact
+ring (Fraction, ``Radical``, Q(t)).  All values are immutable;
+operations are pure functions.  mpmath is imported by the functions that
+use it, so arithmetic in the exact rings never loads it.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
-
-from .symbolic import _padd, _pdivmod, _pmul, _pneg, _trim
+from typing import Tuple, Union
 
 DEFAULT_PRECISION = 256
 MIN_PRECISION = 64
 
 ExactScalar = Union[int, Fraction]
+Coeffs = Tuple[Fraction, ...]
 
 
 class RingMismatchError(ValueError):
     """Operands live in incompatible coefficient rings."""
+
+
+@dataclass(frozen=True)
+class ExpPair:
+    """Exponent p*beta^2 + q of a power of two, kept in symbolic form."""
+
+    p: int
+    q: int
+
+    def plus(self, other: "ExpPair") -> "ExpPair":
+        return ExpPair(self.p + other.p, self.q + other.q)
+
+    def value_at(self, beta_sq):
+        return self.p * beta_sq + self.q
+
+
+def _trim(cs) -> Coeffs:
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _padd(a: Coeffs, b: Coeffs) -> Coeffs:
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+
+
+def _pneg(a: Coeffs) -> Coeffs:
+    return tuple(-x for x in a)
+
+
+def _pmul(a: Coeffs, b: Coeffs) -> Coeffs:
+    if not a or not b:
+        return ()
+    out = [None] * (len(a) + len(b) - 1)
+    b_terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in b_terms:
+            c = out[i + j]
+            out[i + j] = x * y if c is None else c + x * y
+    # A degree no product reached holds the ring's zero, a - a.
+    return _trim(a[-1] - a[-1] if c is None else c for c in out)
+
+
+def _pdivmod(a: Coeffs, b: Coeffs) -> Tuple[Coeffs, Coeffs]:
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    inv_lead = Fraction(1) / b[-1]
+    while len(rem) >= len(b):
+        c = rem[-1] * inv_lead
+        d = len(rem) - len(b)
+        q[d] = c
+        for i, y in enumerate(b):
+            rem[d + i] -= c * y
+        while rem and not rem[-1]:
+            rem.pop()
+        if not rem:
+            break
+    return _trim(q), _trim(rem)
 
 
 def pow2(exponent: int) -> Fraction:
@@ -43,11 +112,11 @@ class Radical:
 
     The rational coefficients are stored trimmed: at most m of them, no
     trailing zeros, and zero has none, so equal values have equal
-    coefficients.  Every operation runs on the polynomial helpers of
-    ``symbolic``; a product reduces with (2^(1/m))^m = 2.  Since x^m - 2
-    is irreducible over Q (Eisenstein at 2) the ring is a field, so
-    division is exact.  The root index m is fixed per value; mixing
-    indices raises RingMismatchError.
+    coefficients.  Every operation runs on the polynomial helpers above;
+    a product reduces with (2^(1/m))^m = 2.  Since x^m - 2 is irreducible
+    over Q (Eisenstein at 2) the ring is a field, so division is exact.
+    The root index m is fixed per value; mixing indices raises
+    RingMismatchError.
     """
 
     __slots__ = ("m", "coeffs")
@@ -199,9 +268,6 @@ class RationalContext:
     def to_integral(self, value: Fraction) -> int:
         return value.numerator
 
-    def from_integral(self, value: int, e: int) -> Fraction:
-        return Fraction(value, 1 << e)
-
     def vanishes(self, value) -> bool:
         """Whether a computed denominator is zero; exact in this ring."""
         return not value
@@ -227,9 +293,6 @@ class RadicalContext:
 
     def to_integral(self, value: Radical) -> Radical:
         return value._new(tuple(c.numerator for c in value.coeffs))
-
-    def from_integral(self, value: Radical, e: int) -> Radical:
-        return value._new(tuple(Fraction(c, 1 << e) for c in value.coeffs))
 
     def vanishes(self, value) -> bool:
         """Whether a computed denominator is zero; exact in this ring."""
@@ -257,11 +320,6 @@ class FloatContext:
         import mpmath
         with mpmath.workprec(self.precision):
             return mpmath.mpf(2) ** (p * self.beta_sq + q)
-
-    @staticmethod
-    def from_integral(value: mpmath.mpf, e: int) -> mpmath.mpf:
-        import mpmath
-        return mpmath.ldexp(value, -e)
 
     def vanishes(self, value) -> bool:
         """Whether a computed denominator is zero, read conservatively as

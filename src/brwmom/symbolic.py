@@ -7,84 +7,30 @@ rational-function coefficients and represents a finite sum
 
     sum over (p, q) of  c_{p,q}(t) * 2^((p*beta^2 + q) * n).
 
-``SymbolicContext`` is Q(t) as a ring context, in which ``engine`` solves
-the moment recursion for generic beta.  Its elements keep denominators
-factored, num / (t^v * prod of core^m): every divisor of the closed form
-is a binomial 2^q t^p - 2^q' t^p', so sums and products take no gcd, and
-``to_ratfun`` reduces each coefficient to a ``RatFun`` once, at the end.
-``geometric_sum`` gives a geometric series in this form; no route calls
-it, and the tests build their lambda-sum reference for the closed form
-from it.  The dense polynomial helpers (coefficient tuples, lowest degree
-first) are the package's one polynomial arithmetic.  ``_padd``, ``_pneg``
-and ``_pmul`` take coefficients from any exact ring (Fraction,
-``Radical``, Q(t)) and serve every ``rings.Radical`` operation and the
-polynomials in n of ``engine._closed_forms``; ``_pdivmod`` and ``_pgcd``
-work over Q.
+``SymbolicContext`` is Q(t) as a ring context, in which
+``engine.mom_symbolic`` solves the moment recursion for generic beta.
+Its elements keep denominators factored, num / (t^v * prod of core^m):
+every divisor of the closed form is a binomial 2^q t^p - 2^q' t^p', so
+sums and products take no gcd, and ``to_ratfun`` reduces each
+coefficient to a ``RatFun`` once, at the end.  ``geometric_sum`` gives a
+geometric series in this form; no route calls it, and the tests build
+their lambda-sum reference for the closed form from it.  The polynomial
+arithmetic and ``ExpPair`` come from ``rings``; ``_pmonic``, ``_pgcd``
+and ``_peval`` serve ``RatFun`` alone.  No CLI route loads this module:
+``mom_symbolic`` is a library function and the tests' reference.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Tuple
 
-Coeffs = Tuple[Fraction, ...]
+from .rings import Coeffs, ExpPair, _padd, _pdivmod, _pmul, _pneg, _trim
 
 
 class DegenerateExponent(ArithmeticError):
     """A geometric sum with unit ratio has no closed form; the sum is n."""
-
-
-def _trim(cs) -> Coeffs:
-    cs = list(cs)
-    while cs and not cs[-1]:
-        cs.pop()
-    return tuple(cs)
-
-
-def _padd(a: Coeffs, b: Coeffs) -> Coeffs:
-    if len(a) < len(b):
-        a, b = b, a
-    return _trim([x + y for x, y in zip(a, b)] + list(a[len(b):]))
-
-
-def _pneg(a: Coeffs) -> Coeffs:
-    return tuple(-x for x in a)
-
-
-def _pmul(a: Coeffs, b: Coeffs) -> Coeffs:
-    if not a or not b:
-        return ()
-    out = [None] * (len(a) + len(b) - 1)
-    b_terms = [(j, y) for j, y in enumerate(b) if y]
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in b_terms:
-            c = out[i + j]
-            out[i + j] = x * y if c is None else c + x * y
-    # A degree no product reached holds the ring's zero, a - a.
-    return _trim(a[-1] - a[-1] if c is None else c for c in out)
-
-
-def _pdivmod(a: Coeffs, b: Coeffs) -> Tuple[Coeffs, Coeffs]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = Fraction(1) / b[-1]
-    while len(rem) >= len(b):
-        c = rem[-1] * inv_lead
-        d = len(rem) - len(b)
-        q[d] = c
-        for i, y in enumerate(b):
-            rem[d + i] -= c * y
-        while rem and not rem[-1]:
-            rem.pop()
-        if not rem:
-            break
-    return _trim(q), _trim(rem)
 
 
 def _pmonic(a: Coeffs) -> Coeffs:
@@ -336,20 +282,6 @@ class SymbolicContext:
 
     def two_pow(self, p: int, q: int) -> _Factored:
         return _Factored((Fraction(2) ** q,), -p)
-
-
-@dataclass(frozen=True)
-class ExpPair:
-    """Exponent p*beta^2 + q of a power of two, kept in symbolic form."""
-
-    p: int
-    q: int
-
-    def plus(self, other: "ExpPair") -> "ExpPair":
-        return ExpPair(self.p + other.p, self.q + other.q)
-
-    def value_at(self, beta_sq):
-        return self.p * beta_sq + self.q
 
 
 class GenPoly:

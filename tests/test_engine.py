@@ -158,9 +158,6 @@ class CountingContext:
     def to_integral(self, value):
         return CountedValue(self, self.inner.to_integral(value.v))
 
-    def from_integral(self, value, e):
-        return CountedValue(self, self.inner.from_integral(value.v, e))
-
 
 def unscaled_table(k_max, n_max, ring):
     """Entries of the moment table by the depth recurrence on M_j(d)

@@ -24,8 +24,7 @@ print(json.dumps({"codes": codes, "stdout": out.getvalue(),
 """
 
 # What every command loads: the CLI, the dynamic program and its rings.
-CLI_BASE = {"brwmom.cli", "brwmom.engine", "brwmom.rings",
-            "brwmom.symbolic"}
+CLI_BASE = {"brwmom.cli", "brwmom.engine", "brwmom.rings"}
 MONTE_CARLO = {"mpmath", "numpy", "scipy", "brwmom.montecarlo"}
 
 
@@ -112,3 +111,21 @@ def test_route_loads_only_its_modules(argv, loads):
     out = run_commands(argv)
     assert out["codes"] == [0]
     assert watched(out) == CLI_BASE | loads
+
+
+@pytest.mark.parametrize("statement, loads_symbolic", [
+    ("brwmom.mom_dp(3, 4, 0.3)", False),
+    ("brwmom.leading_term(3, 0.5)", False),
+    ("brwmom.supercritical_coefficient(4, 0.3)", False),
+    ("brwmom.ExpPair(1, 0)", False),
+    ("brwmom.mom_symbolic(2)", True),
+    ("brwmom.RatFun", True),
+], ids=["mom_dp", "leading_term", "supercritical", "ExpPair",
+        "mom_symbolic", "RatFun"])
+def test_library_loads_symbolic_only_for_q_t(statement, loads_symbolic):
+    # The Q(t) layer loads with its own names alone: every route of a
+    # float beta^2, super-critical ones included, leaves it unloaded.
+    out = run_in_fresh_interpreter(
+        f"import json, sys, brwmom\n{statement}\n"
+        "print(json.dumps({'modules': sorted(sys.modules)}))")
+    assert ("brwmom.symbolic" in out["modules"]) is loads_symbolic
