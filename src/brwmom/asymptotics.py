@@ -18,13 +18,14 @@ Each regime has one route to its coefficient:
 
 ``leading_coefficient_numeric`` estimates the same coefficients from
 finite depths of the dynamic program; it is an independent reference,
-not a route.
+not a route.  The records ``Regime``, ``LeadingTerm`` and
+``RatioEstimate`` are NamedTuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 
@@ -40,22 +41,19 @@ class RegimeError(ValueError):
     """The requested coefficient is undefined in this regime."""
 
 
-@dataclass(frozen=True)
-class Regime:
+class Regime(NamedTuple):
     tag: str
     growth: ExpPair
     n_power: int
 
 
-@dataclass(frozen=True)
-class LeadingTerm:
+class LeadingTerm(NamedTuple):
     coefficient: object
     regime: Regime
     method: str
 
 
-@dataclass(frozen=True)
-class RatioEstimate:
+class RatioEstimate(NamedTuple):
     value: mpmath.mpf
     error_proxy: mpmath.mpf
     regime: Regime
@@ -147,7 +145,7 @@ def supercritical_coefficient(k: int, beta_sq,
         ctx = resolve_context(beta_sq, "auto", precision + guard)
         # No forcing base reaches the dominant one: no power of n.
         _, (coeff,) = _closed_forms(k, ctx)[k][ctx.two_pow(k * k, 1 - k)]
-        if ctx.kind != "float":
+        if not isinstance(coeff, mpmath.mpf):  # exact: no guard bits
             return coeff
         with mpmath.workprec(precision):
             if abs(coeff - last) <= abs(coeff) * mpmath.ldexp(1, -precision):

@@ -22,16 +22,16 @@ Z_n = 2^(-n) * sum over leaves of exp(2*beta*X_n(leaf)):
   other route loads ``symbolic``, which it imports in its own body.
 
 * ``mom_polynomial``: for integer k and beta, the closed form in the
-  rationals, an exact polynomial in 2^n of degree k^2*beta^2 - k + 1.
+  rationals, an exact polynomial in 2^n of degree k^2*beta^2 - k + 1,
+  returned as the NamedTuple ``MomPolynomial``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Dict
+from typing import Dict, NamedTuple
 
 from .rings import (DEFAULT_PRECISION, ExpPair, RingContext, _padd, _pmul,
                     _trim, resolve_context)
@@ -197,8 +197,7 @@ def evaluate_genpoly(g: "GenPoly", beta_sq, n: int,
         return total
 
 
-@dataclass(frozen=True)
-class MomPolynomial:
+class MomPolynomial(NamedTuple):
     """Exact polynomial in X = 2^n equal to the moment for integer k, beta."""
 
     k: int

@@ -1,7 +1,8 @@
 """Exact and high-precision coefficient rings.
 
 Every power appearing in the moment recursion has the shape
-2^(p*beta^2 + q) with integer p, q, kept symbolic as ``ExpPair(p, q)``.
+2^(p*beta^2 + q) with integer p, q, kept symbolic as ``ExpPair(p, q)``,
+a NamedTuple.
 The ring contexts below evaluate such powers in one of three backends:
 
 * exact rationals (``fractions.Fraction``) when beta^2 is an integer,
@@ -22,9 +23,8 @@ use it, so arithmetic in the exact rings never loads it.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import NamedTuple, Tuple, Union
 
 DEFAULT_PRECISION = 256
 MIN_PRECISION = 64
@@ -37,8 +37,7 @@ class RingMismatchError(ValueError):
     """Operands live in incompatible coefficient rings."""
 
 
-@dataclass(frozen=True)
-class ExpPair:
+class ExpPair(NamedTuple):
     """Exponent p*beta^2 + q of a power of two, kept in symbolic form."""
 
     p: int
@@ -250,7 +249,7 @@ class Radical:
 class RationalContext:
     """Exact rational arithmetic; requires an integer beta^2."""
 
-    kind = tag = "rational"
+    tag = "rational"
     one, zero = Fraction(1), Fraction(0)
     workprec = staticmethod(nullcontext)
 
@@ -276,7 +275,6 @@ class RationalContext:
 class RadicalContext:
     """Arithmetic in Q(2^(1/m)) for beta^2 = a/m in lowest terms."""
 
-    kind = "radical"
     workprec = staticmethod(nullcontext)
 
     def __init__(self, beta_sq) -> None:
@@ -302,7 +300,6 @@ class RadicalContext:
 class FloatContext:
     """Correctly rounded binary floats at a configurable precision in bits."""
 
-    kind = "float"
     to_integral = staticmethod(lambda value: value)  # 2^e scales exactly
 
     def __init__(self, beta_sq, precision: int = DEFAULT_PRECISION) -> None:

@@ -276,7 +276,6 @@ def _factored(value) -> _Factored:
 class SymbolicContext:
     """Q(t) of ``_Factored`` elements, with the interface of ``rings``."""
 
-    kind = "symbolic"
     one, zero = _Factored((Fraction(1),)), _Factored(())
     workprec = staticmethod(nullcontext)
 

@@ -10,6 +10,7 @@ from brwmom import (ExpPair, GenPoly, MomentTable, PoleAtCriticalBeta,
                     Radical, RatFun, critical_coefficient,
                     evaluate_genpoly, geometric_sum, mom_dp, mom_polynomial,
                     mom_symbolic, resolve_context, supercritical_coefficient)
+from brwmom import engine
 from brwmom.engine import _closed_forms, recurrence_coefficients
 from brwmom.rings import RadicalContext, pow2
 
@@ -483,6 +484,20 @@ class TestEvaluateGenpoly:
         assert v == d
 
 
+def with_power_of_n(form, base):
+    e, coeffs = form[base]
+    return {**form, base: (e, coeffs + (Fraction(1),))}
+
+
+def without_base(form, base):
+    return {b: term for b, term in form.items() if b != base}
+
+
+def negated(form, base):
+    e, (c,) = form[base]
+    return {**form, base: (e, (-c,))}
+
+
 class TestMomPolynomial:
     def test_second_moment_coefficients(self):
         poly = mom_polynomial(2, 1)
@@ -508,6 +523,24 @@ class TestMomPolynomial:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             mom_polynomial(2, 0)
+
+    # Each perturbs the order-k form at its dominant base
+    # 2^(k^2 beta^2 + 1 - k); at k = 3, beta = 1 the next base is 2^4.
+    @pytest.mark.parametrize("perturb, message", [
+        (with_power_of_n,
+         r"term n\^1 2\^\(7 n\) is not a term of a polynomial in 2\^n"),
+        (without_base, "degree 4 != expected 7"),
+        (negated, "leading coefficient must be positive"),
+    ], ids=["power-of-n", "dominant-base-removed", "leading-negated"])
+    def test_self_checks_can_fail(self, monkeypatch, perturb, message):
+        def perturbed(k, ring):
+            forms = _closed_forms(k, ring)
+            top = ring.two_pow(k * k, 1 - k)
+            return forms[:k] + [perturb(forms[k], top)]
+
+        monkeypatch.setattr(engine, "_closed_forms", perturbed)
+        with pytest.raises(ArithmeticError, match=message):
+            mom_polynomial(3, 1)
 
 
 class TestBetaSignSymmetry:

@@ -1,7 +1,9 @@
 """Each fresh process loads only what its route uses: a bare ``import
 brwmom`` loads no submodule and no numeric library, mpmath loads only
 for float and radical values, numpy and scipy only for Monte Carlo, and
-each command or ``verify`` suite loads its own modules and no other's."""
+each command or ``verify`` suite loads its own modules and no other's.
+``dataclasses`` and ``inspect`` load only with Monte Carlo: the records
+of every other route are NamedTuples."""
 
 import json
 import os
@@ -25,7 +27,10 @@ print(json.dumps({"codes": codes, "stdout": out.getvalue(),
 
 # What every command loads: the CLI, the dynamic program and its rings.
 CLI_BASE = {"brwmom.cli", "brwmom.engine", "brwmom.rings"}
-MONTE_CARLO = {"mpmath", "numpy", "scipy", "brwmom.montecarlo"}
+# The costly standard-library modules: numpy and Monte Carlo's records
+# load them.
+STDLIB = ("dataclasses", "inspect")
+MONTE_CARLO = {"mpmath", "numpy", "scipy", *STDLIB, "brwmom.montecarlo"}
 
 
 def run_in_fresh_interpreter(code: str, *args: str) -> dict:
@@ -43,9 +48,11 @@ def run_commands(*argvs) -> dict:
 
 
 def watched(out: dict) -> set:
-    """The numeric libraries and brwmom submodules of a run."""
+    """The numeric libraries, the costly standard-library modules and the
+    brwmom submodules of a run."""
     return {m for m in out["modules"]
-            if m in ("mpmath", "numpy", "scipy") or m.startswith("brwmom.")}
+            if m in ("mpmath", "numpy", "scipy") + STDLIB
+            or m.startswith("brwmom.")}
 
 
 def test_non_mc_commands_leave_numeric_stack_unloaded():
@@ -60,7 +67,7 @@ def test_non_mc_commands_leave_numeric_stack_unloaded():
         ["verify", "--suite", "closedform"],
         ["verify", "--suite", "rmt", "--budget", "50"])
     assert out["codes"] == [0] * 8
-    assert not {"numpy", "scipy"} & watched(out)
+    assert not {"numpy", "scipy", *STDLIB} & watched(out)
 
 
 def test_bare_import_leaves_numeric_stack_unloaded():

@@ -138,9 +138,9 @@ class TestContexts:
         assert ctx.two_pow(2, -3) == Fraction(1, 2)
 
     def test_resolve_auto(self):
-        assert resolve_context(2).kind == "rational"
-        assert resolve_context(Fraction(1, 3)).kind == "radical"
-        assert resolve_context(0.3).kind == "float"
+        assert resolve_context(2).tag == "rational"
+        assert resolve_context(Fraction(1, 3)).tag == "radical(3)"
+        assert resolve_context(0.3).tag == "float(256)"
 
     def test_resolve_explicit_radical_rejects_float(self):
         with pytest.raises(RingMismatchError):

@@ -24,8 +24,7 @@ def float_beta_scaled(value, k, n, beta_sq, *rest):
 
 
 def coefficient_scaled(term, *args):
-    return dataclasses.replace(term, coefficient=term.coefficient
-                               * (1 + 1e-11))
+    return term._replace(coefficient=term.coefficient * (1 + 1e-11))
 
 
 def integer_beta_one_plus_one(value, N, beta, *rest):
