@@ -12,8 +12,8 @@ Z_n = 2^(-n) * sum over leaves of exp(2*beta*X_n(leaf)):
   weight and the sum runs over the unordered splits 0 < j <= k/2, the
   weight doubled for j < k/2: about k^2 n / 2 ring products for the
   whole table.  It never divides, so every beta (critical points
-  included) is in range.  ``MomentTable`` runs it on 2^(kn) M_k(n), in
-  ints or int coefficients, and multiplies by 2^(-kn) as it is read.
+  included) is in range.  ``MomentTable`` runs it on 2^(kn) M_k(n) in
+  the ring's table form (``rings``) and multiplies by 2^(-kn) on a read.
 
 * ``mom_symbolic``: the same recurrence solved in closed form,
   M_k(n) = sum over bases b = 2^(p beta^2 + q) of P_b(n) b^n, by
@@ -42,35 +42,41 @@ class PoleAtCriticalBeta(ArithmeticError):
     termwise dynamic program instead."""
 
 
+def recurrence_terms(j: int):
+    """(s, [(i, c_i, e_i)]), ring-free, of order j's depth recurrence
+    M_j(d) = 2^s M_j(d-1) + sum_{0<i<=j/2} c_i 2^(e_i) M_i(d-1) M_{j-i}(d-1)
+    (module docstring), each exponent an ``ExpPair``.  The split i stands
+    for itself and j - i, so c_i is twice their binomial unless 2i = j."""
+    return ExpPair(j * j, 1 - j), [
+        (i, (2 - (2 * i == j)) * comb(j, i),
+         ExpPair(j * j + 2 * i * (i - j), -j))
+        for i in range(1, j // 2 + 1)]
+
+
 def recurrence_coefficients(j: int, ring: RingContext):
-    """(step, [(i, w_i)]) of order j's depth recurrence in ``ring``,
-    M_j(d) = step M_j(d-1) + sum_{0<i<=j/2} w_i M_i(d-1) M_{j-i}(d-1) (see
-    the module docstring).  The split i stands for itself and j - i, so
-    w_i is twice their common weight unless 2i = j; the factor 2 rides on
-    the integer binomial.  Call it under ``ring.workprec()``."""
-    step = ring.two_pow(j * j, 1 - j)
-    weights = [(i, (2 - (2 * i == j)) * comb(j, i)
-                * ring.two_pow(j * j + 2 * i * (i - j), -j))
-               for i in range(1, j // 2 + 1)]
-    return step, weights
+    """(step, [(i, w_i)]): ``recurrence_terms`` evaluated in ``ring``.
+    Call it under ``ring.workprec()``."""
+    step, terms = recurrence_terms(j)
+    return ring.two_pow(*step), [(i, c * ring.two_pow(*e))
+                                 for i, c, e in terms]
 
 
 class MomentTable:
-    """Bottom-up table of moment values, keyed by (order j, depth d).
+    """Bottom-up table of moment values: a row per order j, by depth d.
 
     Depth 0 is 1; each row then takes one step of the depth recurrence
-    per depth (order 1 has no split term: (2^(beta^2))^d).  The table
-    holds N_j(d) = 2^(jd) M_j(d), whose recurrence has the coefficients
-    2^j step and 2^j w_i (products with the exact 2^j, as two_pow(j*j, 1)
-    rounds otherwise in mpf): integers times 2^(p beta^2), p >= 0.  So at
-    beta^2 = a/m every entry is in Z[2^(1/m)], and the exact rings run on
-    ints, with no gcd; ``value`` multiplies by ``two_pow(0, -jd)``, and
-    the scaling is exact: in mpf each value is the unscaled recurrence's
-    to the bit.
+    per depth (order 1 has no split term: (2^(beta^2))^d).  The rows hold
+    N_j(d) = 2^(jd) M_j(d), whose recurrence has the coefficients 2^j
+    step and 2^j w_i (in mpf the exact 2^j times the rounded step, as
+    two_pow(j*j, 1) rounds otherwise): integers times 2^(p beta^2),
+    p >= 0.  So at beta^2 = a/m every entry is in Z[2^(1/m)], and the rows
+    run in the ring's table form (``rings``: ints, m ints or mpf) with no
+    gcd and no branch on the ring.  ``value`` reads x 2^(-jd) exactly: in
+    mpf each value is the unscaled recurrence's to the bit.
     """
 
-    def __init__(self, ring: RingContext, scaled: dict) -> None:
-        self._ring, self._scaled = ring, scaled
+    def __init__(self, ring: RingContext, rows: list) -> None:
+        self._ring, self._rows = ring, rows
 
     @classmethod
     def build(cls, k_max: int, n_max: int, ring: RingContext) -> "MomentTable":
@@ -80,26 +86,24 @@ class MomentTable:
             raise ValueError("depth must be nonnegative")
         if ring.beta_sq < 0:
             raise ValueError("beta^2 must be nonnegative")
-        ent = {}
+        mul, add, rows = ring.table_mul, ring.table_add, [None]
         with ring.workprec():
             for j in range(1, k_max + 1):
-                step, weights = recurrence_coefficients(j, ring)
-                scale = ring.two_pow(0, j)
-                step = ring.to_integral(step * scale)
-                weights = [(i, ring.to_integral(w * scale))
-                           for i, w in weights]
-                ent[(j, 0)] = ring.to_integral(ring.one)
+                step, terms = recurrence_terms(j)
+                step = ring.table_multiplier(1, step, j)
+                splits = [(rows[i], rows[j - i], ring.table_multiplier(c, e, j))
+                          for i, c, e in terms]
+                row = [ring.table_unit]
                 for d in range(n_max):
-                    total = step * ent[(j, d)]
-                    for i, w in weights:
-                        total = total + w * ent[(i, d)] * ent[(j - i, d)]
-                    ent[(j, d + 1)] = total
-        return cls(ring, ent)
+                    total = step(row[d])
+                    for a, b, w in splits:
+                        total = add(total, mul(w(a[d]), b[d]))
+                    row.append(total)
+                rows.append(row)
+        return cls(ring, rows)
 
     def value(self, j: int, depth: int):
-        ring = self._ring
-        with ring.workprec():
-            return ring.two_pow(0, -j * depth) * self._scaled[(j, depth)]
+        return self._ring.from_table(self._rows[j][depth], j * depth)
 
 
 def mom_dp(k: int, n: int, beta_sq, precision: int = DEFAULT_PRECISION):

@@ -9,21 +9,26 @@ The ring contexts below evaluate such powers in one of three backends:
 * the radical field Q(2^(1/m)) when beta^2 = a/m in lowest terms,
 * correctly rounded binary floats (mpmath) at a configurable precision.
 
-``to_integral`` gives an integral value the int form in which ``engine``
-builds its tables; a product with ``two_pow(0, -e)`` divides it by 2^e,
-exactly in every ring.  The dense polynomial helpers (coefficient
-tuples, lowest degree first) are the package's one polynomial
-arithmetic, for ``Radical``, ``engine._closed_forms`` and the Q(t) layer
-of ``symbolic``; ``_pdivmod`` works over Q, the others over any exact
-ring (Fraction, ``Radical``, Q(t)).  All values are immutable;
-operations are pure functions.  mpmath is imported by the functions that
-use it, so arithmetic in the exact rings never loads it.
+``engine.MomentTable`` runs in each context's table form: ``table_unit``,
+``table_mul`` and ``table_add`` act on ints, on m ints (of 2^(i/m)), or
+on mpf.  ``table_multiplier(c, e, j)`` applies a coefficient c 2^(e+j),
+integral at beta^2 >= 0: a shift, a rotation by r slots that doubles what
+wraps (2^(m/m) = 2) times a shift, or mpf's c two_pow(e) times an exact
+2^j; ``from_table(x, e)`` is x 2^(-e), exact in every ring.  The dense
+polynomial helpers (coefficient tuples, lowest degree first) are the
+package's one polynomial arithmetic, for ``Radical``,
+``engine._closed_forms`` and the Q(t) layer of ``symbolic``;
+``_pdivmod`` works over Q, the others over any exact ring (Fraction,
+``Radical``, Q(t)).  All values are immutable; operations are pure
+functions.  mpmath is imported by the functions that use it, so
+arithmetic in the exact rings never loads it.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from fractions import Fraction
+from operator import add, mul
 from typing import NamedTuple, Tuple, Union
 
 DEFAULT_PRECISION = 256
@@ -264,8 +269,13 @@ class RationalContext:
     def two_pow(self, p: int, q: int) -> Fraction:
         return pow2(p * self.beta_sq + q)
 
-    def to_integral(self, value: Fraction) -> int:
-        return value.numerator
+    table_unit, table_mul, table_add = 1, mul, add
+
+    def table_multiplier(self, c: int, e: ExpPair, j: int):
+        return (c << (e.value_at(self.beta_sq) + j)).__mul__
+
+    def from_table(self, x: int, e: int) -> Fraction:
+        return Fraction(x, 1 << e)
 
     def vanishes(self, value) -> bool:
         """Whether a computed denominator is zero; exact in this ring."""
@@ -285,12 +295,32 @@ class RadicalContext:
         self.tag = f"radical({self.m})"
         self.one = Radical.rational(self.m, 1)
         self.zero = Radical.rational(self.m, 0)
+        self.table_unit = (1,) + (0,) * (self.m - 1)
 
     def two_pow(self, p: int, q: int) -> Radical:
         return Radical.root_power(self.m, p * self.numer + q * self.m)
 
-    def to_integral(self, value: Radical) -> Radical:
-        return value._new(tuple(c.numerator for c in value.coeffs))
+    def table_multiplier(self, c: int, e: ExpPair, j: int):
+        s, r = divmod(e.p * self.numer + (e.q + j) * self.m, self.m)
+        lo, hi, cut = c << s, c << (s + 1), self.m - r
+        return lambda x: [hi * v for v in x[cut:]] + [lo * v for v in x[:cut]]
+
+    def table_mul(self, x, y) -> list:
+        """One int convolution, folded once by x^m = 2."""
+        m = self.m
+        out = [0] * (2 * m - 1)
+        for i, a in enumerate(x):
+            if a:
+                for t, b in enumerate(y, i):
+                    out[t] += a * b
+        for d in range(m, 2 * m - 1):
+            out[d - m] += 2 * out[d]
+        return out[:m]
+
+    table_add = staticmethod(lambda x, y: [a + b for a, b in zip(x, y)])
+
+    def from_table(self, x, e: int) -> Radical:
+        return Radical(self.m, [Fraction(c, 1 << e) for c in x])
 
     def vanishes(self, value) -> bool:
         """Whether a computed denominator is zero; exact in this ring."""
@@ -300,7 +330,7 @@ class RadicalContext:
 class FloatContext:
     """Correctly rounded binary floats at a configurable precision in bits."""
 
-    to_integral = staticmethod(lambda value: value)  # 2^e scales exactly
+    table_mul, table_add = mul, add
 
     def __init__(self, beta_sq, precision: int = DEFAULT_PRECISION) -> None:
         import mpmath
@@ -309,6 +339,7 @@ class FloatContext:
         self.precision = precision
         self.tag = f"float({precision})"
         self.one, self.zero = mpmath.mpf(1), mpmath.mpf(0)
+        self.table_unit = self.one
         with mpmath.workprec(precision):
             # Unary plus rounds an mpf, which to_mpf passes through as is.
             self.beta_sq = +to_mpf(beta_sq, precision)
@@ -317,6 +348,14 @@ class FloatContext:
         import mpmath
         with mpmath.workprec(self.precision):
             return mpmath.mpf(2) ** (p * self.beta_sq + q)
+
+    def table_multiplier(self, c: int, e: ExpPair, j: int):
+        import mpmath
+        return mpmath.ldexp(c * self.two_pow(*e), j).__mul__
+
+    def from_table(self, x, e: int) -> mpmath.mpf:
+        import mpmath
+        return mpmath.ldexp(x, -e)
 
     def vanishes(self, value) -> bool:
         """Whether a computed denominator is zero, read conservatively as

@@ -11,8 +11,9 @@ from brwmom import (ExpPair, GenPoly, MomentTable, PoleAtCriticalBeta,
                     evaluate_genpoly, geometric_sum, mom_dp, mom_polynomial,
                     mom_symbolic, resolve_context, supercritical_coefficient)
 from brwmom import engine
-from brwmom.engine import _closed_forms, recurrence_coefficients
-from brwmom.rings import RadicalContext, pow2
+from brwmom.engine import (_closed_forms, recurrence_coefficients,
+                           recurrence_terms)
+from brwmom.rings import FloatContext, RadicalContext, pow2
 
 
 def rf(num, den=(1,)):
@@ -111,53 +112,30 @@ def lambda_sum_table(k_max, n_max, ring):
     return ent
 
 
-class CountedValue:
-    """Ring value that counts the products it takes part in."""
-
-    __slots__ = ("ctx", "v")
-
-    def __init__(self, ctx, v):
-        self.ctx, self.v = ctx, v
-
-    def _raw(self, other):
-        return other.v if isinstance(other, CountedValue) else other
-
-    def __mul__(self, other):
-        self.ctx.muls += 1
-        return CountedValue(self.ctx, self.v * self._raw(other))
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        return CountedValue(self.ctx, self.v + self._raw(other))
-
-    __radd__ = __add__
-
-
 class CountingContext:
-    """Exact ring context whose values count their multiplications."""
+    """Exact ring context that counts the products of its table form:
+    table products and coefficient multiplies."""
 
     def __init__(self, beta_sq):
         self.inner = resolve_context(beta_sq)
         self.beta_sq = beta_sq
+        self.table_unit = self.inner.table_unit
+        self.table_add = self.inner.table_add
+        self.from_table = self.inner.from_table
+        self.workprec = self.inner.workprec
         self.muls = 0
 
-    def two_pow(self, p, q):
-        return CountedValue(self, self.inner.two_pow(p, q))
+    def table_mul(self, x, y):
+        self.muls += 1
+        return self.inner.table_mul(x, y)
 
-    @property
-    def one(self):
-        return CountedValue(self, self.inner.one)
+    def table_multiplier(self, c, e, j):
+        times = self.inner.table_multiplier(c, e, j)
 
-    @property
-    def zero(self):
-        return CountedValue(self, self.inner.zero)
-
-    def workprec(self):
-        return self.inner.workprec()
-
-    def to_integral(self, value):
-        return CountedValue(self, self.inner.to_integral(value.v))
+        def counted(x):
+            self.muls += 1
+            return times(x)
+        return counted
 
 
 def unscaled_table(k_max, n_max, ring):
@@ -230,11 +208,12 @@ class TestMomentTable:
         for n in (20, 40):
             ctx = CountingContext(1)
             table = MomentTable.build(6, n, ctx)
-            assert table.value(6, n).v == mom_dp(6, n, 1)
+            assert table.value(6, n) == mom_dp(6, n, 1)
             counts.append(ctx.muls)
         assert counts[1] <= 2.2 * counts[0], counts
-        # Per depth step order j takes one product for its step and two
-        # for each unordered split i | j - i, 0 < i <= j/2.
+        # Per depth step order j takes one coefficient multiply for its
+        # step, and one and a table product for each unordered split
+        # i | j - i, 0 < i <= j/2.
         per_step = sum(1 + 2 * (j // 2) for j in range(1, 7))
         assert counts[1] - counts[0] == 20 * per_step == 480, counts
 
@@ -257,6 +236,61 @@ class TestMomentTable:
         table = MomentTable.build(10, 40, ctx)
         for key, want in unscaled_table(10, 40, ctx).items():
             assert table.value(*key)._mpf_ == want._mpf_, key
+
+    @pytest.mark.parametrize("beta_sq", [Fraction(5, 2), Fraction(2, 7),
+                                         Fraction(9, 25)])
+    def test_radical_rows_equal_radical_arithmetic(self, beta_sq,
+                                                   monkeypatch):
+        # a > m and root indices up to 25, against Radical arithmetic;
+        # the build itself must take no Radical product.
+        ctx = resolve_context(beta_sq)
+        for k, n in ((8, 30), (8, 0), (1, 30)):
+            want = unscaled_table(k, n, ctx)
+            calls = []
+            for name in ("__mul__", "__rmul__"):
+                inner = getattr(Radical, name)
+                monkeypatch.setattr(Radical, name, lambda s, o, f=inner:
+                                    calls.append(1) or f(s, o))
+            table = MomentTable.build(k, n, ctx)
+            monkeypatch.undo()
+            assert calls == [], (k, n)
+            assert {key: table.value(*key) for key in want} == want, (k, n)
+
+    @pytest.mark.parametrize("kind, beta_sq, bits", [
+        *(("rational", b, 0) for b in ("0", "1", "2", "4")),
+        *(("radical", b, 0) for b in ("1/2", "1/3", "5/2", "9/25")),
+        *(("float", b, bits) for b in ("0.09", "1.21") for bits in (64, 256))])
+    def test_table_multipliers_equal_recurrence_coefficients(self, kind,
+                                                             beta_sq, bits):
+        # The table's coefficients and ``recurrence_coefficients`` evaluate
+        # the same ring-free terms; each multiplier applied to the unit
+        # must equal its coefficient times 2^j in the table form.
+        beta_sq = float(beta_sq) if kind == "float" else Fraction(beta_sq)
+        ring = resolve_context(beta_sq, kind, bits or 256)
+        def table_form(value, j):
+            if isinstance(ring, FloatContext):
+                return mpmath.ldexp(value, j)._mpf_
+            value = value * 2 ** j
+            if isinstance(ring, RadicalContext):
+                cs = value.coeffs + (0,) * (ring.m - len(value.coeffs))
+                assert all(c.denominator == 1 for c in cs)
+                return [int(c) for c in cs]
+            assert value.denominator == 1
+            return value.numerator
+
+        unit = ring.table_unit
+        for j in range(1, 13):
+            with ring.workprec():
+                step, weights = recurrence_coefficients(j, ring)
+                s, terms = recurrence_terms(j)
+                got = [ring.table_multiplier(1, s, j)(unit)]
+                got += [ring.table_multiplier(c, e, j)(unit)
+                        for _, c, e in terms]
+            if isinstance(ring, FloatContext):
+                got = [x._mpf_ for x in got]
+            assert [i for i, _, _ in terms] == [i for i, _ in weights]
+            assert got == [table_form(w, j)
+                           for w in [step] + [w for _, w in weights]], j
 
     def test_value_types(self):
         # The table runs on ints; none may leave it.
