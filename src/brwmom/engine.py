@@ -103,6 +103,8 @@ class MomentTable:
         return cls(ring, rows)
 
     def value(self, j: int, depth: int):
+        if j < 1 or depth < 0:  # a negative index would wrap silently
+            raise IndexError(f"no entry ({j}, {depth}) in the table")
         return self._ring.from_table(self._rows[j][depth], j * depth)
 
 

@@ -270,12 +270,10 @@ class RationalContext:
         return pow2(p * self.beta_sq + q)
 
     table_unit, table_mul, table_add = 1, mul, add
+    from_table = staticmethod(lambda x, e: Fraction(x, 1 << e))
 
     def table_multiplier(self, c: int, e: ExpPair, j: int):
         return (c << (e.value_at(self.beta_sq) + j)).__mul__
-
-    def from_table(self, x: int, e: int) -> Fraction:
-        return Fraction(x, 1 << e)
 
     def vanishes(self, value) -> bool:
         """Whether a computed denominator is zero; exact in this ring."""
@@ -306,7 +304,7 @@ class RadicalContext:
         return lambda x: [hi * v for v in x[cut:]] + [lo * v for v in x[:cut]]
 
     def table_mul(self, x, y) -> list:
-        """One int convolution, folded once by x^m = 2."""
+        """One int convolution, folded once by (2^(1/m))^m = 2."""
         m = self.m
         out = [0] * (2 * m - 1)
         for i, a in enumerate(x):

@@ -267,6 +267,7 @@ class TestMomentTable:
         # must equal its coefficient times 2^j in the table form.
         beta_sq = float(beta_sq) if kind == "float" else Fraction(beta_sq)
         ring = resolve_context(beta_sq, kind, bits or 256)
+
         def table_form(value, j):
             if isinstance(ring, FloatContext):
                 return mpmath.ldexp(value, j)._mpf_
@@ -310,6 +311,13 @@ class TestMomentTable:
             assert isinstance(v, mpmath.mpf)
             assert v._mpf_[3] <= precision
         assert v._mpf_[3] > 256
+
+    @pytest.mark.parametrize("beta_sq", [1, Fraction(1, 2), 0.25])
+    def test_value_outside_table_raises(self, beta_sq):
+        table = MomentTable.build(2, 3, resolve_context(beta_sq))
+        for j, depth in ((2, -1), (0, 1), (3, 1), (2, 4)):
+            with pytest.raises(LookupError):
+                table.value(j, depth)
 
     @pytest.mark.parametrize("beta_sq", [-1, Fraction(-1, 2), -0.25])
     def test_refuses_negative_beta_sq(self, beta_sq):
