@@ -140,7 +140,7 @@ def _closed_forms(k: int, ring) -> list:
     base equal to the step s_j (a resonance, as the critical n 2^n) gains
     a power of n, and s_j^n takes the rest of M_j(0) = 1.  In mpf, near a
     pole, b - s_j is tiny: the terms grow and cancel, at a cost in bits."""
-    forms = [None]
+    forms, powers = [None], {}
     with ring.workprec():
         for j in range(1, k + 1):
             step, weights = recurrence_coefficients(j, ring)
@@ -150,7 +150,9 @@ def _closed_forms(k: int, ring) -> list:
                     p1 = tuple(w * x for x in p1)
                     for e2, p2 in forms[j - i].values():
                         e = e1.plus(e2)
-                        b = ring.two_pow(e.p, e.q)
+                        if e not in powers:
+                            powers[e] = ring.two_pow(e.p, e.q)
+                        b = powers[e]
                         e, acc = forcing.get(b, (e, ()))
                         forcing[b] = (e, _padd(acc, _pmul(p1, p2)))
             form = {b: (e, _particular(b, step, p))

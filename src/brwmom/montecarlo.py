@@ -35,9 +35,6 @@ HEAVY_TAIL_THRESHOLD = 1.0
 # edges than this runs in a block of its own.
 _BLOCK_DOUBLES = 2 ** 17
 
-_ZERO4 = np.zeros(4, dtype=np.uint64)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Parameters of one simulation campaign.
@@ -80,11 +77,11 @@ def _edge_gaussians(seed: int, trials: range, count: int) -> np.ndarray:
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     # The state of a fresh Philox(key=(seed, trial_index)): counter zero,
-    # nothing buffered.  Setting it (the setter copies the key) is cheaper
-    # than building a new generator per trial.
-    key = np.array([seed, 0], dtype=np.uint64)
-    state = {"bit_generator": "Philox", "buffer": _ZERO4, "buffer_pos": 4,
-             "state": {"counter": _ZERO4, "key": key},
+    # nothing buffered.  Setting it (the setter copies each field, and reads
+    # plain ints fastest) is cheaper than building a new generator per trial.
+    key = [seed, 0]
+    state = {"bit_generator": "Philox", "buffer": (0,) * 4, "buffer_pos": 4,
+             "state": {"counter": (0,) * 4, "key": key},
              "has_uint32": 0, "uinteger": 0}
     for row, trial_index in zip(draws, trials):
         key[1] = trial_index

@@ -50,11 +50,14 @@ def mom_bruteforce(k: int, n: int, beta_sq, precision: int = DEFAULT_PRECISION,
             f"k*n = {k * n} exceeds enumeration budget {budget}")
     ctx = resolve_context(beta_sq, "auto", precision)
     with ctx.workprec():
-        total = ctx.zero
+        # S takes at most k(k-1)n/2 + 1 values: one power for each.
+        total, powers = ctx.zero, {}
         for labels in product(range(1 << n), repeat=k):
             shared = 0
             for i in range(k):
                 for j in range(i + 1, k):
                     shared += last_common_level(labels[i], labels[j], n)
-            total = total + ctx.two_pow(k * n + 2 * shared, 0)
+            if shared not in powers:
+                powers[shared] = ctx.two_pow(k * n + 2 * shared, 0)
+            total = total + powers[shared]
         return total * ctx.two_pow(0, -k * n)

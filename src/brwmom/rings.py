@@ -11,10 +11,11 @@ The ring contexts below evaluate such powers in one of three backends:
 
 ``engine.MomentTable`` runs in each context's table form: ``table_unit``,
 ``table_mul`` and ``table_add`` act on ints, on m ints (of 2^(i/m)), or
-on mpf.  ``table_multiplier(c, e, j)`` applies a coefficient c 2^(e+j),
-integral at beta^2 >= 0: a shift, a rotation by r slots that doubles what
-wraps (2^(m/m) = 2) times a shift, or mpf's c two_pow(e) times an exact
-2^j; ``from_table(x, e)`` is x 2^(-e), exact in every ring.  The dense
+on raw mpmath values (``_mpf_`` tuples, rounded as mpf's * and + round).
+``table_multiplier(c, e, j)`` applies a coefficient c 2^(e+j), integral
+at beta^2 >= 0: a shift, a rotation by r slots that doubles what wraps
+(2^(m/m) = 2) times a shift, or mpf's c two_pow(e) times an exact 2^j;
+``from_table(x, e)`` is x 2^(-e), exact in every ring.  The dense
 polynomial helpers (coefficient tuples, lowest degree first) are the
 package's one polynomial arithmetic, for ``Radical``,
 ``engine._closed_forms`` and the Q(t) layer of ``symbolic``;
@@ -328,16 +329,18 @@ class RadicalContext:
 class FloatContext:
     """Correctly rounded binary floats at a configurable precision in bits."""
 
-    table_mul, table_add = mul, add
-
     def __init__(self, beta_sq, precision: int = DEFAULT_PRECISION) -> None:
         import mpmath
+        from mpmath.libmp import fone, mpf_add, mpf_mul
         if precision < MIN_PRECISION:
             raise ValueError(f"precision must be >= {MIN_PRECISION} bits")
         self.precision = precision
         self.tag = f"float({precision})"
         self.one, self.zero = mpmath.mpf(1), mpmath.mpf(0)
-        self.table_unit = self.one
+        # What mpf's * and + do at this precision, without an mpf per value.
+        self.table_unit = fone
+        self.table_mul = lambda x, y: mpf_mul(x, y, precision, "n")
+        self.table_add = lambda x, y: mpf_add(x, y, precision, "n")
         with mpmath.workprec(precision):
             # Unary plus rounds an mpf, which to_mpf passes through as is.
             self.beta_sq = +to_mpf(beta_sq, precision)
@@ -349,11 +352,13 @@ class FloatContext:
 
     def table_multiplier(self, c: int, e: ExpPair, j: int):
         import mpmath
-        return mpmath.ldexp(c * self.two_pow(*e), j).__mul__
+        from mpmath.libmp import mpf_mul
+        w, prec = mpmath.ldexp(c * self.two_pow(*e), j)._mpf_, self.precision
+        return lambda x: mpf_mul(w, x, prec, "n")
 
     def from_table(self, x, e: int) -> mpmath.mpf:
-        import mpmath
-        return mpmath.ldexp(x, -e)
+        from mpmath import libmp, mp
+        return mp.make_mpf(libmp.mpf_shift(x, -e))
 
     def vanishes(self, value) -> bool:
         """Whether a computed denominator is zero, read conservatively as

@@ -287,8 +287,6 @@ class TestMomentTable:
                 got = [ring.table_multiplier(1, s, j)(unit)]
                 got += [ring.table_multiplier(c, e, j)(unit)
                         for _, c, e in terms]
-            if isinstance(ring, FloatContext):
-                got = [x._mpf_ for x in got]
             assert [i for i, _, _ in terms] == [i for i, _ in weights]
             assert got == [table_form(w, j)
                            for w in [step] + [w for _, w in weights]], j
@@ -400,6 +398,20 @@ class TestClosedForms:
             with mp.workprec(256):
                 got = coeffs[1].to_mpf(256)
                 assert abs(got - want) <= tol * want, k
+
+    @pytest.mark.parametrize("beta_sq", [2, Fraction(1, 3), 0.3])
+    def test_one_power_per_forcing_exponent(self, beta_sq, monkeypatch):
+        # The products of lower-order terms repeat their exponents; each
+        # distinct ExpPair's power is evaluated once per solve.  The
+        # recurrence coefficients come from a second, uncounted ring.
+        ring, plain = resolve_context(beta_sq), resolve_context(beta_sq)
+        monkeypatch.setattr(engine, "recurrence_coefficients",
+                            lambda j, _: recurrence_coefficients(j, plain))
+        keys, inner = [], ring.two_pow
+        monkeypatch.setattr(ring, "two_pow", lambda p, q:
+                            keys.append(ExpPair(p, q)) or inner(p, q))
+        _closed_forms(6, ring)
+        assert keys and len(keys) == len(set(keys))
 
     def test_float_ring_matches_symbolic(self):
         # Away from a pole every base of the mpf closed form carries the

@@ -83,13 +83,16 @@ class TestSampling:
 
     def test_gaussian_construction(self):
         # inverse-CDF of the half-shifted uniforms, scaled to variance
-        # (1/2) ln 2
-        key = np.array([9, 4], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        u = gen.random(10) + 2.0 ** -54
-        expected = ndtri(u) * math.sqrt(0.5 * math.log(2.0))
-        assert np.array_equal(_edge_gaussians(9, range(4, 5), 10)[0],
-                              expected)
+        # (1/2) ln 2, each row from a fresh Philox(key=(seed, trial)); the
+        # seeds span both ends of the key word
+        for seed in (0, 9, 2 ** 64 - 1):
+            rows = _edge_gaussians(seed, range(4, 7), 10)
+            for row, trial in zip(rows, range(4, 7)):
+                key = np.array([seed, trial], dtype=np.uint64)
+                gen = np.random.Generator(np.random.Philox(key=key))
+                u = gen.random(10) + 2.0 ** -54
+                expected = ndtri(u) * math.sqrt(0.5 * math.log(2.0))
+                assert np.array_equal(row, expected), (seed, trial)
 
 
 class TestEstimates:

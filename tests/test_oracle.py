@@ -5,6 +5,21 @@ import pytest
 
 from brwmom import EnumerationBudgetError, Radical, mom_bruteforce, mom_dp
 from brwmom.oracle import last_common_level
+from brwmom.rings import resolve_context
+
+
+def per_tuple_bruteforce(k, n, ctx):
+    """The oracle as it was before its powers were shared: a fresh
+    two_pow for every tuple, kept only as the reference for the sum."""
+    with ctx.workprec():
+        total = ctx.zero
+        for labels in product(range(1 << n), repeat=k):
+            shared = 0
+            for i in range(k):
+                for j in range(i + 1, k):
+                    shared += last_common_level(labels[i], labels[j], n)
+            total = total + ctx.two_pow(k * n + 2 * shared, 0)
+        return total * ctx.two_pow(0, -k * n)
 
 
 class TestLastCommonLevel:
@@ -60,6 +75,23 @@ class TestBruteForce:
         diag = sum(Fraction(2) ** (b * (k * n + 2 * 3 * n))
                    for _ in range(1 << n)) / Fraction(2) ** (k * n)
         assert diag == Fraction(2) ** ((k * k * b - k + 1) * n)
+
+    @pytest.mark.parametrize("beta_sq", [2, Fraction(1, 2), 0.3])
+    def test_one_power_per_shared_count(self, beta_sq, monkeypatch):
+        # S runs over 0..k(k-1)n/2, so k = 3, n = 4 has 13 powers of the
+        # tuples and one for the average, against 4096 tuples.
+        k, n = 3, 4
+        want = per_tuple_bruteforce(k, n, resolve_context(beta_sq))
+        context_type, calls = type(resolve_context(beta_sq)), []
+        inner = context_type.two_pow
+        monkeypatch.setattr(context_type, "two_pow", lambda s, p, q:
+                            calls.append((p, q)) or inner(s, p, q))
+        got = mom_bruteforce(k, n, beta_sq)
+        assert len(calls) <= 3 * n + 2
+        if isinstance(beta_sq, float):
+            assert got._mpf_ == want._mpf_
+        else:
+            assert got == want
 
 
 class TestOracleAgainstEngine:
