@@ -25,7 +25,7 @@ import math
 import os
 import re
 import sys
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 from functools import cache
 
@@ -88,10 +88,39 @@ _beta_sq_rational = _checked(lambda t: Fraction(*map(int, t.split("/"))),
                              f"a rational p/m in 0..{MAX_EXACT_BETA ** 2}")
 
 
+# Ints of at most this many bits convert with Decimal(n) directly.
+DECIMAL_LEAF_BITS = 4096
+
+
+def _decimal(n: int) -> Decimal:
+    """Decimal(n) in sub-quadratic time, where Decimal(n) itself grows x4
+    per doubling of the bits: n = hi 2^h + lo, split down to leaves of at
+    most DECIMAL_LEAF_BITS bits, each 2^h formed once.  Exact: Inexact is
+    trapped.  (CPython 3.12's str(int) splits in the same way.)"""
+    if n.bit_length() <= DECIMAL_LEAF_BITS:
+        return Decimal(n)
+    powers = {}
+
+    def split(m, bits):
+        if bits <= DECIMAL_LEAF_BITS:
+            return Decimal(m)
+        h = bits >> 1
+        if h not in powers:
+            powers[h] = Decimal(2) ** h
+        return (split(m >> h, bits - h) * powers[h]
+                + split(m & ((1 << h) - 1), h))
+
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
+        ctx.traps[Inexact] = True
+        value = split(abs(n), n.bit_length())
+        return -value if n < 0 else value
+
+
 def _fraction_str(f: Fraction) -> str:
     # Decimal formats integers of any size; str(int) refuses more than
     # sys.get_int_max_str_digits() digits on Python >= 3.11.
-    return f"{Decimal(f.numerator)}/{Decimal(f.denominator)}"
+    return f"{_decimal(f.numerator)}/{_decimal(f.denominator)}"
 
 
 def _float_str(x, precision: int) -> str:

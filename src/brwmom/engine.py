@@ -70,8 +70,8 @@ class MomentTable:
     step and 2^j w_i (in mpf the exact 2^j times the rounded step, as
     two_pow(j*j, 1) rounds otherwise): integers times 2^(p beta^2),
     p >= 0.  So at beta^2 = a/m every entry is in Z[2^(1/m)], and the rows
-    run in the ring's table form (``rings``: ints, m ints or mpf) with no
-    gcd and no branch on the ring.  ``value`` reads x 2^(-jd) exactly: in
+    run in the ring's table form (``rings``: ints, m ints or int pairs)
+    with no gcd and no branch on the ring.  ``value`` reads x 2^(-jd) exactly: in
     mpf each value is the unscaled recurrence's to the bit.
     """
 

@@ -53,10 +53,11 @@ def mom_bruteforce(k: int, n: int, beta_sq, precision: int = DEFAULT_PRECISION,
         # S takes at most k(k-1)n/2 + 1 values: one power for each.
         total, powers = ctx.zero, {}
         for labels in product(range(1 << n), repeat=k):
+            # last_common_level, inline: range() labels are in range.
             shared = 0
             for i in range(k):
                 for j in range(i + 1, k):
-                    shared += last_common_level(labels[i], labels[j], n)
+                    shared += n - (labels[i] ^ labels[j]).bit_length()
             if shared not in powers:
                 powers[shared] = ctx.two_pow(k * n + 2 * shared, 0)
             total = total + powers[shared]

@@ -11,11 +11,12 @@ The ring contexts below evaluate such powers in one of three backends:
 
 ``engine.MomentTable`` runs in each context's table form: ``table_unit``,
 ``table_mul`` and ``table_add`` act on ints, on m ints (of 2^(i/m)), or
-on raw mpmath values (``_mpf_`` tuples, rounded as mpf's * and + round).
+on int pairs (man, exp) for man 2^exp, each product and sum rounded once
+to ``precision`` bits as mpf's * and + round.
 ``table_multiplier(c, e, j)`` applies a coefficient c 2^(e+j), integral
 at beta^2 >= 0: a shift, a rotation by r slots that doubles what wraps
-(2^(m/m) = 2) times a shift, or mpf's c two_pow(e) times an exact 2^j;
-``from_table(x, e)`` is x 2^(-e), exact in every ring.  The dense
+(2^(m/m) = 2) times a shift, or the rounded c two_pow(e) times an exact
+2^j; ``from_table(x, e)`` is x 2^(-e), exact in every ring.  The dense
 polynomial helpers (coefficient tuples, lowest degree first) are the
 package's one polynomial arithmetic, for ``Radical``,
 ``engine._closed_forms`` and the Q(t) layer of ``symbolic``;
@@ -29,11 +30,14 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, mul
 from typing import NamedTuple, Tuple, Union
 
 DEFAULT_PRECISION = 256
 MIN_PRECISION = 64
+# Entries of the process-wide memo of float powers of two.
+POWER_CACHE_SIZE = 4096
 
 ExactScalar = Union[int, Fraction]
 Coeffs = Tuple[Fraction, ...]
@@ -326,39 +330,75 @@ class RadicalContext:
         return not value
 
 
+@lru_cache(maxsize=POWER_CACHE_SIZE)
+def _float_two_pow(beta_sq, p: int, q: int, precision: int) -> mpmath.mpf:
+    """2^(p beta_sq + q) at ``precision`` bits, evaluated once per key in a
+    process: every table, route and job at the same beta^2 shares it."""
+    import mpmath
+    with mpmath.workprec(precision):
+        return mpmath.mpf(2) ** (p * beta_sq + q)
+
+
+def _round_pair(man: int, exp: int, prec: int) -> tuple:
+    """man 2^exp, man > 0, rounded to ``prec`` bits: nearest, ties to
+    even, as mpf's normalisation rounds, so the value is mpf's to the bit."""
+    n = man.bit_length() - prec
+    if n <= 0:
+        return man, exp
+    t = man >> (n - 1)
+    if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+        return (t >> 1) + 1, exp + n
+    return t >> 1, exp + n
+
+
 class FloatContext:
-    """Correctly rounded binary floats at a configurable precision in bits."""
+    """Correctly rounded binary floats at a configurable precision in bits.
+
+    ``two_pow`` reads a process-wide memo.  The table form is an int pair
+    (man, exp) for man 2^exp, man > 0: every table entry is positive.
+    Each product and sum is formed exactly in ints and rounded once by
+    ``_round_pair``, so it equals mpf's * and + to the bit without a
+    sign, a normalisation or an mpf per value.
+    """
+
+    table_unit = (1, 0)
 
     def __init__(self, beta_sq, precision: int = DEFAULT_PRECISION) -> None:
         import mpmath
-        from mpmath.libmp import fone, mpf_add, mpf_mul
         if precision < MIN_PRECISION:
             raise ValueError(f"precision must be >= {MIN_PRECISION} bits")
         self.precision = precision
         self.tag = f"float({precision})"
         self.one, self.zero = mpmath.mpf(1), mpmath.mpf(0)
-        # What mpf's * and + do at this precision, without an mpf per value.
-        self.table_unit = fone
-        self.table_mul = lambda x, y: mpf_mul(x, y, precision, "n")
-        self.table_add = lambda x, y: mpf_add(x, y, precision, "n")
         with mpmath.workprec(precision):
             # Unary plus rounds an mpf, which to_mpf passes through as is.
             self.beta_sq = +to_mpf(beta_sq, precision)
 
     def two_pow(self, p: int, q: int) -> mpmath.mpf:
-        import mpmath
-        with mpmath.workprec(self.precision):
-            return mpmath.mpf(2) ** (p * self.beta_sq + q)
+        return _float_two_pow(self.beta_sq, p, q, self.precision)
+
+    def table_mul(self, x, y) -> tuple:
+        return _round_pair(x[0] * y[0], x[1] + y[1], self.precision)
+
+    def table_add(self, x, y) -> tuple:
+        (a, ea), (b, eb) = (x, y) if x[1] >= y[1] else (y, x)
+        gap, prec = ea - eb, self.precision
+        if gap > prec + 4 + b.bit_length() - a.bit_length():
+            # b 2^eb is below 1/32 ulp of a 2^ea, a rounded value, so the
+            # sum rounds to a 2^ea; the int never grows with the gap.
+            return a, ea
+        return _round_pair((a << gap) + b, eb, prec)
 
     def table_multiplier(self, c: int, e: ExpPair, j: int):
-        import mpmath
-        from mpmath.libmp import mpf_mul
-        w, prec = mpmath.ldexp(c * self.two_pow(*e), j)._mpf_, self.precision
-        return lambda x: mpf_mul(w, x, prec, "n")
+        from mpmath.libmp import mpf_mul_int
+        prec = self.precision
+        _, man, exp, _ = mpf_mul_int(self.two_pow(*e)._mpf_, c, prec, "n")
+        exp += j
+        return lambda x: _round_pair(man * x[0], exp + x[1], prec)
 
     def from_table(self, x, e: int) -> mpmath.mpf:
         from mpmath import libmp, mp
-        return mp.make_mpf(libmp.mpf_shift(x, -e))
+        return mp.make_mpf(libmp.from_man_exp(x[0], x[1] - e))
 
     def vanishes(self, value) -> bool:
         """Whether a computed denominator is zero, read conservatively as

@@ -52,14 +52,16 @@ def unitary_mom_k1(N: int, beta, precision: int = DEFAULT_PRECISION) -> mpmath.m
 
 def unitary_mom_k1_integer(N: int, beta: int) -> Fraction:
     """Exact rational value for integer beta: the gamma product collapses
-    to a double product of (N/(i+j+1) + 1) over 0 <= i, j < beta."""
+    to a double product of (N/(i+j+1) + 1) over 0 <= i, j < beta, formed
+    as one int quotient."""
     if N < 0:
         raise ValueError("matrix size must be nonnegative")
     if beta < 0:
         raise ValueError("integer beta must be nonnegative")
-    result = Fraction(1)
+    num = den = 1
     for i in range(beta):
         for j in range(beta):
-            result *= Fraction(N, i + j + 1) + 1
-    return result
+            num *= N + i + j + 1
+            den *= i + j + 1
+    return Fraction(num, den)
 

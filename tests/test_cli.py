@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from decimal import Decimal
@@ -8,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from brwmom import Radical, cli, mom_dp
 
@@ -270,6 +273,23 @@ class TestMomCommand:
         assert den == "1"
         assert Fraction(Decimal(num)) == 2 ** 16000
         assert get_limit() == limit
+
+    @example(4096, 0, "random", 1)
+    @example(4097, 0, "ones", -1)
+    @example(300_000, 0, "power", 1)
+    @given(st.integers(1, 300_000), st.integers(0, 2 ** 32),
+           st.sampled_from(["random", "ones", "power"]),
+           st.sampled_from([1, -1]))
+    @settings(max_examples=40, deadline=None)
+    def test_decimal_printer_equals_decimal(self, bits, seed, shape, sign):
+        # Random, all-ones and power-of-two ints, so splits meet zero and
+        # full halves; leaves switch at DECIMAL_LEAF_BITS.
+        n = {"random": random.Random(seed).getrandbits(bits) | 1 << bits - 1,
+             "ones": (1 << bits) - 1, "power": 1 << bits - 1}[shape] * sign
+        got = str(cli._decimal(n))
+        assert got == str(Decimal(n))
+        if abs(n) < 10 ** 4299:
+            assert got == str(n)
 
 
 class TestSharedParser:

@@ -270,7 +270,8 @@ class TestMomentTable:
 
         def table_form(value, j):
             if isinstance(ring, FloatContext):
-                return mpmath.ldexp(value, j)._mpf_
+                _, man, exp, _ = value._mpf_
+                return man, exp + j
             value = value * 2 ** j
             if isinstance(ring, RadicalContext):
                 cs = value.coeffs + (0,) * (ring.m - len(value.coeffs))

@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, mpf_add, mpf_mul, mpf_mul_int, mpf_shift
 
-from brwmom import Radical, RingMismatchError, resolve_context, to_mpf
-from brwmom.rings import FloatContext, RadicalContext, RationalContext
+from brwmom import Radical, RingMismatchError, resolve_context, rings, to_mpf
+from brwmom.rings import (POWER_CACHE_SIZE, ExpPair, FloatContext,
+                          RadicalContext, RationalContext)
 
 
 def rad(m, *coeffs):
@@ -155,3 +157,106 @@ class TestContexts:
         with mpmath.mp.workprec(128):
             want = mpmath.sqrt(2)
         assert abs(v - want) < mpmath.mpf(1e-30)
+
+
+PAIR_PRECISIONS = (64, 256, 1024)
+PAIR_CONTEXTS = {prec: FloatContext(0.45, prec) for prec in PAIR_PRECISIONS}
+
+
+def mantissas(prec):
+    """Table mantissas: at most prec bits, short ones included."""
+    return st.one_of(st.integers(1, 64),
+                     st.integers(1, prec).map(lambda k: (1 << k) - 1),
+                     st.integers(1 << (prec - 1), (1 << prec) - 1),
+                     st.integers(1, (1 << prec) - 1))
+
+
+def pair_cases(prec):
+    gaps = st.one_of(st.integers(-2 * prec - 8, 2 * prec + 8),
+                     st.integers(-3000, 3000))
+    return st.tuples(st.just(prec), mantissas(prec), mantissas(prec),
+                     st.integers(-3000, 3000), gaps)
+
+
+def round_half_up(man, exp, prec):
+    """A faulty ``_round_pair``: ties go up, not to even."""
+    n = man.bit_length() - prec
+    if n <= 0:
+        return man, exp
+    t = man >> (n - 1)
+    return (t >> 1) + (t & 1), exp + n
+
+
+# Ties to even that round down: 3 (2^(p-1) + 3) and 2 (2^(p-1) + 2) + 1
+# have p + 1 bits and end in binary 01, a half above an even mantissa.
+@example((64, (1 << 63) + 3, 3, 0, 0))
+@example((1024, (1 << 1023) + 3, 3, -7, 5))
+@example((256, (1 << 255) + 2, 1, 1, -1))
+@given(st.sampled_from(PAIR_PRECISIONS).flatmap(pair_cases))
+@settings(max_examples=400, deadline=None, report_multiple_bugs=False)
+def test_pair_ops_equal_mpf(case):
+    # The float table form rounds as mpf_mul/mpf_add at round-nearest, to
+    # the bit, for ties, short mantissas and exponent gaps up to 3000.
+    prec, a, b, ea, gap = case
+    ctx = PAIR_CONTEXTS[prec]
+    x, y = (a, ea), (b, ea + gap)
+    fx, fy = from_man_exp(*x), from_man_exp(*y)
+    assert from_man_exp(*ctx.table_mul(x, y)) == mpf_mul(fx, fy, prec, "n")
+    assert from_man_exp(*ctx.table_add(x, y)) == mpf_add(fx, fy, prec, "n")
+    assert from_man_exp(*ctx.table_add(y, x)) == mpf_add(fy, fx, prec, "n")
+    w = mpf_mul_int(ctx.two_pow(5, -2)._mpf_, 6, prec, "n")
+    got = ctx.table_multiplier(6, ExpPair(5, -2), 7)(x)
+    assert from_man_exp(*got) == mpf_mul(mpf_shift(w, 7), fx, prec, "n")
+
+
+def test_round_half_up_fails_pair_ops(monkeypatch):
+    monkeypatch.setattr(rings, "_round_pair", round_half_up)
+    with pytest.raises(AssertionError):
+        test_pair_ops_equal_mpf()
+
+
+def test_pair_add_far_below_stays_small(monkeypatch):
+    # A far operand rounds away: the sum is the larger operand itself,
+    # with no int as wide as the exponent gap.
+    ctx, widths = PAIR_CONTEXTS[256], []
+    monkeypatch.setattr(rings, "_round_pair", lambda man, exp, prec:
+                        widths.append(man.bit_length()) or (man, exp))
+    big = ((1 << 256) - 1, 0)
+    assert ctx.table_add(big, (3, -10 ** 6)) == big
+    assert ctx.table_add((3, -10 ** 6), big) == big
+    assert widths == []
+    ctx.table_add(big, (big[0], -250))
+    assert widths == [507]
+
+
+class TestFloatPowerMemo:
+    def test_equals_direct_power(self):
+        for beta_sq, prec in ((0.3, 256), (0.45, 64), (1.21, 1024)):
+            ctx = FloatContext(beta_sq, prec)
+            for p, q in ((0, 0), (1, 0), (81, -8), (-5, 3), (400, 1)):
+                with mpmath.workprec(prec):
+                    want = mpmath.mpf(2) ** (p * ctx.beta_sq + q)
+                # Under another working precision too: the memo is keyed
+                # on the context's precision.
+                with mpmath.workprec(53):
+                    assert ctx.two_pow(p, q)._mpf_ == want._mpf_, (p, q)
+
+    def test_one_evaluation_per_key(self):
+        ctx = FloatContext(0.3, 256)
+        ctx.two_pow(7, -3)
+        before = rings._float_two_pow.cache_info()
+        again = FloatContext(0.3, 256).two_pow(7, -3)
+        after = rings._float_two_pow.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert again is ctx.two_pow(7, -3)
+        # Equal beta^2 at another precision is another key.
+        low = FloatContext(0.5, 64).two_pow(1, 0)
+        assert low._mpf_ != FloatContext(0.5, 256).two_pow(1, 0)._mpf_
+
+    def test_cache_stays_within_bound(self):
+        ctx = FloatContext(0.7, 64)
+        for p in range(POWER_CACHE_SIZE + 50):
+            ctx.two_pow(p, 0)
+        info = rings._float_two_pow.cache_info()
+        assert info.maxsize == POWER_CACHE_SIZE
+        assert info.currsize <= POWER_CACHE_SIZE
