@@ -30,14 +30,11 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from fractions import Fraction
-from functools import lru_cache
 from operator import add, mul
 from typing import NamedTuple, Tuple, Union
 
 DEFAULT_PRECISION = 256
 MIN_PRECISION = 64
-# Entries of the process-wide memo of float powers of two.
-POWER_CACHE_SIZE = 4096
 
 ExactScalar = Union[int, Fraction]
 Coeffs = Tuple[Fraction, ...]
@@ -330,15 +327,6 @@ class RadicalContext:
         return not value
 
 
-@lru_cache(maxsize=POWER_CACHE_SIZE)
-def _float_two_pow(beta_sq, p: int, q: int, precision: int) -> mpmath.mpf:
-    """2^(p beta_sq + q) at ``precision`` bits, evaluated once per key in a
-    process: every table, route and job at the same beta^2 shares it."""
-    import mpmath
-    with mpmath.workprec(precision):
-        return mpmath.mpf(2) ** (p * beta_sq + q)
-
-
 def _round_pair(man: int, exp: int, prec: int) -> tuple:
     """man 2^exp, man > 0, rounded to ``prec`` bits: nearest, ties to
     even, as mpf's normalisation rounds, so the value is mpf's to the bit."""
@@ -354,7 +342,7 @@ def _round_pair(man: int, exp: int, prec: int) -> tuple:
 class FloatContext:
     """Correctly rounded binary floats at a configurable precision in bits.
 
-    ``two_pow`` reads a process-wide memo.  The table form is an int pair
+    ``two_pow`` runs on raw mpmath values.  The table form is an int pair
     (man, exp) for man 2^exp, man > 0: every table entry is positive.
     Each product and sum is formed exactly in ints and rounded once by
     ``_round_pair``, so it equals mpf's * and + to the bit without a
@@ -375,7 +363,14 @@ class FloatContext:
             self.beta_sq = +to_mpf(beta_sq, precision)
 
     def two_pow(self, p: int, q: int) -> mpmath.mpf:
-        return _float_two_pow(self.beta_sq, p, q, self.precision)
+        """The libmp calls of ``mpf(2) ** (p * beta_sq + q)`` under
+        ``workprec(precision)``, on raw values: the same value to the bit."""
+        from mpmath import mp
+        from mpmath.libmp import from_int, mpf_add, mpf_mul_int, mpf_pow
+        prec = self.precision
+        x = mpf_add(mpf_mul_int(self.beta_sq._mpf_, p, prec, "n"),
+                    from_int(q), prec, "n")
+        return mp.make_mpf(mpf_pow(from_int(2), x, prec, "n"))
 
     def table_mul(self, x, y) -> tuple:
         return _round_pair(x[0] * y[0], x[1] + y[1], self.precision)

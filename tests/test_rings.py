@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp, mpf_add, mpf_mul, mpf_mul_int, mpf_shift
 
 from brwmom import Radical, RingMismatchError, resolve_context, rings, to_mpf
-from brwmom.rings import (POWER_CACHE_SIZE, ExpPair, FloatContext,
-                          RadicalContext, RationalContext)
+from brwmom.rings import (ExpPair, FloatContext, RadicalContext,
+                          RationalContext)
 
 
 def rad(m, *coeffs):
@@ -229,34 +229,15 @@ def test_pair_add_far_below_stays_small(monkeypatch):
     assert widths == [507]
 
 
-class TestFloatPowerMemo:
-    def test_equals_direct_power(self):
-        for beta_sq, prec in ((0.3, 256), (0.45, 64), (1.21, 1024)):
-            ctx = FloatContext(beta_sq, prec)
-            for p, q in ((0, 0), (1, 0), (81, -8), (-5, 3), (400, 1)):
-                with mpmath.workprec(prec):
-                    want = mpmath.mpf(2) ** (p * ctx.beta_sq + q)
-                # Under another working precision too: the memo is keyed
-                # on the context's precision.
-                with mpmath.workprec(53):
-                    assert ctx.two_pow(p, q)._mpf_ == want._mpf_, (p, q)
-
-    def test_one_evaluation_per_key(self):
-        ctx = FloatContext(0.3, 256)
-        ctx.two_pow(7, -3)
-        before = rings._float_two_pow.cache_info()
-        again = FloatContext(0.3, 256).two_pow(7, -3)
-        after = rings._float_two_pow.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-        assert again is ctx.two_pow(7, -3)
-        # Equal beta^2 at another precision is another key.
-        low = FloatContext(0.5, 64).two_pow(1, 0)
-        assert low._mpf_ != FloatContext(0.5, 256).two_pow(1, 0)._mpf_
-
-    def test_cache_stays_within_bound(self):
-        ctx = FloatContext(0.7, 64)
-        for p in range(POWER_CACHE_SIZE + 50):
-            ctx.two_pow(p, 0)
-        info = rings._float_two_pow.cache_info()
-        assert info.maxsize == POWER_CACHE_SIZE
-        assert info.currsize <= POWER_CACHE_SIZE
+def test_float_two_pow_equals_mpf_power():
+    # two_pow on raw values is mpf(2) ** (p beta^2 + q) at the context's
+    # precision to the bit, whatever the working precision around it.
+    # 1/3 at 64 bits has a full mantissa, so p beta^2 + q is rounded.
+    for beta_sq, prec in ((0.3, 256), (0.45, 64), (1.21, 1024), (0.25, 256),
+                          (Fraction(1, 3), 64)):
+        ctx = FloatContext(beta_sq, prec)
+        for p, q in ((0, 0), (1, 0), (4, -1), (81, -8), (-5, 3), (400, 1)):
+            with mpmath.workprec(prec):
+                want = mpmath.mpf(2) ** (p * ctx.beta_sq + q)
+            with mpmath.workprec(53):
+                assert ctx.two_pow(p, q)._mpf_ == want._mpf_, (p, q)
