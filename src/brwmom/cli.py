@@ -20,6 +20,7 @@ commands and suites, and numpy and scipy (through ``montecarlo``) for
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -46,9 +47,10 @@ EXIT_HEAVY_TAIL = 5
 MC_MAX_DEPTH = 25
 
 # Largest |beta| of an exact beta^2.  The exact rings build
-# 2^(p*beta^2 + q): at k = 2 and beta = 256 one command takes ~0.3 s,
-# each doubling of beta costs ~8 times more, and beta = 1e100 runs
-# without end.
+# 2^(p*beta^2 + q): at beta = 256 a fresh command takes 0.2-0.4 s at
+# k = 2 but ~38 s for asym or poly at k = 4, where each doubling of beta
+# costs ~8-14 times more; printing is sub-quadratic.  beta = 1e100 runs
+# without end.  Bounding the work (k^2 beta^2) instead is ROADMAP item 10.
 MAX_EXACT_BETA = 2 ** 8
 
 # How close k*beta^2 must be to 1 before a float beta is treated as
@@ -520,5 +522,20 @@ def main(argv=None) -> int:
         return EXIT_RING_MISMATCH
 
 
+def run() -> int:
+    """Process entry point of ``python -m brwmom`` and the ``brwmom`` script.
+
+    Runs ``main()`` and then freezes the heap, also when ``main`` raises,
+    so the full collections of interpreter shutdown skip the objects the
+    imports left (11-18 ms of a fresh command); atexit handlers, flushes
+    and the exit status are unchanged.  ``main`` leaves the collector
+    alone, for callers that run many commands in one process.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

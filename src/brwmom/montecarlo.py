@@ -97,17 +97,17 @@ def _edge_gaussians(seed: int, trials: range, count: int) -> np.ndarray:
 
 def _log_partition(config: SimConfig, trials: range) -> np.ndarray:
     """log Z of consecutive trials, one value per trial."""
-    n, m = config.n, len(trials)
+    n = config.n
     if n == 0:
-        return np.zeros(m)
+        return np.zeros(len(trials))
     tree = _edge_gaussians(config.seed, trials, 2 ** (n + 1) - 2)
     # Level l holds columns 2^l - 2 .. 2^(l+1) - 3 of a row; adding each
     # parent's walk value to its two edges turns them into walk values.
     for level in range(2, n + 1):
         parents = tree[:, 2 ** (level - 1) - 2:2 ** level - 2]
         children = tree[:, 2 ** level - 2:2 ** (level + 1) - 2]
-        siblings = children.reshape(m, -1, 2)
-        siblings += parents[:, :, None]
+        children[:, 0::2] += parents
+        children[:, 1::2] += parents
     leaves = tree[:, 2 ** n - 2:]
     leaves *= 2.0 * config.beta
     return _logsumexp_rows(leaves) - math.log(2.0 ** n)

@@ -1,7 +1,9 @@
+import gc
 import importlib.util
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -335,6 +337,56 @@ class TestSharedParser:
                             lambda args: seen.append(args.k) or 7)
         assert cli.main(self.ARGV) == 7
         assert seen == [2]
+
+
+# Runs the package as ``python -m brwmom`` does; as the interpreter exits,
+# an atexit hook prints how many objects are frozen as the last stderr line.
+AS_MAIN = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count(),
+                              file=sys.stderr))
+runpy.run_module("brwmom", run_name="__main__", alter_sys=True)
+"""
+
+
+class TestEntryPoint:
+    """A process freezes the heap at exit, so the collections of
+    interpreter shutdown skip it; ``cli.main`` leaves the collector
+    alone."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["poly", "--k", "2", "--beta", "1"], 0),
+        (["mom", "--k", "0", "--n", "1", "--beta", "1"], 2),
+        (["mom", "--k", "2", "--n", "1", "--beta", "0.3", "--ring",
+          "rational"], 3),
+        (["mc", "--k", "3", "--n", "4", "--beta", "0.8", "--trials", "100",
+          "--seed", "1"], 5),
+    ])
+    def test_package_run_freezes_and_keeps_main_output(self, argv, code,
+                                                       capsys):
+        cp = subprocess.run([sys.executable, "-c", AS_MAIN, *argv],
+                            capture_output=True, text=True)
+        *err, last = cp.stderr.splitlines(keepends=True)
+        label, count = last.split()
+        assert label == "frozen" and int(count) > 0
+        try:
+            status = cli.main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        out = capsys.readouterr()
+        assert cp.returncode == status == code
+        assert (cp.stdout, "".join(err)) == (out.out, out.err)
+
+    def test_main_leaves_collector_alone(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert cli.main(["poly", "--k", "2", "--beta", "1"]) == 0
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == frozen
+        capsys.readouterr()
+
+    def test_console_script_is_the_entry_point(self):
+        pyproject = (ROOT / "pyproject.toml").read_text()
+        assert re.search(r'^brwmom = "brwmom\.cli:run"$', pyproject, re.M)
 
 
 class TestPolyCommand:
