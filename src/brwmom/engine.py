@@ -12,8 +12,9 @@ Z_n = 2^(-n) * sum over leaves of exp(2*beta*X_n(leaf)):
   weight and the sum runs over the unordered splits 0 < j <= k/2, the
   weight doubled for j < k/2: about k^2 n / 2 ring products for the
   whole table.  It never divides, so every beta (critical points
-  included) is in range.  ``MomentTable`` runs it on 2^(kn) M_k(n) in
-  the ring's table form (``rings``) and multiplies by 2^(-kn) on a read.
+  included) is in range.  ``MomentTable`` runs it scaled, in the ring's
+  table form (``rings``): on 2^((1 - beta^2) kn) M_k(n) in the exact
+  rings and on 2^(kn) M_k(n) in mpf, unscaled exactly on a read.
 
 * ``mom_symbolic``: the same recurrence solved in closed form,
   M_k(n) = sum over bases b = 2^(p beta^2 + q) of P_b(n) b^n, by
@@ -66,13 +67,14 @@ class MomentTable:
 
     Depth 0 is 1; each row then takes one step of the depth recurrence
     per depth (order 1 has no split term: (2^(beta^2))^d).  The rows hold
-    N_j(d) = 2^(jd) M_j(d), whose recurrence has the coefficients 2^j
-    step and 2^j w_i (in mpf the exact 2^j times the rounded step, as
-    two_pow(j*j, 1) rounds otherwise): integers times 2^(p beta^2),
-    p >= 0.  So at beta^2 = a/m every entry is in Z[2^(1/m)], and the rows
-    run in the ring's table form (``rings``: ints, m ints or int pairs)
-    with no gcd and no branch on the ring.  ``value`` reads x 2^(-jd) exactly: in
-    mpf each value is the unscaled recurrence's to the bit.
+    a scaled M_j(d), each ring's normalisation (``rings``), with no gcd and
+    no branch on the ring: N_j(d) = 2^(jd) M_j(d) in mpf, the one scaling
+    exact in binary (coefficients: the exact 2^j times the rounded step
+    and w_i, as two_pow(j*j, 1) rounds otherwise), and R_j(d) =
+    2^((1 - beta^2) jd) M_j(d) in the exact rings (coefficients times 2^j
+    2^(-j beta^2), integral in 2^(2 beta^2) by the parity lemma).
+    ``value`` undoes the scaling exactly: in mpf each value is the
+    unscaled recurrence's to the bit.
     """
 
     def __init__(self, ring: RingContext, rows: list) -> None:

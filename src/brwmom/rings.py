@@ -10,15 +10,23 @@ The ring contexts below evaluate such powers in one of three backends:
 * correctly rounded binary floats (mpmath) at a configurable precision.
 
 ``engine.MomentTable`` runs in each context's table form: ``table_unit``,
-``table_mul`` and ``table_add`` act on ints, on m ints (of 2^(i/m)), or
-on int pairs (man, exp) for man 2^exp, each product and sum rounded once
-to ``precision`` bits as mpf's * and + round.
-``table_multiplier(c, e, j)`` applies a coefficient c 2^(e+j), integral
-at beta^2 >= 0: a shift, a rotation by r slots that doubles what wraps
-(2^(m/m) = 2) times a shift, or the rounded c two_pow(e) times an exact
-2^j; ``from_table(x, e)`` is x 2^(-e), exact in every ring.  The dense
-polynomial helpers (coefficient tuples, lowest degree first) are the
-package's one polynomial arithmetic, for ``Radical``,
+``table_mul`` and ``table_add`` act on Z[2^(1/h)] for 2 beta^2 = g/h in
+lowest terms (one int at h = 1, else h ints of 2^(i/h)) in the exact
+rings, and on int pairs (man, exp) for man 2^exp in mpf, each product and
+sum rounded once to ``precision`` bits as mpf's * and + round.  Parity
+lemma: with t = 2^(beta^2), every term of N_j(d) = 2^(jd) M_j(d) is t^p,
+p >= jd, p = jd (mod 2).  Proof by induction over the recurrence's
+factors (``engine.recurrence_terms``): the step's t^(j^2) has j^2 >= j,
+= j (mod 2); a split's t^(i^2 + (j-i)^2) has i^2 + (j-i)^2 >= j, = j.
+So the exact rows hold R_j(d) = t^(-jd) N_j(d), integral in t^2, and
+``table_multiplier(c, e, j)`` applies c 2^(e+j) t^(-j): a shift, or a
+rotation by r slots that doubles what wraps (2^(h/h) = 2) times a shift;
+``from_table(x, e)`` is x 2^((beta^2 - 1) e).  The mpf rows hold N_j(d):
+the multiplier is the rounded c two_pow(e) times an exact 2^j, and the
+read x 2^(-e).  Every read is exact.
+
+The dense polynomial helpers (coefficient tuples, lowest degree first)
+are the package's one polynomial arithmetic, for ``Radical``,
 ``engine._closed_forms`` and the Q(t) layer of ``symbolic``;
 ``_pdivmod`` works over Q, the others over any exact ring (Fraction,
 ``Radical``, Q(t)).  All values are immutable; operations are pure
@@ -253,12 +261,63 @@ class Radical:
         return " + ".join(parts) or "0"
 
 
-class RationalContext:
+class _ExactContext:
+    """The exact rings' table form: Z[2^(1/h)] for 2 beta^2 = g/h, as the
+    parity lemma (module docstring) allows; one int at h = 1 (integer and
+    half-integer beta^2), else h ints, h = m/2 for even m and m for odd."""
+
+    workprec = staticmethod(nullcontext)
+
+    def __init__(self, beta_sq) -> None:
+        self.beta_sq = beta_sq
+        self.numer, self.m = beta_sq.as_integer_ratio()
+        self.g, self.h = (2 * beta_sq).as_integer_ratio()
+        self.table_unit = [1] + [0] * (self.h - 1)
+        if self.h == 1:  # Z[2^(1/1)]: plain ints, not the slot forms below
+            self.table_unit, self.table_mul, self.table_add = 1, mul, add
+
+    def table_mul(self, x, y) -> list:
+        """One int convolution, folded once by (2^(1/h))^h = 2."""
+        h = self.h
+        out = [0] * (2 * h - 1)
+        for i, a in enumerate(x):
+            if a:
+                for t, b in enumerate(y, i):
+                    out[t] += a * b
+        for d in range(h, 2 * h - 1):
+            out[d - h] += 2 * out[d]
+        return out[:h]
+
+    table_add = staticmethod(lambda x, y: [a + b for a, b in zip(x, y)])
+
+    def table_multiplier(self, c: int, e: ExpPair, j: int):
+        half, odd = divmod(e.p - j, 2)
+        if odd or half < 0:
+            raise ArithmeticError(f"t^{e.p} is not t^{j} times a power of t^2")
+        s, r = divmod(half * self.g + (e.q + j) * self.h, self.h)
+        if self.h == 1:
+            return (c << s).__mul__
+        lo, hi, cut = c << s, c << (s + 1), self.h - r
+        return lambda x: [hi * v for v in x[cut:]] + [lo * v for v in x[:cut]]
+
+    def _read(self, x, e: int) -> list:
+        """x 2^((beta^2 - 1) e) as the m Fractions of 2^(i/m)."""
+        m, out = self.m, [0] * self.m
+        for i, v in enumerate([x] if self.h == 1 else x):
+            q, r = divmod(i * (m // self.h) + (self.numer - m) * e, m)
+            out[r] = Fraction(v, 1 << -q) if q < 0 else Fraction(v << q)
+        return out
+
+    def vanishes(self, value) -> bool:
+        """Whether a computed denominator is zero; exact in this ring."""
+        return not value
+
+
+class RationalContext(_ExactContext):
     """Exact rational arithmetic; requires an integer beta^2."""
 
     tag = "rational"
     one, zero = Fraction(1), Fraction(0)
-    workprec = staticmethod(nullcontext)
 
     def __init__(self, beta_sq: ExactScalar) -> None:
         if isinstance(beta_sq, Fraction) and beta_sq.denominator == 1:
@@ -266,65 +325,29 @@ class RationalContext:
         if not isinstance(beta_sq, int):
             raise RingMismatchError(
                 f"rational ring needs integer beta^2, got {beta_sq!r}")
-        self.beta_sq = beta_sq
+        super().__init__(beta_sq)
 
     def two_pow(self, p: int, q: int) -> Fraction:
         return pow2(p * self.beta_sq + q)
 
-    table_unit, table_mul, table_add = 1, mul, add
-    from_table = staticmethod(lambda x, e: Fraction(x, 1 << e))
-
-    def table_multiplier(self, c: int, e: ExpPair, j: int):
-        return (c << (e.value_at(self.beta_sq) + j)).__mul__
-
-    def vanishes(self, value) -> bool:
-        """Whether a computed denominator is zero; exact in this ring."""
-        return not value
+    def from_table(self, x, e: int) -> Fraction:
+        return self._read(x, e)[0]
 
 
-class RadicalContext:
+class RadicalContext(_ExactContext):
     """Arithmetic in Q(2^(1/m)) for beta^2 = a/m in lowest terms."""
 
-    workprec = staticmethod(nullcontext)
-
     def __init__(self, beta_sq) -> None:
-        bs = Fraction(beta_sq)
-        self.beta_sq = bs
-        self.numer = bs.numerator
-        self.m = bs.denominator
+        super().__init__(Fraction(beta_sq))
         self.tag = f"radical({self.m})"
         self.one = Radical.rational(self.m, 1)
         self.zero = Radical.rational(self.m, 0)
-        self.table_unit = (1,) + (0,) * (self.m - 1)
 
     def two_pow(self, p: int, q: int) -> Radical:
         return Radical.root_power(self.m, p * self.numer + q * self.m)
 
-    def table_multiplier(self, c: int, e: ExpPair, j: int):
-        s, r = divmod(e.p * self.numer + (e.q + j) * self.m, self.m)
-        lo, hi, cut = c << s, c << (s + 1), self.m - r
-        return lambda x: [hi * v for v in x[cut:]] + [lo * v for v in x[:cut]]
-
-    def table_mul(self, x, y) -> list:
-        """One int convolution, folded once by (2^(1/m))^m = 2."""
-        m = self.m
-        out = [0] * (2 * m - 1)
-        for i, a in enumerate(x):
-            if a:
-                for t, b in enumerate(y, i):
-                    out[t] += a * b
-        for d in range(m, 2 * m - 1):
-            out[d - m] += 2 * out[d]
-        return out[:m]
-
-    table_add = staticmethod(lambda x, y: [a + b for a, b in zip(x, y)])
-
     def from_table(self, x, e: int) -> Radical:
-        return Radical(self.m, [Fraction(c, 1 << e) for c in x])
-
-    def vanishes(self, value) -> bool:
-        """Whether a computed denominator is zero; exact in this ring."""
-        return not value
+        return Radical(self.m, self._read(x, e))
 
 
 def _round_pair(man: int, exp: int, prec: int) -> tuple:

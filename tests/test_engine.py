@@ -114,7 +114,9 @@ def lambda_sum_table(k_max, n_max, ring):
 
 class CountingContext:
     """Exact ring context that counts the products of its table form:
-    table products and coefficient multiplies."""
+    table products and coefficient multiplies.  The table form is set
+    per instance (one int or h slots), so it is read off the inner
+    context, not its class."""
 
     def __init__(self, beta_sq):
         self.inner = resolve_context(beta_sq)
@@ -217,10 +219,10 @@ class TestMomentTable:
         per_step = sum(1 + 2 * (j // 2) for j in range(1, 7))
         assert counts[1] - counts[0] == 20 * per_step == 480, counts
 
-    @pytest.mark.parametrize("beta_sq", [0, 1, 2, 4, Fraction(1, 2),
-                                         Fraction(1, 3), Fraction(2, 5),
-                                         Fraction(3, 7)])
+    @pytest.mark.parametrize("beta_sq", [0, 1, 2, 4, *(Fraction(b) for b in (
+        "1/2", "1/3", "2/5", "3/7", "3/2", "1/4", "3/8", "5/6", "1/12"))])
     def test_equals_unscaled_recurrence_exactly(self, beta_sq):
+        # The radical ring at integer beta^2 is in the next test.
         ctx = resolve_context(beta_sq)
         table = MomentTable.build(8, 30, ctx)
         for key, want in unscaled_table(8, 30, ctx).items():
@@ -237,13 +239,13 @@ class TestMomentTable:
         for key, want in unscaled_table(10, 40, ctx).items():
             assert table.value(*key)._mpf_ == want._mpf_, key
 
-    @pytest.mark.parametrize("beta_sq", [Fraction(5, 2), Fraction(2, 7),
-                                         Fraction(9, 25)])
+    @pytest.mark.parametrize("beta_sq", [Fraction(b) for b in (
+        "5/2", "2/7", "9/25", "3/2", "1/4", "3/8", "5/6", "1/12", 0, 1, 2)])
     def test_radical_rows_equal_radical_arithmetic(self, beta_sq,
                                                    monkeypatch):
-        # a > m and root indices up to 25, against Radical arithmetic;
-        # the build itself must take no Radical product.
-        ctx = resolve_context(beta_sq)
+        # a > m, root indices 1 to 25 and table slots h = 1 to 25, against
+        # Radical arithmetic; the build itself must take no Radical product.
+        ctx = resolve_context(beta_sq, "radical")
         for k, n in ((8, 30), (8, 0), (1, 30)):
             want = unscaled_table(k, n, ctx)
             calls = []
@@ -264,7 +266,8 @@ class TestMomentTable:
                                                              beta_sq, bits):
         # The table's coefficients and ``recurrence_coefficients`` evaluate
         # the same ring-free terms; each multiplier applied to the unit
-        # must equal its coefficient times 2^j in the table form.
+        # must equal its coefficient times 2^j in mpf, and times
+        # 2^j 2^(-j beta^2) in the exact rings, in the table form.
         beta_sq = float(beta_sq) if kind == "float" else Fraction(beta_sq)
         ring = resolve_context(beta_sq, kind, bits or 256)
 
@@ -272,13 +275,15 @@ class TestMomentTable:
             if isinstance(ring, FloatContext):
                 _, man, exp, _ = value._mpf_
                 return man, exp + j
-            value = value * 2 ** j
-            if isinstance(ring, RadicalContext):
-                cs = value.coeffs + (0,) * (ring.m - len(value.coeffs))
-                assert all(c.denominator == 1 for c in cs)
-                return [int(c) for c in cs]
-            assert value.denominator == 1
-            return value.numerator
+            value = value * 2 ** j * ring.two_pow(-j, 0)
+            cs = value.coeffs if isinstance(value, Radical) else (value,)
+            cs += (0,) * (ring.m - len(cs))
+            assert all(c.denominator == 1 for c in cs)
+            # Z[2^(1/h)] sits in Q(2^(1/m)) on the slots i m/h.
+            step = ring.m // ring.h
+            assert not any(c for i, c in enumerate(cs) if i % step)
+            slots = [int(c) for c in cs[::step]]
+            return slots[0] if ring.h == 1 else slots
 
         unit = ring.table_unit
         for j in range(1, 13):
@@ -310,6 +315,40 @@ class TestMomentTable:
             assert isinstance(v, mpmath.mpf)
             assert v._mpf_[3] <= precision
         assert v._mpf_[3] > 256
+
+    @pytest.mark.parametrize("beta_sq, ring, slots", [
+        ("1/2", "auto", 1), ("3/2", "auto", 1), ("2", "auto", 1),
+        ("1", "radical", 1), ("1/4", "auto", 2), ("3/8", "auto", 4),
+        ("1/3", "auto", 3)])
+    def test_exact_entries_take_h_slots(self, beta_sq, ring, slots):
+        # Entries are in Z[2^(1/h)], 2 beta^2 = g/h: one int at h = 1,
+        # else h ints.  Entries on m slots would read the same values,
+        # only slower, so this pins the form.
+        table = MomentTable.build(4, 6, resolve_context(Fraction(beta_sq),
+                                                        ring))
+        for row in table._rows[1:]:
+            for x in row:
+                if slots == 1:
+                    assert type(x) is int
+                else:
+                    assert type(x) is list and len(x) == slots
+                    assert all(type(v) is int for v in x)
+
+    @pytest.mark.parametrize("shift", [1, -1, -2])
+    @pytest.mark.parametrize("beta_sq", [1, Fraction(1, 2), Fraction(1, 3)])
+    def test_exponent_off_the_parity_lattice_raises(self, beta_sq, shift,
+                                                    monkeypatch):
+        # An odd power of t, or one below t^j, has no exact multiplier
+        # in Z[2^(2 beta^2)]; it must raise, never floor.
+        terms = engine.recurrence_terms
+
+        def shifted(j):
+            step, splits = terms(j)
+            return step, [(i, c, ExpPair(e.p + shift, e.q))
+                          for i, c, e in splits]
+        monkeypatch.setattr(engine, "recurrence_terms", shifted)
+        with pytest.raises(ArithmeticError):
+            MomentTable.build(3, 4, resolve_context(beta_sq))
 
     @pytest.mark.parametrize("beta_sq", [1, Fraction(1, 2), 0.25])
     def test_value_outside_table_raises(self, beta_sq):
