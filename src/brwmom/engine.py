@@ -73,8 +73,8 @@ class MomentTable:
     and w_i, as two_pow(j*j, 1) rounds otherwise), and R_j(d) =
     2^((1 - beta^2) jd) M_j(d) in the exact rings (coefficients times 2^j
     2^(-j beta^2), integral in 2^(2 beta^2) by the parity lemma).
-    ``value`` undoes the scaling exactly: in mpf each value is the
-    unscaled recurrence's to the bit.
+    ``value`` undoes the scaling exactly; the table form carries its own
+    precision, so in mpf each value is the unscaled recurrence's to the bit.
     """
 
     def __init__(self, ring: RingContext, rows: list) -> None:
@@ -89,19 +89,18 @@ class MomentTable:
         if ring.beta_sq < 0:
             raise ValueError("beta^2 must be nonnegative")
         mul, add, rows = ring.table_mul, ring.table_add, [None]
-        with ring.workprec():
-            for j in range(1, k_max + 1):
-                step, terms = recurrence_terms(j)
-                step = ring.table_multiplier(1, step, j)
-                splits = [(rows[i], rows[j - i], ring.table_multiplier(c, e, j))
-                          for i, c, e in terms]
-                row = [ring.table_unit]
-                for d in range(n_max):
-                    total = step(row[d])
-                    for a, b, w in splits:
-                        total = add(total, mul(w(a[d]), b[d]))
-                    row.append(total)
-                rows.append(row)
+        for j in range(1, k_max + 1):
+            step, terms = recurrence_terms(j)
+            step = ring.table_multiplier(1, step, j)
+            splits = [(rows[i], rows[j - i], ring.table_multiplier(c, e, j))
+                      for i, c, e in terms]
+            row = [ring.table_unit]
+            for d in range(n_max):
+                total = step(row[d])
+                for a, b, w in splits:
+                    total = add(total, mul(w(a[d]), b[d]))
+                row.append(total)
+            rows.append(row)
         return cls(ring, rows)
 
     def value(self, j: int, depth: int):

@@ -21,18 +21,6 @@ class EnumerationBudgetError(ValueError):
     """k*n exceeds the allowed exhaustive enumeration size."""
 
 
-def last_common_level(a: int, b: int, depth: int) -> int:
-    """Length of the common prefix of two n-bit leaf labels.
-
-    Equals the tree level of the deepest node having both leaves as
-    descendants; a leaf shares all ``depth`` levels with itself.
-    """
-    for label in (a, b):
-        if not 0 <= label < 1 << depth:
-            raise ValueError(f"label {label} out of range for depth {depth}")
-    return depth - (a ^ b).bit_length()
-
-
 def mom_bruteforce(k: int, n: int, beta_sq, precision: int = DEFAULT_PRECISION,
                    budget: int = DEFAULT_ENUMERATION_BUDGET):
     """k-th moment by exhaustive enumeration of leaf k-tuples.
@@ -53,7 +41,7 @@ def mom_bruteforce(k: int, n: int, beta_sq, precision: int = DEFAULT_PRECISION,
         # S takes at most k(k-1)n/2 + 1 values: one power for each.
         total, powers = ctx.zero, {}
         for labels in product(range(1 << n), repeat=k):
-            # last_common_level, inline: range() labels are in range.
+            # A pair shares the levels above its labels' first differing bit.
             shared = 0
             for i in range(k):
                 for j in range(i + 1, k):

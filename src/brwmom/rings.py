@@ -23,7 +23,8 @@ So the exact rows hold R_j(d) = t^(-jd) N_j(d), integral in t^2, and
 rotation by r slots that doubles what wraps (2^(h/h) = 2) times a shift;
 ``from_table(x, e)`` is x 2^((beta^2 - 1) e).  The mpf rows hold N_j(d):
 the multiplier is the rounded c two_pow(e) times an exact 2^j, and the
-read x 2^(-e).  Every read is exact.
+read x 2^(-e).  Every read is exact.  The table form carries its own
+precision: no table operation reads the ambient mpmath one.
 
 The dense polynomial helpers (coefficient tuples, lowest degree first)
 are the package's one polynomial arithmetic, for ``Radical``,
@@ -228,8 +229,9 @@ class Radical:
         o = self._coerce(other)
         return NotImplemented if o is None else self.coeffs == o
 
-    def __hash__(self):
-        return hash((self.m, self.coeffs))
+    def __hash__(self):  # a rational equals its Fraction: hash as one
+        return hash(self.to_fraction() if self.is_rational()
+                    else (self.m, self.coeffs))
 
     def __bool__(self):
         return bool(self.coeffs)

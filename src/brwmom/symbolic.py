@@ -252,8 +252,9 @@ class _Factored:
             return NotImplemented
         return not self - other
 
-    def __hash__(self):
-        return hash(self.to_ratfun())
+    def __hash__(self):  # a constant equals its Fraction: hash as one
+        r = self.to_ratfun()
+        return hash(r.evaluate(0) if r.den == (1,) and len(r.num) < 2 else r)
 
     def to_ratfun(self) -> RatFun:
         """Divide each core out of num while it divides; RatFun's one gcd

@@ -39,6 +39,14 @@ class TestClassifyRegime:
             assert r.growth == ExpPair(1, 0)
             assert r.n_power == 0
 
+    @pytest.mark.parametrize("beta_sq, tag", [
+        (Fraction(1, 4), SUB), (1, CRITICAL), (Fraction(9, 4), SUPER),
+        (0.25, SUB), (1.0, CRITICAL), (2.25, SUPER)])
+    def test_order_one_tag_follows_beta_sq(self, beta_sq, tag):
+        # k = 1 keeps its growth on the boundary (above), but its tag is
+        # still the sign of beta^2 - 1, exact and float alike.
+        assert classify_regime(1, beta_sq).tag == tag
+
     def test_exact_rational_comparison(self):
         assert classify_regime(3, Fraction(1, 3)).tag == CRITICAL
         assert classify_regime(3, Fraction(33333, 100000)).tag == SUB

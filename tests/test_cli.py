@@ -444,6 +444,12 @@ class TestAsymCommand:
             got = mpmath.mpf(coeff["value"])
             assert abs(got - want) <= want * mpmath.mpf(2) ** -240
 
+    @pytest.mark.parametrize("beta, tag", [("1", "critical"),
+                                           ("1.5", "super-critical")])
+    def test_order_one_regime(self, beta, tag, capsys):
+        assert cli.main(["asym", "--k", "1", "--beta", beta]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["regime"] == tag
+
     def test_subcritical_method(self):
         rec = record(run_cli("asym", "--k", "3", "--beta", "0.3"))
         assert rec["result"]["regime"] == "sub-critical"
@@ -473,6 +479,15 @@ class TestSweepCommand:
         for row in lines[1:]:
             beta, regime, coeff, method = row.split(",")
             assert float(coeff) > 0
+
+    def test_order_one_regimes(self, capsys):
+        assert cli.main(["sweep", "--k", "1", "--beta-min", "0.5",
+                         "--beta-max", "1.5", "--steps", "3"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "beta,regime,coefficient,method",
+            "0.5,sub-critical,1.0,exact",
+            "1.0,critical,1.0,exact",
+            "1.5,super-critical,1.0,exact"]
 
     def test_unwritable_file_exit_code(self):
         cp = run_cli("sweep", "--k", "2", "--beta-min", "0.1", "--beta-max",

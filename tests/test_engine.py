@@ -239,6 +239,23 @@ class TestMomentTable:
         for key, want in unscaled_table(10, 40, ctx).items():
             assert table.value(*key)._mpf_ == want._mpf_, key
 
+    @pytest.mark.parametrize("ambient", [20, 53, 3000])
+    def test_float_table_ignores_ambient_precision(self, ambient):
+        # The table form carries its own precision, so the build enters no
+        # precision context: built and read under any ambient mp.prec, each
+        # entry is the one built and read at the ring's precision.
+        def entries(ctx, prec):
+            with mp.workprec(prec):
+                table = MomentTable.build(8, 40, ctx)
+                return [table.value(j, d)._mpf_
+                        for j in range(1, 9) for d in range(41)]
+
+        for precision in (64, 256, 1024):
+            for beta_sq in (0.09, 0.3, 0.49, 0.55, 1.21):
+                ctx = resolve_context(beta_sq, "float", precision)
+                assert entries(ctx, ambient) == entries(ctx, precision), \
+                    (precision, beta_sq)
+
     @pytest.mark.parametrize("beta_sq", [Fraction(b) for b in (
         "5/2", "2/7", "9/25", "3/2", "1/4", "3/8", "5/6", "1/12", 0, 1, 2)])
     def test_radical_rows_equal_radical_arithmetic(self, beta_sq,

@@ -213,6 +213,25 @@ class TestBlocking:
         got = montecarlo._log_partition(cfg, trials).tolist()
         assert got == [per_trial_log_partition(cfg, t) for t in trials]
 
+    @pytest.mark.parametrize("n, trials, block", [(4, 10_000, 4369),
+                                                   (17, 3, 1)])
+    def test_block_holds_at_most_the_cap(self, n, trials, block,
+                                         monkeypatch):
+        # The cap is 2^17 draws a block: at n = 4 (30 edges) a block holds
+        # 2^17 // 30 trials, at n = 17 (2^18 - 2 edges) one trial alone.
+        # The recorder returns zeros, so nothing is drawn.
+        sizes = []
+
+        def recording(config, trials):
+            sizes.append(len(trials))
+            return np.zeros(len(trials))
+
+        monkeypatch.setattr(montecarlo, "_log_partition", recording)
+        estimate_mom(SimConfig(n=n, beta=0.3, trials=trials, seed=0), 2)
+        assert block == max(1, 2 ** 17 // (2 ** (n + 1) - 2))
+        assert sizes[:-1] == [block] * (len(sizes) - 1)
+        assert 0 < sizes[-1] <= block and sum(sizes) == trials
+
     def test_single_trial_memory_near_its_draws(self):
         # The tree is built in the array of draws and reduced in place, so
         # one trial's peak stays near its 2^(n+1) - 2 doubles.

@@ -4,8 +4,18 @@ from itertools import product
 import pytest
 
 from brwmom import EnumerationBudgetError, Radical, mom_bruteforce, mom_dp
-from brwmom.oracle import last_common_level
 from brwmom.rings import resolve_context
+
+
+def last_common_level(a: int, b: int, depth: int) -> int:
+    """Length of the common prefix of two n-bit leaf labels: the tree
+    level of the deepest node having both leaves as descendants, so a leaf
+    shares all ``depth`` levels with itself.  The oracle computes it
+    inline; this checked copy is the tests' reference."""
+    for label in (a, b):
+        if not 0 <= label < 1 << depth:
+            raise ValueError(f"label {label} out of range for depth {depth}")
+    return depth - (a ^ b).bit_length()
 
 
 def per_tuple_bruteforce(k, n, ctx):

@@ -86,6 +86,30 @@ coeff_strategy = st.fractions(
     min_value=-4, max_value=4, max_denominator=8)
 
 
+class TestRadicalReprAndHash:
+    def test_repr(self):
+        assert repr(rad(3, 1, Fraction(1, 2))) == "1 + 1/2*2^(1/3)"
+        assert repr(rad(2, 0, 3)) == "3*2^(1/2)"
+        assert repr(Radical(2, [])) == "0"
+
+    def test_to_fraction_error_carries_the_repr(self):
+        with pytest.raises(ValueError) as exc:
+            rad(2, 0, 3).to_fraction()
+        assert str(exc.value) == "3*2^(1/2) is not rational"
+
+    @given(st.integers(1, 6), coeff_strategy,
+           st.lists(coeff_strategy, min_size=6, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    @example(2, Fraction(1), [0] * 6)
+    @example(3, Fraction(0), [0] * 6)
+    def test_rational_value_hashes_as_its_fraction(self, m, q, other):
+        # x * y / y for a nonzero y reaches q through the field operations.
+        y = Radical(m, other[:m]) or Radical.rational(m, 1)
+        for x in (Radical.rational(m, q), Radical.rational(m, q) * y / y):
+            assert x == q and hash(x) == hash(q)
+            assert x in {q} and q in {x}
+
+
 class TestRadicalField:
     @given(st.integers(1, 6), st.lists(coeff_strategy, min_size=6, max_size=6),
            st.lists(coeff_strategy, min_size=6, max_size=6))

@@ -195,6 +195,17 @@ class TestFactoredRing:
         assert g == f and hash(g) == hash(f)
         assert f + CTX.one != f
 
+    @given(monomials, steps, st.fractions(min_value=-4, max_value=4,
+                                          max_denominator=8))
+    @settings(max_examples=50, deadline=None)
+    def test_constant_hashes_as_its_fraction(self, start, ops, q):
+        # f * q / f files f's cores and power of t below the line and
+        # cancels them again: a constant RatFun, equal to the Fraction q.
+        f, _ = run_both(start, ops)
+        for x in (q * CTX.one, f * q / f if f else q * CTX.one):
+            assert x == q and hash(x) == hash(q)
+            assert x in {q} and q in {x}
+
     def test_shared_factor_cancels_in_the_reduction(self):
         core, _ = binomial(8, 0, 0, 1)
         wide, _ = binomial(16, 0, 0, 2)
