@@ -535,7 +535,3 @@ def run() -> int:
         return main()
     finally:
         gc.freeze()
-
-
-if __name__ == "__main__":
-    sys.exit(run())

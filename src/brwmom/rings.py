@@ -130,8 +130,8 @@ class Radical:
     coefficients.  Every operation runs on the polynomial helpers above;
     a product reduces with (2^(1/m))^m = 2.  Since x^m - 2 is irreducible
     over Q (Eisenstein at 2) the ring is a field, so division is exact.
-    The root index m is fixed per value; mixing indices raises
-    RingMismatchError.
+    The root index m is fixed per value; arithmetic that mixes indices
+    raises RingMismatchError.
     """
 
     __slots__ = ("m", "coeffs")
@@ -181,9 +181,6 @@ class Radical:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return self._new(_pneg(self.coeffs))
-
     def __sub__(self, other):
         o = self._coerce(other)
         return (NotImplemented if o is None
@@ -226,6 +223,10 @@ class Radical:
         return NotImplemented if o is None else self * self._new(o).inverse()
 
     def __eq__(self, other):
+        if isinstance(other, Radical) and other.m != self.m:
+            # Two root indices share only Q, where values compare as hashed.
+            rational = self.is_rational() or other.is_rational()
+            return self.coeffs == other.coeffs if rational else NotImplemented
         o = self._coerce(other)
         return NotImplemented if o is None else self.coeffs == o
 

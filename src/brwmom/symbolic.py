@@ -13,10 +13,10 @@ Its elements keep denominators factored, num / (t^v * prod of core^m):
 every divisor of the closed form is a binomial 2^q t^p - 2^q' t^p', so
 sums and products take no gcd, and ``to_ratfun`` reduces each
 coefficient to a ``RatFun`` once, at the end.  ``geometric_sum`` gives a
-geometric series in this form; no route calls it, and the tests build
-their lambda-sum reference for the closed form from it.  The polynomial
+geometric series in closed form only, in symbolic n; no route calls it,
+and the tests build their lambda-sum reference from it.  The polynomial
 arithmetic and ``ExpPair`` come from ``rings``; ``_pmonic``, ``_pgcd``
-and ``_peval`` serve ``RatFun`` alone.  No CLI route loads this module:
+and ``_peval`` serve this module alone.  No CLI route loads this module:
 ``mom_symbolic`` is a library function and the tests' reference.
 """
 
@@ -78,16 +78,8 @@ class RatFun:
         else:
             den = (Fraction(1),)
         lead = den[-1]
-        if lead != 1:
-            inv = Fraction(1) / lead
-            num = tuple(c * inv for c in num)
-            den = tuple(c * inv for c in den)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def zero(cls) -> "RatFun":
-        return cls(())
+        self.num = num if lead == 1 else tuple(c / lead for c in num)
+        self.den = _pmonic(den)
 
     @classmethod
     def one(cls) -> "RatFun":
@@ -242,7 +234,7 @@ class _Factored:
         lead = other.num[-1]
         cores = dict(self.cores)
         if len(other.num) > 1:
-            core = tuple(c / lead for c in other.num)
+            core = _pmonic(other.num)
             cores[core] = cores.get(core, 0) + 1
         num = _times_cores(self.num, other.cores)
         return _Factored(tuple(c / lead for c in num), self.v - other.v, cores)
@@ -321,30 +313,15 @@ class GenPoly:
         return "GenPoly(" + " + ".join(bits) + ")"
 
 
-def geometric_sum(step: ExpPair, n: int | None = None):
-    """Sum of 2^((p*beta^2+q)*lam) for lam in [0, n).
+def geometric_sum(step: ExpPair) -> GenPoly:
+    """Sum of 2^((p*beta^2+q)*lam) for lam in [0, n), with symbolic n.
 
-    With symbolic n (the default) the closed form (r^n - 1)/(r - 1) is
-    returned as a two-term GenPoly; a zero step has no closed form and
-    raises DegenerateExponent.  With an integer n the partial sum is
-    evaluated in Q(t) and returned as a RatFun, including the degenerate
-    step where the sum is simply n.
+    Returns the closed form (r^n - 1)/(r - 1) only, as a two-term GenPoly;
+    a zero step has no closed form and raises DegenerateExponent.
     """
-    degenerate = step == ExpPair(0, 0)
-    ratio = RatFun.t_power(step.p, Fraction(2) ** step.q)
-    if n is not None:
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        if degenerate:
-            return _lift(n)
-        total = RatFun.zero()
-        power = RatFun.one()
-        for _ in range(n):
-            total = total + power
-            power = power * ratio
-        return total
-    if degenerate:
+    if step == ExpPair(0, 0):
         raise DegenerateExponent(
             "unit-ratio geometric sum degenerates to n itself")
+    ratio = RatFun.t_power(step.p, Fraction(2) ** step.q)
     inv = RatFun.one() / (ratio - RatFun.one())
     return GenPoly({step: inv, ExpPair(0, 0): -inv})

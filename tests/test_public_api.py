@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 import brwmom
-from brwmom import ExpPair
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -79,14 +78,12 @@ def test_readme_library_imports_are_exported():
     (lambda: brwmom.mom_bruteforce(1, -1, 1), "depth"),
     (lambda: brwmom.unitary_mom_k1_integer(-1, 1), "matrix size"),
     (lambda: brwmom.unitary_mom_k1_integer(1, -1), "beta"),
-    (lambda: brwmom.geometric_sum(ExpPair(1, 0), -1), "n must"),
     (lambda: brwmom.resolve_context(1, "complex"), "unknown ring"),
     (lambda: brwmom.Radical(0, []), "root index"),
 ], ids=["classify_regime", "subcritical_coefficient",
         "supercritical_coefficient", "MomentTable.build", "mom_symbolic",
         "mom_bruteforce-k", "mom_bruteforce-n", "unitary_mom_k1_integer-N",
-        "unitary_mom_k1_integer-beta", "geometric_sum", "resolve_context",
-        "Radical"])
+        "unitary_mom_k1_integer-beta", "resolve_context", "Radical"])
 def test_out_of_range_input_raises_value_error(call, message):
     # Input checks that no other test reaches.
     with pytest.raises(ValueError, match=message):

@@ -109,6 +109,16 @@ class TestRadicalReprAndHash:
             assert x == q and hash(x) == hash(q)
             assert x in {q} and q in {x}
 
+    def test_root_indices_compare_by_rational_value(self):
+        # Fields of two root indices share Q: a rational compares by value,
+        # as it hashes, and irrationals compare unequal; arithmetic raises.
+        assert {Radical(2, [1]), Radical(3, [1])} == {1}
+        assert len({Radical(2, [1]), Radical(3, [1])}) == 1
+        assert Radical(2, [0, 1]) != Radical(3, [0, 1])
+        assert Radical(2, [1]) != Radical(3, [0, 1])
+        with pytest.raises(RingMismatchError):
+            Radical(2, [1]) + Radical(3, [1])
+
 
 class TestRadicalField:
     @given(st.integers(1, 6), st.lists(coeff_strategy, min_size=6, max_size=6),

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from brwmom import (DegenerateExponent, ExpPair, GenPoly, RatFun,
+from brwmom import (DegenerateExponent, ExpPair, GenPoly, Radical, RatFun,
                     geometric_sum)
 from brwmom.engine import evaluate_genpoly
+from brwmom.rings import _pdivmod
 from brwmom.symbolic import SymbolicContext
 
 
@@ -40,7 +41,6 @@ class TestRatFun:
         assert abs(v - mpmath.mpf(3) / 2) < 1e-30
 
     def test_evaluate_at_radical(self):
-        from brwmom import Radical
         f = rf([-1, 0, 1], [-4, 0, 1])  # (t^2-1)/(t^2-4)
         t = Radical.root_power(2, 1)  # sqrt(2)
         assert f.evaluate(t) == Radical.rational(2, Fraction(1, -2))
@@ -69,12 +69,6 @@ class TestRatFunField:
 
 
 class TestGeometricSum:
-    def test_integer_n_plain(self):
-        assert geometric_sum(ExpPair(0, 1), 3) == rf([7])
-
-    def test_integer_n_degenerate(self):
-        assert geometric_sum(ExpPair(0, 0), 5) == rf([5])
-
     def test_symbolic_degenerate_raises(self):
         with pytest.raises(DegenerateExponent):
             geometric_sum(ExpPair(0, 0))
@@ -117,7 +111,7 @@ class TestGeometricSum:
 
 class TestGenPoly:
     def test_zero_coefficients_dropped(self):
-        g = GenPoly({ExpPair(1, 0): RatFun.zero(),
+        g = GenPoly({ExpPair(1, 0): RatFun(()),
                      ExpPair(2, 0): RatFun.one()})
         assert len(g) == 1
 
@@ -213,14 +207,14 @@ class TestFactoredRing:
         y = (CTX.two_pow(8, 0) + 2) / wide
         assert x == y
         assert y.to_ratfun() == RatFun.one() / rf([-2] + [0] * 7 + [1])
-        assert (x - y).to_ratfun() == RatFun.zero()
+        assert (x - y).to_ratfun() == RatFun(())
 
     def test_cancels_to_zero(self):
         x = 3 * CTX.two_pow(2, -1) / binomial(8, 0, 0, 1)[0]
         y = CTX.two_pow(-1, 2) / binomial(5, 1, 2, 0)[0]
         z = (x + y) - y - x
         assert not z and z == 0
-        assert z.to_ratfun() == RatFun.zero()
+        assert z.to_ratfun() == RatFun(())
 
     def test_pure_power_of_t(self):
         x = CTX.two_pow(3, 1) / binomial(5, 0, 5, 1)[0]  # 2 t^3 / -t^5
@@ -237,3 +231,32 @@ class TestFactoredRing:
         # A product of monomials is the same dict key as the monomial.
         key = CTX.two_pow(2, 0) * CTX.two_pow(-1, 1)
         assert {CTX.two_pow(1, 1): "b"}[key] == "b"
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: repr(GenPoly()), "GenPoly(0)"),
+    (lambda: repr(geometric_sum(ExpPair(1, 0))),
+     "GenPoly([(-1)/(t + -1)] * 2^((0b+0)n) + [(1)/(t + -1)] * 2^((1b+0)n))"),
+    (lambda: Radical(2, [1]) == "1", False),
+    (lambda: RatFun.one() == "1", False),
+    (lambda: CTX.one == "1", False),
+    (lambda: GenPoly() == "1", False),
+    (lambda: Radical(2, [1]) * "1", TypeError),
+    (lambda: RatFun.one() + Fraction(1, 2), rf([Fraction(3, 2)])),
+    (lambda: RatFun.one() + 0.5, TypeError),
+    (lambda: GenPoly() * RatFun.one(), TypeError),
+    (lambda: _pdivmod((Fraction(1),), ()), ZeroDivisionError),
+    (lambda: RatFun.one() / RatFun(()), ZeroDivisionError),
+    (lambda: CTX.one / CTX.zero, ZeroDivisionError),
+], ids=["GenPoly-repr-zero", "GenPoly-repr", "Radical-eq", "RatFun-eq",
+        "Factored-eq", "GenPoly-eq", "Radical-mul", "RatFun-lift",
+        "RatFun-lift-float", "GenPoly-mul", "pdivmod-zero", "RatFun-div-zero",
+        "Factored-div-zero"])
+def test_operands_off_the_routes(call, expected):
+    # A rational operand lifts, a non-number one compares unequal or raises
+    # TypeError, and a zero divisor raises: no route or other test does so.
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            call()
+    else:
+        assert call() == expected
