@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from fractions import Fraction
+from math import gcd
 from operator import add, mul
 from typing import NamedTuple, Tuple, Union
 
@@ -112,8 +113,6 @@ def _pdivmod(a: Coeffs, b: Coeffs) -> Tuple[Coeffs, Coeffs]:
             rem[d + i] -= c * y
         while rem and not rem[-1]:
             rem.pop()
-        if not rem:
-            break
     return _trim(q), _trim(rem)
 
 
@@ -130,8 +129,9 @@ class Radical:
     coefficients.  Every operation runs on the polynomial helpers above;
     a product reduces with (2^(1/m))^m = 2.  Since x^m - 2 is irreducible
     over Q (Eisenstein at 2) the ring is a field, so division is exact.
-    The root index m is fixed per value; arithmetic that mixes indices
-    raises RingMismatchError.
+    The root index m is fixed per value.  Values of two indices compare
+    when one is rational or the indices are coprime (the fields then share
+    only Q); other mixes, and all mixed arithmetic, raise RingMismatchError.
     """
 
     __slots__ = ("m", "coeffs")
@@ -223,10 +223,10 @@ class Radical:
         return NotImplemented if o is None else self * self._new(o).inverse()
 
     def __eq__(self, other):
-        if isinstance(other, Radical) and other.m != self.m:
-            # Two root indices share only Q, where values compare as hashed.
-            rational = self.is_rational() or other.is_rational()
-            return self.coeffs == other.coeffs if rational else NotImplemented
+        if isinstance(other, Radical) and other.m != self.m and (
+                self.is_rational() or other.is_rational()
+                or gcd(self.m, other.m) == 1):
+            return self.is_rational() and self.coeffs == other.coeffs
         o = self._coerce(other)
         return NotImplemented if o is None else self.coeffs == o
 

@@ -78,8 +78,9 @@ class RatFun:
         else:
             den = (Fraction(1),)
         lead = den[-1]
-        self.num = num if lead == 1 else tuple(c / lead for c in num)
-        self.den = _pmonic(den)
+        if lead != 1:
+            num, den = tuple(c / lead for c in num), _pmonic(den)
+        self.num, self.den = num, den
 
     @classmethod
     def one(cls) -> "RatFun":

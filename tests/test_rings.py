@@ -110,12 +110,16 @@ class TestRadicalReprAndHash:
             assert x in {q} and q in {x}
 
     def test_root_indices_compare_by_rational_value(self):
-        # Fields of two root indices share Q: a rational compares by value,
-        # as it hashes, and irrationals compare unequal; arithmetic raises.
+        # A rational compares by value, as it hashes; fields of coprime root
+        # indices share only Q, so their irrationals differ.  Irrationals of
+        # indices with a common factor (sqrt 2 lies in Q(2^(1/4))) raise,
+        # as arithmetic across indices does.
         assert {Radical(2, [1]), Radical(3, [1])} == {1}
         assert len({Radical(2, [1]), Radical(3, [1])}) == 1
         assert Radical(2, [0, 1]) != Radical(3, [0, 1])
         assert Radical(2, [1]) != Radical(3, [0, 1])
+        with pytest.raises(RingMismatchError):
+            Radical(2, [0, 1]) == Radical(4, [0, 0, 1])
         with pytest.raises(RingMismatchError):
             Radical(2, [1]) + Radical(3, [1])
 

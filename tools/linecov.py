@@ -1,10 +1,10 @@
 """Report the executable lines of ``src/brwmom`` that never run.
 
-    python tools/linecov.py [PYTEST_ARG ...]
+    python tools/linecov.py
     python tools/linecov.py --routes
 
-The default mode runs ``python -m pytest -q -p no:cacheprovider`` (plus
-any arguments given) from the repository root.  A generated
+The default mode runs ``python -m pytest -q -p no:cacheprovider``, the
+whole suite, from the repository root.  A generated
 ``sitecustomize.py`` comes first on ``PYTHONPATH``, so every Python
 process of the run, the subprocesses of the tests included, traces the
 lines it runs in ``src/brwmom/*.py`` and writes them to a JSON file of
@@ -158,14 +158,19 @@ def report(out_dir: Path) -> dict:
             "lines": unrun}
 
 
+COMMANDS = {
+    (): [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+    ("--routes",): [sys.executable, "-c",
+                    f"import sys; sys.path.insert(0, {str(TOOLS)!r}); "
+                    "import linecov; linecov.run_routes()"],
+}
+
+
 def main(argv: list) -> int:
-    if argv == ["--routes"]:
-        command = [sys.executable, "-c",
-                   f"import sys; sys.path.insert(0, {str(TOOLS)!r}); "
-                   "import linecov; linecov.run_routes()"]
-    else:
-        command = [sys.executable, "-m", "pytest", "-q",
-                   "-p", "no:cacheprovider", *argv]
+    command = COMMANDS.get(tuple(argv))
+    if command is None:
+        print("usage: python tools/linecov.py [--routes]", file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory() as tmp:
         site, out_dir = Path(tmp, "site"), Path(tmp, "out")
         site.mkdir()
