@@ -7,8 +7,9 @@ floating-point payloads carry their precision in bits.
 
 Exit codes: 0 success, 1 failed verification, 2 invalid flags (one
 ``error:`` line on stderr), 3 ring/beta mismatch, 4 unwritable output
-file, 5 heavy-tail refusal.  Each flag value is checked by one
-``_checked`` argparse type, and ``emit`` prints every JSON record.
+file, 5 heavy-tail refusal.  ``parse_args`` reads a command line from
+one flag table (``COMMANDS``) as argparse would, each flag value
+checked by one ``_checked`` validator; ``emit`` prints every record.
 
 Each handler imports the modules it calls in its own body, so a fresh
 process loads only its route's: mpmath for float and radical output,
@@ -19,7 +20,6 @@ commands and suites, and numpy and scipy (through ``montecarlo``) for
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import math
@@ -28,7 +28,7 @@ import re
 import sys
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
-from functools import cache
+from types import SimpleNamespace
 
 from . import engine
 from .rings import (DEFAULT_PRECISION, MIN_PRECISION, Radical,
@@ -58,8 +58,13 @@ MAX_EXACT_BETA = 2 ** 8
 CRITICAL_SNAP_TOL = 1e-9
 
 
+class _BadValue(Exception):
+    """A flag value that its validator refuses; not a ValueError, so an
+    outer ``_checked`` passes an inner one's message on."""
+
+
 def _checked(convert, ok, what: str):
-    """argparse type: ``convert(text)`` when ``ok`` holds for it, else one
+    """Flag validator: ``convert(text)`` when ``ok`` holds for it, else one
     ``must be <what>`` error, also when ``convert`` raises."""
     def parse(text: str):
         try:
@@ -68,12 +73,12 @@ def _checked(convert, ok, what: str):
                 return value
         except (TypeError, ValueError, ZeroDivisionError):
             pass
-        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        raise _BadValue(f"must be {what}, got {text!r}")
     return parse
 
 
 def _int_in(low: int, high: float = math.inf, hint: str = ""):
-    """argparse type: an integer in [low, high]."""
+    """Flag validator: an integer in [low, high]."""
     bound = f"in {low}..{high}" if high < math.inf else f">= {low}"
     return _checked(int, lambda v: low <= v <= high,
                     f"an integer {bound}{hint}")
@@ -90,8 +95,11 @@ _beta_sq_rational = _checked(lambda t: Fraction(*map(int, t.split("/"))),
                              f"a rational p/m in 0..{MAX_EXACT_BETA ** 2}")
 
 
-# Ints of at most this many bits convert with Decimal(n) directly.
-DECIMAL_LEAF_BITS = 4096
+# Ints of at most this many bits print with str(n), which equals
+# str(Decimal(n)), and are the leaves of ``_decimal``'s splits.  They have
+# at most 617 digits: str(int) accepts that under any limit Python allows
+# (sys.set_int_max_str_digits and $PYTHONINTMAXSTRDIGITS, at least 640).
+DECIMAL_LEAF_BITS = 2048
 
 
 def _decimal(n: int) -> Decimal:
@@ -99,8 +107,6 @@ def _decimal(n: int) -> Decimal:
     per doubling of the bits: n = hi 2^h + lo, split down to leaves of at
     most DECIMAL_LEAF_BITS bits, each 2^h formed once.  Exact: Inexact is
     trapped.  (CPython 3.12's str(int) splits in the same way.)"""
-    if n.bit_length() <= DECIMAL_LEAF_BITS:
-        return Decimal(n)
     powers = {}
 
     def split(m, bits):
@@ -120,9 +126,8 @@ def _decimal(n: int) -> Decimal:
 
 
 def _fraction_str(f: Fraction) -> str:
-    # Decimal formats integers of any size; str(int) refuses more than
-    # sys.get_int_max_str_digits() digits on Python >= 3.11.
-    return f"{_decimal(f.numerator)}/{_decimal(f.denominator)}"
+    return "/".join([str(n) if n.bit_length() <= DECIMAL_LEAF_BITS
+                     else str(_decimal(n)) for n in f.as_integer_ratio()])
 
 
 def _float_str(x, precision: int) -> str:
@@ -412,108 +417,168 @@ def cmd_verify(args) -> int:
     return 0 if ok else EXIT_VERIFY_FAILED
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a bad flag as one ``error:`` line and exit code 2; reads
-    ``-1e-3``, ``-1.``, ``-inf`` and ``-nan`` as numbers, which argparse
-    takes for flags, so the value's validator reports them.  Built once
-    per process, it reads $BRWMOM_PRECISION on each ``parse_args``."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)",
-                                                   re.I)
-        self.precision_flags = []
-
-    def parse_args(self, args=None, namespace=None):
-        default = os.environ.get(ENV_PRECISION, str(DEFAULT_PRECISION))
-        for flag in self.precision_flags:
-            flag.default = default
-        return super().parse_args(args, namespace)
-
-    def error(self, message):
-        self.exit(2, f"error: {message}\n")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    positive, depth = _int_in(1), _int_in(0)
-    parser = _Parser(
-        prog="brwmom",
-        description="Moments of the branching random walk partition "
-                    "function: exact, symbolic, and stochastic.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_precision(p):
-        # The default, a string set by ``_Parser.parse_args``, goes
-        # through ``type`` too, so a bad $BRWMOM_PRECISION is rejected
-        # like a bad flag.
-        parser.precision_flags.append(p.add_argument(
-            "--precision",
-            type=_int_in(MIN_PRECISION, hint=f" bits (--precision or "
-                         f"${ENV_PRECISION})"),
-            help=f"float precision in bits, at least {MIN_PRECISION} "
-                 f"(default {DEFAULT_PRECISION}, or ${ENV_PRECISION})"))
-
-    def add_beta(p):
-        given = p.add_mutually_exclusive_group(required=True)
-        given.add_argument("--beta", type=_beta)
-        given.add_argument("--beta-sq-rational", type=_beta_sq_rational,
-                           metavar="P/M",
-                           help="exact beta^2 as a rational, e.g. 1/2")
-
-    p = sub.add_parser("mom", help="moment value at one (k, n, beta)")
-    p.add_argument("--k", type=positive, required=True)
-    p.add_argument("--n", type=depth, required=True)
-    add_beta(p)
-    p.add_argument("--ring", choices=["auto", "rational", "radical", "float"],
-                   default="auto")
-    add_precision(p)
-
-    p = sub.add_parser("poly", help="exact polynomial in 2^n for integer "
-                                    "k, beta")
-    p.add_argument("--k", type=positive, required=True)
-    p.add_argument("--beta", type=_int_in(1, MAX_EXACT_BETA), required=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-
-    p = sub.add_parser("asym", help="growth regime and leading coefficient")
-    p.add_argument("--k", type=positive, required=True)
-    add_beta(p)
-    add_precision(p)
-
-    p = sub.add_parser("sweep", help="leading coefficient curve over beta")
-    p.add_argument("--k", type=positive, required=True)
-    p.add_argument("--beta-min", type=_float_beta, required=True)
-    p.add_argument("--beta-max", type=_float_beta, required=True)
-    p.add_argument("--steps", type=_int_in(2), required=True)
-    p.add_argument("--out", default=None)
-    add_precision(p)
-
-    p = sub.add_parser("verify", help="run a cross-check suite")
-    p.add_argument("--suite", required=True,
-                   choices=["oracle", "mc", "closedform", "rmt"])
-    p.add_argument("--budget", type=positive, default=None)
-    add_precision(p)
-
-    p = sub.add_parser("mc", help="Monte Carlo moment estimate vs engine")
-    p.add_argument("--k", type=positive, required=True)
-    p.add_argument("--n", type=_int_in(0, MC_MAX_DEPTH, " (a deeper trial "
-                                       "needs over 1 GiB)"), required=True)
-    p.add_argument("--beta", type=_beta, required=True)
-    p.add_argument("--trials", type=positive, default=10000)
-    p.add_argument("--seed", type=_int_in(0, 2 ** 64 - 1), default=0)
-    p.add_argument("--force", action="store_true",
-                   help="run even in the heavy-tailed regime k*beta^2 > 1")
-    add_precision(p)
-
-    return parser
+_K = ("--k", _int_in(1), ...)
+_PRECISION = ("--precision", _int_in(MIN_PRECISION, hint=" bits (--precision "
+                                     f"or ${ENV_PRECISION})"),
+              lambda: os.environ.get(ENV_PRECISION, str(DEFAULT_PRECISION)))
+_PAIR = ("--beta", "--beta-sq-rational")
+_EXACT_BETA = ((_PAIR[0], _beta, None), (_PAIR[1], _beta_sq_rational, None))
+# Each command's help line and flags (flag, validator, default).  A tuple
+# validator lists the choices and None marks a switch; a default of ...
+# marks a required flag, and a callable one is called when the flag is
+# absent.  A command with --beta-sq-rational needs exactly one of _PAIR.
+COMMANDS = {
+    "mom": ("moment value at one (k, n, beta)", (
+        _K, ("--n", _int_in(0), ...), *_EXACT_BETA,
+        ("--ring", ("auto", "rational", "radical", "float"), "auto"),
+        _PRECISION)),
+    "poly": ("exact polynomial in 2^n for integer k, beta", (
+        _K, ("--beta", _int_in(1, MAX_EXACT_BETA), ...),
+        ("--format", ("json", "csv"), "json"))),
+    "asym": ("growth regime and leading coefficient",
+             (_K, *_EXACT_BETA, _PRECISION)),
+    "sweep": ("leading coefficient curve over beta", (
+        _K, ("--beta-min", _float_beta, ...), ("--beta-max", _float_beta, ...),
+        ("--steps", _int_in(2), ...), ("--out", str, None), _PRECISION)),
+    "verify": ("run a cross-check suite", (
+        ("--suite", ("oracle", "mc", "closedform", "rmt"), ...),
+        ("--budget", _int_in(1), None), _PRECISION)),
+    "mc": ("Monte Carlo moment estimate vs engine, refused when "
+           "k*beta^2 > 1 unless --force", (
+        _K, ("--n", _int_in(0, MC_MAX_DEPTH, " (a deeper trial needs over "
+                            "1 GiB)"), ...), ("--beta", _beta, ...),
+        ("--trials", _int_in(1), 10000),
+        ("--seed", _int_in(0, 2 ** 64 - 1), 0), ("--force", None, False),
+        _PRECISION)),
+}
+_HELP = ("-h/--help", None, None)
+_TOP = {"-h": _HELP, "--help": _HELP}
+_OPTIONS = {name: {**_TOP, **{flag[0]: flag for flag in flags}}
+            for name, (_, flags) in COMMANDS.items()}
 
 
-@cache
-def _shared_parser() -> argparse.ArgumentParser:
-    return build_parser()
+def _fail(message: str):
+    sys.stderr.write(f"error: {message}\n")
+    raise SystemExit(2)
+
+
+def _classify(options: dict, token: str):
+    """How argparse reads ``token``: None for a value, else (flag, or None
+    when unknown, and its =value or None).  -h is the one single-dash
+    flag: -hVALUE is -h given VALUE, and -hh is -h -h."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in options:
+        return options[token], None
+    name, eq, explicit = token.partition("=")
+    if token[1] == "-":
+        found = ([name] if name in options
+                 else [option for option in options if option.startswith(name)])
+        explicit = explicit if eq else None
+    else:
+        found = ["-h"] * (token[1] == "h")
+        explicit = token[3:] if token[2:3] == "=" else token[2:]
+        explicit = explicit.lstrip("h") or None if explicit else explicit
+    if len(found) > 1:
+        _fail(f"ambiguous option: {token} could match {', '.join(found)}")
+    if found:
+        return options[found[0]], explicit
+    negative = re.match(r"-(\.?\d|inf|nan)", token, re.I)
+    return None if negative or " " in token else (None, None)
+
+
+def _value(name: str, convert, text: str):
+    if isinstance(convert, tuple) and text not in convert:
+        _fail(f"argument {name}: invalid choice: {text!r} (choose from "
+              f"{', '.join(map(repr, convert))})")
+    try:
+        return text if isinstance(convert, tuple) else convert(text)
+    except _BadValue as exc:
+        _fail(f"argument {name}: {exc}")
+
+
+def _switch(name: str, text, command) -> None:
+    """Fails when a switch is given a value; prints help for -h/--help."""
+    if text is not None:
+        _fail(f"argument {name}: ignored explicit argument {text!r}")
+    if name == _HELP[0]:
+        lines = ["usage: brwmom COMMAND [FLAG VALUE | FLAG=VALUE]...; a flag "
+                 "may be shortened to a unique prefix.", "--precision is "
+                 f"in bits, at least {MIN_PRECISION}, by default "
+                 f"${ENV_PRECISION} or {DEFAULT_PRECISION}.  --beta-sq-"
+                 "rational is an exact beta^2 p/m, given in place of --beta."]
+        for cmd in [command] if command else COMMANDS:
+            lines += ["", f"{cmd}: {COMMANDS[cmd][0]}"]
+            for flag, convert, default in COMMANDS[cmd][1]:
+                value = (" {%s}" % ",".join(convert)
+                         if isinstance(convert, tuple)
+                         else " " + flag[2:].upper() if convert else "")
+                lines.append(f"  {flag}{value}"
+                             + " (required)" * (default is ...))
+        sys.stdout.write("\n".join(lines) + "\n")
+        raise SystemExit(0)
+
+
+def parse_args(argv=None) -> SimpleNamespace:
+    """The namespace of one command line, parsed as argparse would: a
+    flag repeated keeps its last value, a token that starts with -inf,
+    -nan, -<digit> or -.<digit> is a value, '--' ends the flags, and each
+    error is argparse's ``error:`` line, with exit status 2.  One case
+    differs: --flag=-- checks the value '--', where argparse gave []."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    extras, i = [], 0
+    while i < len(argv) and argv[i] != "--" and (
+            kind := _classify(_TOP, argv[i])):
+        if kind[0]:
+            _switch(_HELP[0], kind[1], None)
+        extras.append(argv[i])
+        i += 1
+    if argv[i:] in ([], ["--"]):
+        _fail("the following arguments are required: command")
+    command, tokens = _value("command", tuple(COMMANDS), argv[i]), argv[i + 1:]
+    flags, options = COMMANDS[command][1], _OPTIONS[command]
+    cut = tokens.index("--") if "--" in tokens else len(tokens)
+    # () marks the '--', after which every token is a value.
+    kinds = [_classify(options, token) for token in tokens[:cut]]
+    kinds += [()] + [None] * len(tokens)
+    args = SimpleNamespace(command=command, **{
+        flag[2:].replace("-", "_"): default for flag, _, default in flags})
+    seen, i = set(), 0
+    while i < len(tokens):
+        kind, i = kinds[i], i + 1
+        if not kind or not kind[0]:
+            extras.append(tokens[i - 1])
+            continue
+        (name, convert, _), text = kind
+        if convert is None:
+            _switch(name, text, command)
+        elif text is None:
+            if i == len(tokens) or kinds[i] is not None:
+                _fail(f"argument {name}: expected one argument")
+            text, i = tokens[i], i + 1
+        value = True if convert is None else _value(name, convert, text)
+        rival = _PAIR[name == _PAIR[0]] if name in _PAIR else None
+        if rival in seen:
+            _fail(f"argument {name}: not allowed with argument {rival}")
+        seen.add(name)
+        setattr(args, name[2:].replace("-", "_"), value)
+    for flag, convert, default in flags:
+        if callable(default) and flag not in seen:
+            setattr(args, flag[2:].replace("-", "_"),
+                    _value(flag, convert, default()))
+    missing = [flag for flag, _, default in flags
+               if default is ... and flag not in seen]
+    if missing:
+        _fail(f"the following arguments are required: {', '.join(missing)}")
+    if _PAIR[1] in options and not seen.intersection(_PAIR):
+        _fail(f"one of the arguments {' '.join(_PAIR)} is required")
+    if extras:
+        _fail(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         # Looked up per call, so a cmd_* replaced after import is the one run.
         return globals()[f"cmd_{args.command}"](args)

@@ -104,10 +104,15 @@ class RatFun:
         num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
         return RatFun(num, _pmul(self.den, other.den))
 
+    __radd__ = __add__
+
     def __sub__(self, other):
         other = _lift(other)
         num = _padd(_pmul(self.num, other.den), _pneg(_pmul(other.num, self.den)))
         return RatFun(num, _pmul(self.den, other.den))
+
+    def __rsub__(self, other):
+        return _lift(other) - self
 
     def __neg__(self):
         return RatFun(_pneg(self.num), self.den)
@@ -125,12 +130,14 @@ class RatFun:
         return RatFun(_pmul(self.num, other.den), _pmul(self.den, other.num))
 
     def __eq__(self, other):
-        if not isinstance(other, RatFun):
+        if not isinstance(other, (RatFun, int, Fraction)):
             return NotImplemented
+        other = _lift(other)
         return self.num == other.num and self.den == other.den
 
-    def __hash__(self):
-        return hash((self.num, self.den))
+    def __hash__(self):  # a constant equals its Fraction: hash as one
+        constant = self.den == (1,) and len(self.num) < 2
+        return hash(_peval(self.num, 0) if constant else (self.num, self.den))
 
     def evaluate_parts(self, t):
         """(numerator, denominator) at t, for callers doing their own
@@ -245,9 +252,8 @@ class _Factored:
             return NotImplemented
         return not self - other
 
-    def __hash__(self):  # a constant equals its Fraction: hash as one
-        r = self.to_ratfun()
-        return hash(r.evaluate(0) if r.den == (1,) and len(r.num) < 2 else r)
+    def __hash__(self):  # as its RatFun, which a constant's Fraction equals
+        return hash(self.to_ratfun())
 
     def to_ratfun(self) -> RatFun:
         """Divide each core out of num while it divides; RatFun's one gcd

@@ -120,69 +120,102 @@ class TestMomCommand:
         assert cp.returncode == 3
 
     def test_invalid_flags_exit_code(self):
+        # Each message is the one argparse gave before the flag table
+        # replaced it.
         asym = ("asym", "--k", "2", "--beta", "1")
+        finite = "must be a finite number with a finite square, got"
+        precision = ("argument --precision: must be an integer >= 64 bits "
+                     "(--precision or $BRWMOM_PRECISION), got")
+        exact = ("must be at most 256 in magnitude when integral (an "
+                 "integral beta is exact), got '1e100'")
+        rational = "must be a rational p/m in 0..65536, got"
+        depth = "must be an integer in 0..25 (a deeper trial needs over 1 GiB)"
+        seed = "argument --seed: must be an integer in 0..18446744073709551615"
         cases = [
-            (("mom", "--k", "2"), None),
-            (("mom", "--k", "2", "--n", "x", "--beta", "1"), None),
-            (("mom", "--k", "0", "--n", "1", "--beta", "1"), None),
-            (("mom", "--k", "2", "--n", "-1", "--beta", "1"), None),
+            (("mom", "--k", "2"), None,
+             "the following arguments are required: --n"),
+            (("mom", "--k", "2", "--n", "x", "--beta", "1"), None,
+             "argument --n: must be an integer >= 0, got 'x'"),
+            (("mom", "--k", "0", "--n", "1", "--beta", "1"), None,
+             "argument --k: must be an integer >= 1, got '0'"),
+            (("mom", "--k", "2", "--n", "-1", "--beta", "1"), None,
+             "argument --n: must be an integer >= 0, got '-1'"),
             (("mc", "--k", "1", "--n", "2", "--beta", "0.3", "--trials",
-              "0"), None),
+              "0"), None, "argument --trials: must be an integer >= 1, "
+             "got '0'"),
             (("mom", "--k", "2", "--n", "1", "--beta", "1", "--precision",
-              "32"), None),
-            (asym + ("--precision", "32"), None),
-            (("verify", "--suite", "oracle", "--budget", "-1"), None),
-            (("verify", "--suite", "mc", "--budget", "1"), None),
-            (asym, {"BRWMOM_PRECISION": "32"}),
-            (asym, {"BRWMOM_PRECISION": "abc"}),
-            (("asym", "--k", "3", "--beta", "nan"), None),
-            (("mom", "--k", "2", "--n", "1", "--beta", "inf"), None),
-            (("mom", "--k", "2", "--n", "1", "--beta", "1e400"), None),
-            (("mc", "--k", "1", "--n", "2", "--beta=-inf"), None),
-            (("mc", "--k", "1", "--n", "2", "--beta", "nan"), None),
+              "32"), None, f"{precision} '32'"),
+            (asym + ("--precision", "32"), None, f"{precision} '32'"),
+            (("verify", "--suite", "oracle", "--budget", "-1"), None,
+             "argument --budget: must be an integer >= 1, got '-1'"),
+            (("verify", "--suite", "mc", "--budget", "1"), None,
+             "--budget of --suite mc is a trial count and must be >= 2, "
+             "got 1"),
+            (asym, {"BRWMOM_PRECISION": "32"}, f"{precision} '32'"),
+            (asym, {"BRWMOM_PRECISION": "abc"}, f"{precision} 'abc'"),
+            (("asym", "--k", "3", "--beta", "nan"), None,
+             f"argument --beta: {finite} 'nan'"),
+            (("mom", "--k", "2", "--n", "1", "--beta", "inf"), None,
+             f"argument --beta: {finite} 'inf'"),
+            (("mom", "--k", "2", "--n", "1", "--beta", "1e400"), None,
+             f"argument --beta: {finite} '1e400'"),
+            (("mc", "--k", "1", "--n", "2", "--beta=-inf"), None,
+             f"argument --beta: {finite} '-inf'"),
+            (("mc", "--k", "1", "--n", "2", "--beta", "nan"), None,
+             f"argument --beta: {finite} 'nan'"),
             (("mc", "--k", "1", "--n", "30", "--beta", "0.3", "--trials",
-              "1"), None),
+              "1"), None, f"argument --n: {depth}, got '30'"),
             (("sweep", "--k", "2", "--beta-min", "nan", "--beta-max", "1",
-              "--steps", "3"), None),
+              "--steps", "3"), None, f"argument --beta-min: {finite} 'nan'"),
             (("sweep", "--k", "2", "--beta-min", "0", "--beta-max", "inf",
-              "--steps", "3"), None),
+              "--steps", "3"), None, f"argument --beta-max: {finite} 'inf'"),
             (("mom", "--k", "2", "--n", "3", "--beta-sq-rational", "1/-3"),
-             None),
+             None, f"argument --beta-sq-rational: {rational} '1/-3'"),
             (("mom", "--k", "2", "--n", "3", "--beta-sq-rational=-1/2"),
-             None),
-            (("asym", "--k", "2", "--beta-sq-rational=-1/2"), None),
+             None, f"argument --beta-sq-rational: {rational} '-1/2'"),
+            (("asym", "--k", "2", "--beta-sq-rational=-1/2"), None,
+             f"argument --beta-sq-rational: {rational} '-1/2'"),
             (("mom", "--k", "2", "--n", "1", "--beta", "5",
-              "--beta-sq-rational", "1/2"), None),
+              "--beta-sq-rational", "1/2"), None,
+             "argument --beta-sq-rational: not allowed with argument --beta"),
             (("asym", "--k", "2", "--beta-sq-rational", "1/2", "--beta",
-              "0.1"), None),
+              "0.1"), None,
+             "argument --beta: not allowed with argument --beta-sq-rational"),
             (("sweep", "--k", "2", "--beta-min", "0", "--beta-max", "1",
-              "--steps", "1"), None),
+              "--steps", "1"), None,
+             "argument --steps: must be an integer >= 2, got '1'"),
             # beta^2 overflows a double.
             (("mc", "--k", "1", "--n", "2", "--beta", "1e200", "--trials",
-              "3", "--force"), None),
+              "3", "--force"), None, f"argument --beta: {finite} '1e200'"),
             (("sweep", "--k", "2", "--beta-min", "0", "--beta-max", "1e200",
-              "--steps", "2"), None),
-            (("mom", "--k", "2", "--n", "1", "--beta", "1e200"), None),
-            (("asym", "--k", "2", "--beta", "1e200"), None),
+              "--steps", "2"), None, f"argument --beta-max: {finite} '1e200'"),
+            (("mom", "--k", "2", "--n", "1", "--beta", "1e200"), None,
+             f"argument --beta: {finite} '1e200'"),
+            (("asym", "--k", "2", "--beta", "1e200"), None,
+             f"argument --beta: {finite} '1e200'"),
             # An exact beta^2 too large to build.
-            (("mom", "--k", "2", "--n", "1", "--beta", "1e100"), None),
-            (("asym", "--k", "2", "--beta", "1e100"), None),
-            (("poly", "--k", "2", "--beta", "100000000"), None),
+            (("mom", "--k", "2", "--n", "1", "--beta", "1e100"), None,
+             f"argument --beta: {exact}"),
+            (("asym", "--k", "2", "--beta", "1e100"), None,
+             f"argument --beta: {exact}"),
+            (("poly", "--k", "2", "--beta", "100000000"), None,
+             "argument --beta: must be an integer in 1..256, got '100000000'"),
             (("mom", "--k", "2", "--n", "1", "--beta-sq-rational",
-              "65537"), None),
+              "65537"), None, f"argument --beta-sq-rational: {rational} "
+             "'65537'"),
             (("mc", "--k", "1", "--n", "26", "--beta", "0.3", "--trials",
-              "1"), None),
+              "1"), None, f"argument --n: {depth}, got '26'"),
             # A Philox key word holds 0..2^64 - 1.
             (("mc", "--k", "1", "--n", "3", "--beta", "0.3", "--trials", "5",
-              "--seed", "-1"), None),
+              "--seed", "-1"), None, f"{seed}, got '-1'"),
             (("mc", "--k", "1", "--n", "3", "--beta", "0.3", "--trials", "5",
-              "--seed", str(2 ** 64)), None),
+              "--seed", str(2 ** 64)), None,
+             f"{seed}, got '18446744073709551616'"),
         ]
-        for args, env in cases:
+        for args, env, message in cases:
             cp = run_cli(*args, env=env)
             assert cp.returncode == 2, (args, env, cp.stderr)
-            assert cp.stderr.startswith("error: "), (args, env, cp.stderr)
-            assert cp.stderr.count("\n") == 1, (args, env, cp.stderr)
+            assert cp.stderr == f"error: {message}\n", (args, env)
 
     @pytest.mark.parametrize("argv", [
         ["mom", "--k", "1", "--n", "1", "--beta", "-256"],
@@ -252,15 +285,14 @@ class TestMomCommand:
             "perfbench_workloads", WORKLOADS)
         workloads = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
-        parser = cli.build_parser()
         for workload in workloads.WORKLOADS:
             for job in workloads.all_variants(workload):
                 if isinstance(job, list):
-                    parser.parse_args(job)
+                    assert cli.parse_args(job).command == job[0]
 
     def test_mc_depth_cap_is_inclusive(self):
         # Parsed only: a trial at the cap needs about 520 MiB.
-        args = cli.build_parser().parse_args(
+        args = cli.parse_args(
             ["mc", "--k", "1", "--n", str(cli.MC_MAX_DEPTH), "--beta", "0.3"])
         assert args.n == cli.MC_MAX_DEPTH
 
@@ -276,8 +308,8 @@ class TestMomCommand:
         assert Fraction(Decimal(num)) == 2 ** 16000
         assert get_limit() == limit
 
-    @example(4096, 0, "random", 1)
-    @example(4097, 0, "ones", -1)
+    @example(cli.DECIMAL_LEAF_BITS, 0, "random", 1)
+    @example(cli.DECIMAL_LEAF_BITS + 1, 0, "ones", -1)
     @example(300_000, 0, "power", 1)
     @given(st.integers(1, 300_000), st.integers(0, 2 ** 32),
            st.sampled_from(["random", "ones", "power"]),
@@ -292,20 +324,128 @@ class TestMomCommand:
         assert got == str(Decimal(n))
         if abs(n) < 10 ** 4299:
             assert got == str(n)
+        # _fraction_str prints with str() up to the bound, _decimal above.
+        assert cli._fraction_str(Fraction(n)) == f"{got}/1"
+        assert cli._fraction_str(Fraction(sign, abs(n))) == (
+            f"{sign}/{got.lstrip('-')}")
+
+
+MOM = ["mom", "--k", "2", "--n", "3"]
+MC = ["mc", "--k", "1", "--n", "2", "--beta", "0.3"]
+
+
+class TestParser:
+    """``cli.parse_args`` reads a command line as argparse would."""
+
+    @pytest.mark.parametrize("argv, env, fields", [
+        (["mom", "--k=3", "--n", "2", "--beta", "1"], None, {"k": 3}),
+        (MOM + ["--beta", "0.5", "--prec", "128"], None, {"precision": 128}),
+        (MOM + ["--beta", "-1e-3"], None, {"beta": -1e-3}),
+        (["asym", "--k", "2", "--beta=-0.3"], None, {"beta": -0.3}),
+        (MOM + ["--beta", "1", "--k", "4", "--n=5", "--k", "6"], None,
+         {"k": 6, "n": 5}),
+        (MOM + ["--beta-s", "1/2"], None,
+         {"beta": None, "beta_sq_rational": Fraction(1, 2)}),
+        (MC + ["--force"], None, {"force": True}),
+        (MC, None, {"command": "mc", "k": 1, "n": 2, "beta": 0.3,
+                    "trials": 10000, "seed": 0, "force": False,
+                    "precision": 256}),
+        (MC, "100", {"precision": 100}),
+        (MC + ["--precision", "80"], "abc", {"precision": 80}),
+        (MOM + ["--beta", "1"], None, {"ring": "auto", "precision": 256,
+                                       "beta_sq_rational": None}),
+        (["poly", "--k", "2", "--beta", "3"], None,
+         {"beta": 3, "format": "json"}),
+        (["sweep", "--k", "2", "--beta-min", "-.5", "--beta-max", "1",
+          "--steps", "3"], None, {"beta_min": -0.5, "out": None}),
+        (["verify", "--suite", "rmt"], None, {"budget": None}),
+    ])
+    def test_accepted_forms(self, argv, env, fields, monkeypatch):
+        if env is None:
+            monkeypatch.delenv(cli.ENV_PRECISION, raising=False)
+        else:
+            monkeypatch.setenv(cli.ENV_PRECISION, env)
+        args = vars(cli.parse_args(argv))
+        assert {name: args[name] for name in fields} == fields
+
+    @pytest.mark.parametrize("argv, message", [
+        (["mom", "--b", "1"],
+         "ambiguous option: --b could match --beta, --beta-sq-rational"),
+        (MOM + ["--be=1"],
+         "ambiguous option: --be=1 could match --beta, --beta-sq-rational"),
+        (["sweep", "--k", "2", "--beta", "1"],
+         "ambiguous option: --beta could match --beta-min, --beta-max"),
+        (MC + ["--force=x"], "argument --force: ignored explicit argument 'x'"),
+        (["-hx"], "argument -h/--help: ignored explicit argument 'x'"),
+        (["mom", "-h=x"], "argument -h/--help: ignored explicit argument 'x'"),
+        (["--foo", *MOM, "--beta", "1"], "unrecognized arguments: --foo"),
+        ([], "the following arguments are required: command"),
+        (["--"], "the following arguments are required: command"),
+        (["--", "mom"], "argument command: invalid choice: '--' (choose "
+         "from 'mom', 'poly', 'asym', 'sweep', 'verify', 'mc')"),
+        (MOM + ["--beta", "1", "extra", "--", "--k"],
+         "unrecognized arguments: extra -- --k"),
+        (["mom", "--k"], "argument --k: expected one argument"),
+        (["mom", "--k", "-x"], "argument --k: expected one argument"),
+        (["mom", "--k", "--", "1"], "argument --k: expected one argument"),
+        (MOM, "one of the arguments --beta --beta-sq-rational is required"),
+        (MOM + ["--beta", "1", "--ring", "x"], "argument --ring: invalid "
+         "choice: 'x' (choose from 'auto', 'rational', 'radical', 'float')"),
+    ])
+    def test_errors(self, argv, message, capsys):
+        # argparse's messages, recorded from the parser it replaced.
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_args(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"],
+                                      ["mom", "-h"], ["mc", "--help"],
+                                      ["sweep", "--k", "2", "-h"]])
+    def test_help(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == 0 and out.err == ""
+        listed = [argv[0]] if argv[0] in cli.COMMANDS else list(cli.COMMANDS)
+        sections = out.out.split("\n\n")[1:]
+        assert len(sections) == len(listed)
+        for command, section in zip(listed, sections):
+            head, *lines = section.splitlines()
+            assert head == f"{command}: {cli.COMMANDS[command][0]}"
+            assert [line.split()[0] for line in lines] == [
+                flag for flag, *_ in cli.COMMANDS[command][1]]
+
+    def test_command_loads_no_argparse(self):
+        # Parsing no longer imports argparse, nor gettext through it.
+        code = ("import sys; from brwmom import cli; "
+                "cli.main(['mom', '--k', '2', '--n', '3', '--beta', '1']); "
+                "print(sorted({'argparse', 'gettext'} & set(sys.modules)), "
+                "file=sys.stderr)")
+        cp = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True)
+        assert cp.returncode == 0 and cp.stderr == "[]\n", cp.stderr
+
+
+def test_fraction_str_under_least_int_digit_limit():
+    # Python lets the str(int) limit go down to 640 digits; ints of
+    # DECIMAL_LEAF_BITS bits print with str() within it, larger ones
+    # through Decimal.
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        pytest.skip("no int-to-str digit limit before Python 3.11")
+    limit = sys.get_int_max_str_digits()
+    set_limit(640)
+    try:
+        for bits in (cli.DECIMAL_LEAF_BITS, 2200, 4096, 10_000):
+            n = (1 << bits) - 1
+            assert cli._fraction_str(Fraction(1, n)) == f"1/{Decimal(n)}"
+    finally:
+        set_limit(limit)
 
 
 class TestSharedParser:
     ARGV = ["mom", "--k", "2", "--n", "4", "--beta", "0.3"]
-
-    def test_built_once_per_process(self, monkeypatch, capsys):
-        assert cli.main(self.ARGV) == 0
-
-        def refuse():
-            raise AssertionError("parser rebuilt")
-
-        monkeypatch.setattr(cli, "build_parser", refuse)
-        assert cli.main(self.ARGV) == 0
-        capsys.readouterr()
 
     def test_precision_env_read_per_call(self, monkeypatch, capsys):
         def bits():

@@ -243,6 +243,12 @@ class TestFactoredRing:
     (lambda: GenPoly() == "1", False),
     (lambda: Radical(2, [1]) * "1", TypeError),
     (lambda: RatFun.one() + Fraction(1, 2), rf([Fraction(3, 2)])),
+    (lambda: RatFun.one() == 1, True),
+    (lambda: Fraction(1, 2) == rf([1], [2]), True),
+    (lambda: {Fraction(3, 2): "c"}[rf([3], [2])], "c"),
+    (lambda: {RatFun(()): "z"}[0], "z"),
+    (lambda: 1 + RatFun.one(), rf([2])),
+    (lambda: 1 - rf([0, 1]), rf([1, -1])),
     (lambda: RatFun.one() + 0.5, TypeError),
     (lambda: GenPoly() * RatFun.one(), TypeError),
     (lambda: _pdivmod((Fraction(1),), ()), ZeroDivisionError),
@@ -250,7 +256,8 @@ class TestFactoredRing:
     (lambda: CTX.one / CTX.zero, ZeroDivisionError),
 ], ids=["GenPoly-repr-zero", "GenPoly-repr", "Radical-eq", "RatFun-eq",
         "Factored-eq", "GenPoly-eq", "Radical-mul", "RatFun-lift",
-        "RatFun-lift-float", "GenPoly-mul", "pdivmod-zero", "RatFun-div-zero",
+        "RatFun-eq-int", "RatFun-eq-Fraction", "RatFun-hash-Fraction",
+        "RatFun-hash-zero", "RatFun-radd", "RatFun-rsub", "RatFun-lift-float", "GenPoly-mul", "pdivmod-zero", "RatFun-div-zero",
         "Factored-div-zero"])
 def test_operands_off_the_routes(call, expected):
     # A rational operand lifts, a non-number one compares unequal or raises

@@ -11,7 +11,10 @@ lines it runs in ``src/brwmom/*.py`` and writes them to a JSON file of
 its own at exit.  ``--routes`` runs, in one traced process, every variant
 of the benchmark's workloads (``perfbench/workloads.all_variants``, read
 and not changed): ``cli.main`` for a command, ``rmt.unitary_mom_k1`` and
-``cli.encode_value`` for an ``rmt`` job.
+``cli.encode_value`` for an ``rmt`` job.  Then, through ``cli.main``, the
+``brwmom`` examples of README.md (``--out`` into a temporary directory),
+each ``verify`` suite, ``--help``, and ``ERRORS``: one command line per
+parser error and per error exit of a handler.
 
 Either mode merges the files and prints one JSON record to stdout: the
 number of executable statement lines, how many never ran, and those
@@ -83,11 +86,47 @@ sys.settrace(_call)
 '''
 
 
+# One command line per error of cli.parse_args and per error exit of a
+# handler (exit codes 2 to 5).
+MOM = ["mom", "--k", "1", "--n", "1", "--beta", "1"]
+ERRORS = [
+    [], ["x"], ["-hx"], ["--foo", *MOM], ["mom", "--b", "1"], ["mom", "--k"],
+    MOM + ["--ring", "x"], MOM + ["--k", "0"], MOM + ["--n", "x"],
+    MOM + ["--beta-sq-rational", "1/2"],
+    ["mom", "--k", "1"], ["mom", "--k", "1", "--n", "1"],
+    ["mc", "--k", "1", "--n", "1", "--beta", "0.3", "--force=x"],
+    MOM + ["--", "x"],
+    ["sweep", "--k", "2", "--beta-min", "1", "--beta-max", "0", "--steps",
+     "3"],
+    ["verify", "--suite", "mc", "--budget", "1"],
+    ["mom", "--k", "1", "--n", "1", "--beta", "0.3", "--ring", "rational"],
+    ["sweep", "--k", "2", "--beta-min", "0", "--beta-max", "1", "--steps",
+     "2", "--out", str(ROOT / "no-such-dir" / "x.csv")],
+    ["mc", "--k", "3", "--n", "2", "--beta", "0.8", "--trials", "2"],
+]
+
+
+def readme_examples(out_dir: str) -> list:
+    """The ``brwmom`` command lines of README.md, ``--out`` moved into
+    ``out_dir``."""
+    import shlex
+    argvs = []
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("brwmom "):
+            argv = shlex.split(line, comments=True)[1:]
+            if "--out" in argv:
+                at = argv.index("--out") + 1
+                argv[at] = os.path.join(out_dir, os.path.basename(argv[at]))
+            argvs.append(argv)
+    return argvs
+
+
 def run_routes() -> None:
-    """Run every benchmark variant once, its stdout discarded."""
+    """Run every benchmark variant once, then the README examples, the
+    verify suites, help and ERRORS; stdout and stderr are discarded."""
     import importlib.util
     import io
-    from contextlib import redirect_stdout
+    from contextlib import redirect_stderr, redirect_stdout
 
     from brwmom import cli, rmt
     spec = importlib.util.spec_from_file_location(
@@ -102,6 +141,19 @@ def run_routes() -> None:
                         rmt.unitary_mom_k1(job["N"], float(job["beta"])), 256)
                 else:
                     cli.main(job)
+    suites = [["verify", "--suite", "oracle", "--budget", "8"],
+              ["verify", "--suite", "mc", "--budget", "200"],
+              ["verify", "--suite", "closedform"],
+              ["verify", "--suite", "rmt", "--budget", "20"]]
+    with tempfile.TemporaryDirectory() as out_dir:
+        for argv in (readme_examples(out_dir) + suites + [["--help"]]
+                     + ERRORS):
+            try:
+                with redirect_stdout(io.StringIO()), \
+                        redirect_stderr(io.StringIO()):
+                    cli.main(argv)
+            except SystemExit:
+                pass
 
 
 def statement_lines(path: Path) -> dict:
