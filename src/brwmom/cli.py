@@ -45,6 +45,8 @@ EXIT_HEAVY_TAIL = 5
 # doubles per edge and doubles per level: 34 MiB at n = 21 (tracemalloc),
 # so ~545 MiB at 25 and over 1 GiB at 26.
 MC_MAX_DEPTH = 25
+# Most trials: estimate_mom keeps 32 B each (tracemalloc at n = 0, 4, 8).
+MC_MAX_TRIALS = 2 ** 24
 
 # Largest |beta| of an exact beta^2.  The exact rings build
 # 2^(p*beta^2 + q): at beta = 256 a fresh command takes 0.2-0.4 s at
@@ -90,6 +92,8 @@ _beta = _checked(_float_beta,
                  lambda v: not v.is_integer() or abs(v) <= MAX_EXACT_BETA,
                  f"at most {MAX_EXACT_BETA} in magnitude when integral "
                  "(an integral beta is exact)")
+_trials = _checked(_int_in(1), lambda v: v <= MC_MAX_TRIALS,
+                   f"at most {MC_MAX_TRIALS} (32 B of memory per trial)")
 _beta_sq_rational = _checked(lambda t: Fraction(*map(int, t.split("/"))),
                              lambda v: 0 <= v <= MAX_EXACT_BETA ** 2,
                              f"a rational p/m in 0..{MAX_EXACT_BETA ** 2}")
@@ -397,12 +401,13 @@ def _verify_rmt(n_max: int, precision: int) -> list:
 
 
 def cmd_verify(args) -> int:
-    if args.suite == "mc" and args.budget is not None and args.budget < 2:
-        # One trial has no standard error to measure a z-score against.
-        print("error: --budget of --suite mc is a trial count and must be "
-              f">= 2, got {args.budget}", file=sys.stderr)
-        return 2
     budget = args.budget or 0
+    if args.suite == "mc" and not 2 <= (budget or 2) <= MC_MAX_TRIALS:
+        # One trial has no standard error; the cap is mc's --trials cap.
+        bound = ">= 2" if budget < 2 else f"at most {MC_MAX_TRIALS}"
+        print("error: --budget of --suite mc is a trial count and must be "
+              f"{bound}, got {budget}", file=sys.stderr)
+        return 2
     suites = {
         "oracle": lambda: _verify_oracle(budget, args.precision),
         "mc": lambda: _verify_mc(budget or 20000, args.precision),
@@ -447,7 +452,7 @@ COMMANDS = {
            "k*beta^2 > 1 unless --force", (
         _K, ("--n", _int_in(0, MC_MAX_DEPTH, " (a deeper trial needs over "
                             "1 GiB)"), ...), ("--beta", _beta, ...),
-        ("--trials", _int_in(1), 10000),
+        ("--trials", _trials, 10000),
         ("--seed", _int_in(0, 2 ** 64 - 1), 0), ("--force", None, False),
         _PRECISION)),
 }

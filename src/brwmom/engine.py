@@ -174,7 +174,9 @@ def mom_symbolic(k: int) -> "GenPoly":
     of lower orders has a step's power of t, so no coefficient has a
     power of n, and the critical denominators remain as poles.  It is
     solved with factored denominators and no gcd per operation, and each
-    coefficient is reduced to a ``RatFun`` once."""
+    coefficient is reduced to a ``RatFun`` once, core by core: one gcd of
+    its numerator with each core's power, none with the whole
+    denominator."""
     from .symbolic import GenPoly, SymbolicContext
     if k < 1:
         raise ValueError("moment order must be positive")

@@ -11,13 +11,15 @@ rational-function coefficients and represents a finite sum
 ``engine.mom_symbolic`` solves the moment recursion for generic beta.
 Its elements keep denominators factored, num / (t^v * prod of core^m):
 every divisor of the closed form is a binomial 2^q t^p - 2^q' t^p', so
-sums and products take no gcd, and ``to_ratfun`` reduces each
-coefficient to a ``RatFun`` once, at the end.  ``geometric_sum`` gives a
-geometric series in closed form only, in symbolic n; no route calls it,
-and the tests build their lambda-sum reference from it.  The polynomial
-arithmetic and ``ExpPair`` come from ``rings``; ``_pmonic``, ``_pgcd``
-and ``_peval`` serve this module alone.  No CLI route loads this module:
-``mom_symbolic`` is a library function and the tests' reference.
+sums and products take no gcd.  ``to_ratfun`` reduces each coefficient
+to a ``RatFun`` once, at the end, core by core: one gcd of the numerator
+with each core's power, none with the whole denominator.
+``geometric_sum`` gives a geometric series in closed form only, in
+symbolic n; no route calls it, and the tests build their lambda-sum
+reference from it.  The polynomial arithmetic and ``ExpPair`` come from
+``rings``; ``_pmonic``, ``_pgcd`` and ``_peval`` serve this module
+alone.  No CLI route loads this module: ``mom_symbolic`` is a library
+function and the tests' reference.
 """
 
 from __future__ import annotations
@@ -176,19 +178,6 @@ def _times_cores(num: Coeffs, cores: dict) -> Coeffs:
     return num
 
 
-def _cancel(num: Coeffs, core: Coeffs):
-    """num / core if core divides num, else None.  A binomial core
-    t^d + c folds in O(len(num)); any other core takes ``_pdivmod``."""
-    d, c = len(core) - 1, core[0]
-    if any(core[1:d]):
-        q, r = _pdivmod(num, core)
-        return None if r else q
-    w = list(num)
-    for i in range(len(w) - 1, d - 1, -1):
-        w[i - d] -= c * w[i]  # w[i] is now the quotient's t^(i-d) term
-    return None if any(w[:d]) else tuple(w[d:])
-
-
 class _Factored:
     """num / (t^v * prod of core^m): ``num`` has a non-zero constant term
     (its leading zeros move into v) and each core is monic with a non-zero
@@ -199,7 +188,7 @@ class _Factored:
     def __init__(self, num, v: int = 0, cores: dict | None = None) -> None:
         num = _trim(num)
         z = next((i for i, c in enumerate(num) if c), 0)
-        self.num, self.v = num[z:], v - z
+        self.num, self.v = num[z:], v - z if num else 0
         self.cores = (cores or {}) if num else {}
 
     def __bool__(self) -> bool:
@@ -256,16 +245,19 @@ class _Factored:
         return hash(self.to_ratfun())
 
     def to_ratfun(self) -> RatFun:
-        """Divide each core out of num while it divides; RatFun's one gcd
-        takes what cores share, as t^16 - 4 = (t^8 - 2)(t^8 + 2) does."""
+        """One gcd of num with each core's power, divided out of both,
+        leaves num prime to each reduced power and so to their monic
+        product (and, as all have non-zero constant terms, to t^v):
+        RatFun's normal form, built with no further gcd."""
         num, den = self.num, (Fraction(1),)
         for core, m in self.cores.items():
-            while m and (q := _cancel(num, core)) is not None:
-                num, m = q, m - 1
-            den = _times_cores(den, {core: m})
-        pad = (Fraction(0),) * abs(self.v)
-        return (RatFun(pad + num, den) if self.v < 0
-                else RatFun(num, pad + den))
+            power = _times_cores((Fraction(1),), {core: m})
+            if len(g := _pgcd(num, power)) > 1:
+                num, power = _pdivmod(num, g)[0], _pdivmod(power, g)[0]
+            den = _pmul(den, power)
+        pad, out = (Fraction(0),) * abs(self.v), RatFun.__new__(RatFun)
+        out.num, out.den = (pad + num, den) if self.v < 0 else (num, pad + den)
+        return out
 
 
 def _factored(value) -> _Factored:

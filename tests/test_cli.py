@@ -121,7 +121,7 @@ class TestMomCommand:
 
     def test_invalid_flags_exit_code(self):
         # Each message is the one argparse gave before the flag table
-        # replaced it.
+        # replaced it, but for the two trial caps, which came after it.
         asym = ("asym", "--k", "2", "--beta", "1")
         finite = "must be a finite number with a finite square, got"
         precision = ("argument --precision: must be an integer >= 64 bits "
@@ -151,6 +151,13 @@ class TestMomCommand:
             (("verify", "--suite", "mc", "--budget", "1"), None,
              "--budget of --suite mc is a trial count and must be >= 2, "
              "got 1"),
+            # Past 2^24 trials, which keep 512 MiB; no trial runs.
+            (("mc", "--k", "1", "--n", "0", "--beta", "0.3", "--trials",
+              "16777217"), None, "argument --trials: must be at most "
+             "16777216 (32 B of memory per trial), got '16777217'"),
+            (("verify", "--suite", "mc", "--budget", "16777217"), None,
+             "--budget of --suite mc is a trial count and must be at most "
+             "16777216, got 16777217"),
             (asym, {"BRWMOM_PRECISION": "32"}, f"{precision} '32'"),
             (asym, {"BRWMOM_PRECISION": "abc"}, f"{precision} 'abc'"),
             (("asym", "--k", "3", "--beta", "nan"), None,
@@ -295,6 +302,24 @@ class TestMomCommand:
         args = cli.parse_args(
             ["mc", "--k", "1", "--n", str(cli.MC_MAX_DEPTH), "--beta", "0.3"])
         assert args.n == cli.MC_MAX_DEPTH
+
+    def test_mc_trials_cap_is_inclusive(self):
+        # Parsed only: 2^24 trials keep 512 MiB at 32 B each.
+        assert cli.MC_MAX_TRIALS == 2 ** 24
+        args = cli.parse_args(["mc", "--k", "1", "--n", "0", "--beta", "0.3",
+                               "--trials", str(cli.MC_MAX_TRIALS)])
+        assert args.trials == cli.MC_MAX_TRIALS
+
+    def test_verify_mc_budget_cap_is_inclusive(self, monkeypatch, capsys):
+        # The suite is replaced by a recorder, so no trial runs.
+        budgets = []
+        monkeypatch.setattr(cli, "_verify_mc",
+                            lambda trials, precision: budgets.append(trials)
+                            or [])
+        assert cli.main(["verify", "--suite", "mc", "--budget",
+                         str(cli.MC_MAX_TRIALS)]) == 0
+        assert budgets == [cli.MC_MAX_TRIALS]
+        capsys.readouterr()
 
     def test_rational_beyond_int_digit_limit(self, capsys):
         # 2^16000 has 4817 digits, more than str(int) allows by default

@@ -2,14 +2,14 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
 from brwmom import (DegenerateExponent, ExpPair, GenPoly, Radical, RatFun,
                     geometric_sum)
-from brwmom.engine import evaluate_genpoly
-from brwmom.rings import _pdivmod
+from brwmom.engine import _closed_forms, evaluate_genpoly
+from brwmom.rings import _pdivmod, _pmul
 from brwmom.symbolic import SymbolicContext
 
 
@@ -162,9 +162,23 @@ def run_both(start, ops):
     return f, r
 
 
+def whole_gcd(f):
+    """f as RatFun's one gcd against the whole denominator reduces it."""
+    den = (Fraction(1),)
+    for core, m in f.cores.items():
+        for _ in range(m):
+            den = _pmul(den, core)
+    pad = (Fraction(0),) * abs(f.v)
+    return RatFun(pad + f.num, den) if f.v < 0 else RatFun(f.num, pad + den)
+
+
 class TestFactoredRing:
     @given(monomials, steps)
     @settings(max_examples=150, deadline=None)
+    # (t^8 - 2)^2 / (t^16 - 4)^2 = 1 / (t^8 + 2)^2: the gcd with the core
+    # alone leaves a t^8 - 2 on both sides.
+    @example((1, 0, 0), [("*", binomial, (8, 0, 0, 1))] * 2
+             + [("/", binomial, (16, 0, 0, 2))] * 2)
     def test_reduced_equals_ratfun(self, start, ops):
         f, r = run_both(start, ops)
         assert f.to_ratfun() == r
@@ -199,6 +213,14 @@ class TestFactoredRing:
         for x in (q * CTX.one, f * q / f if f else q * CTX.one):
             assert x == q and hash(x) == hash(q)
             assert x in {q} and q in {x}
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_closed_form_reduces_as_the_whole_gcd(self, k):
+        forms = _closed_forms(k, SymbolicContext())
+        for _, coeffs in forms[k].values():
+            for c in coeffs:
+                reduced, oracle = c.to_ratfun(), whole_gcd(c)
+                assert reduced == oracle and repr(reduced) == repr(oracle)
 
     def test_shared_factor_cancels_in_the_reduction(self):
         core, _ = binomial(8, 0, 0, 1)
