@@ -45,7 +45,7 @@ EXIT_HEAVY_TAIL = 5
 # doubles per edge and doubles per level: 34 MiB at n = 21 (tracemalloc),
 # so ~545 MiB at 25 and over 1 GiB at 26.
 MC_MAX_DEPTH = 25
-# Most trials: estimate_mom keeps 32 B each (tracemalloc at n = 0, 4, 8).
+# Most trials: estimate_mom keeps 16 B each (tracemalloc), 256 MiB in all.
 MC_MAX_TRIALS = 2 ** 24
 
 # Largest |beta| of an exact beta^2.  The exact rings build
@@ -93,7 +93,7 @@ _beta = _checked(_float_beta,
                  f"at most {MAX_EXACT_BETA} in magnitude when integral "
                  "(an integral beta is exact)")
 _trials = _checked(_int_in(1), lambda v: v <= MC_MAX_TRIALS,
-                   f"at most {MC_MAX_TRIALS} (32 B of memory per trial)")
+                   f"at most {MC_MAX_TRIALS} (16 B of memory per trial)")
 _beta_sq_rational = _checked(lambda t: Fraction(*map(int, t.split("/"))),
                              lambda v: 0 <= v <= MAX_EXACT_BETA ** 2,
                              f"a rational p/m in 0..{MAX_EXACT_BETA ** 2}")
@@ -252,8 +252,7 @@ def cmd_asym(args) -> int:
 
 def cmd_sweep(args) -> int:
     if not args.beta_min < args.beta_max:
-        print("error: need beta-min < beta-max", file=sys.stderr)
-        return 2
+        return _error(2, "need beta-min < beta-max")
     import mpmath
 
     from . import asymptotics
@@ -273,37 +272,44 @@ def cmd_sweep(args) -> int:
             with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_UNWRITABLE
+            return _error(EXIT_UNWRITABLE, f"cannot write {args.out}: {exc}")
     else:
         sys.stdout.write(text)
     return 0
 
 
-def cmd_mc(args) -> int:
-    beta_sq, _ = parse_beta_args(args)
-    if args.k * beta_sq > 1 and not args.force:
-        print("error: k*beta^2 > 1; the estimator is heavy-tailed "
-              "(pass --force to run anyway)", file=sys.stderr)
-        return EXIT_HEAVY_TAIL
+def _mc_compare(k: int, n: int, beta: float, beta_sq, trials: int,
+                seed: int, precision: int) -> tuple:
+    """One Monte Carlo estimate of E[Z_n^k] against ``engine.mom_dp``:
+    (estimate, exact value, that value as a double, z-score)."""
     import mpmath
 
     from . import montecarlo
     # Z depends on beta only through beta^2 in law, but a trial's draws
     # are scaled by 2*beta: simulate one sign so that both agree.
-    config = montecarlo.SimConfig(n=args.n, beta=abs(args.beta),
-                                  trials=args.trials, seed=args.seed)
-    est = montecarlo.estimate_mom(config, args.k)
-    exact = engine.mom_dp(args.k, args.n, beta_sq, precision=args.precision)
+    config = montecarlo.SimConfig(n=n, beta=abs(beta), trials=trials,
+                                  seed=seed)
+    est = montecarlo.estimate_mom(config, k)
+    exact = engine.mom_dp(k, n, beta_sq, precision=precision)
     # In mpf at a double's 53 bits: each step rounds as double arithmetic
     # would, so a z-score within the double range is that double, but an
     # exact value beyond the range does not overflow to inf.
     with mpmath.workprec(53):
-        exact_53 = +to_mpf(exact, args.precision)
+        exact_53 = +to_mpf(exact, precision)
         if est.stderr == 0:
             z = 0.0 if est.mean == exact_53 else math.inf
         else:
             z = float((est.mean - exact_53) / est.stderr)
+    return est, exact, float(exact_53), z
+
+
+def cmd_mc(args) -> int:
+    beta_sq, _ = parse_beta_args(args)
+    if args.k * beta_sq > 1 and not args.force:
+        return _error(EXIT_HEAVY_TAIL, "k*beta^2 > 1; the estimator is "
+                      "heavy-tailed (pass --force to run anyway)")
+    est, exact, _, z = _mc_compare(args.k, args.n, args.beta, beta_sq,
+                                   args.trials, args.seed, args.precision)
     params = {"k": args.k, "n": args.n, "beta": args.beta,
               "trials": args.trials, "seed": args.seed,
               "precision": args.precision}
@@ -351,17 +357,13 @@ def _verify_oracle(budget: int, precision: int) -> list:
 
 
 def _verify_mc(trials: int, precision: int) -> list:
-    from . import montecarlo
     checks = []
     for k, n, beta in ((1, 6, 0.3), (2, 6, 0.3)):
-        config = montecarlo.SimConfig(n=n, beta=beta, trials=trials, seed=42)
-        est = montecarlo.estimate_mom(config, k)
-        exact = float(to_mpf(engine.mom_dp(k, n, beta * beta,
-                                           precision=precision), precision))
-        z = abs(est.mean - exact) / est.stderr
+        est, _, exact, z = _mc_compare(k, n, beta, beta * beta, trials, 42,
+                                       precision)
         checks.append({"name": f"mc z-score k={k} n={n} beta={beta}",
                        "lhs": repr(est.mean), "rhs": repr(exact),
-                       "tolerance": "3 sigma", "pass": bool(z <= 3.0)})
+                       "tolerance": "3 sigma", "pass": abs(z) <= 3.0})
     return checks
 
 
@@ -392,7 +394,7 @@ def _verify_rmt(n_max: int, precision: int) -> list:
     checks.append({"name": f"telescoping N<={n_max}", "lhs": "N+1",
                    "rhs": "product", "tolerance": 0, "pass": bool(ok)})
     for beta in (1, 2, 3, 4):
-        for N in (1, 10, 50):
+        for N in [N for N in (1, 10, 50) if N <= n_max]:
             lhs = rmt.unitary_mom_k1(N, beta, precision)
             rhs = to_mpf(rmt.unitary_mom_k1_integer(N, beta), precision)
             checks.append(_check(f"gamma=integer N={N} beta={beta}",
@@ -405,9 +407,8 @@ def cmd_verify(args) -> int:
     if args.suite == "mc" and not 2 <= (budget or 2) <= MC_MAX_TRIALS:
         # One trial has no standard error; the cap is mc's --trials cap.
         bound = ">= 2" if budget < 2 else f"at most {MC_MAX_TRIALS}"
-        print("error: --budget of --suite mc is a trial count and must be "
-              f"{bound}, got {budget}", file=sys.stderr)
-        return 2
+        return _error(2, "--budget of --suite mc is a trial count and must "
+                      f"be {bound}, got {budget}")
     suites = {
         "oracle": lambda: _verify_oracle(budget, args.precision),
         "mc": lambda: _verify_mc(budget or 20000, args.precision),
@@ -462,9 +463,14 @@ _OPTIONS = {name: {**_TOP, **{flag[0]: flag for flag in flags}}
             for name, (_, flags) in COMMANDS.items()}
 
 
-def _fail(message: str):
+def _error(code: int, message: str) -> int:
+    """Writes a failed command's one ``error:`` line; returns ``code``."""
     sys.stderr.write(f"error: {message}\n")
-    raise SystemExit(2)
+    return code
+
+
+def _fail(message: str):
+    raise SystemExit(_error(2, message))
 
 
 def _classify(options: dict, token: str):
@@ -588,8 +594,7 @@ def main(argv=None) -> int:
         # Looked up per call, so a cmd_* replaced after import is the one run.
         return globals()[f"cmd_{args.command}"](args)
     except RingMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RING_MISMATCH
+        return _error(EXIT_RING_MISMATCH, str(exc))
 
 
 def run() -> int:

@@ -143,14 +143,15 @@ def log_partition_function(config: SimConfig, trial_index: int) -> float:
 def _stderr(samples: np.ndarray) -> float:
     """Standard error of the sample mean, 0 for a single sample.
 
-    The samples are scaled by a power of two that brings the largest
-    below 1 before np.std squares the deviations, so finite samples give
-    a finite error; the scaling is exact, so otherwise nothing changes.
+    The samples are scaled, overwritten, by a power of two that brings
+    the largest below 1 before np.std squares the deviations, so finite
+    samples give a finite error; the scaling is exact, so otherwise
+    nothing changes.
     """
     if len(samples) < 2:
         return 0.0
     _, e = math.frexp(float(np.max(samples)))
-    spread = float(np.std(np.ldexp(samples, -e), ddof=1))
+    spread = float(np.std(np.ldexp(samples, -e, out=samples), ddof=1))
     return math.ldexp(spread, e) / math.sqrt(len(samples))
 
 
@@ -160,6 +161,9 @@ def estimate_mom(config: SimConfig, k: int) -> MomentEstimate:
     When k^2 * beta^2 exceeds HEAVY_TAIL_THRESHOLD the estimator variance
     is dominated by rare leaves and the reported error bar is unreliable;
     the estimate is still returned but flagged heavy_tail.
+
+    Memory: 16 B per trial, as Z^k is formed in the array of log Z and
+    _stderr scales it in place (two such arrays are alive at once).
     """
     if k < 1:
         raise ValueError("moment order must be positive")
@@ -169,7 +173,8 @@ def estimate_mom(config: SimConfig, k: int) -> MomentEstimate:
         _log_partition(config, range(start, min(start + block,
                                                 config.trials)))
         for start in range(0, config.trials, block)])
-    samples = np.exp(k * logz)
+    logz *= k
+    samples = np.exp(logz, out=logz)
     mean = float(np.mean(samples))
     stderr = _stderr(samples)
     heavy = k * k * (config.beta * config.beta) > HEAVY_TAIL_THRESHOLD

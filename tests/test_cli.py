@@ -151,10 +151,10 @@ class TestMomCommand:
             (("verify", "--suite", "mc", "--budget", "1"), None,
              "--budget of --suite mc is a trial count and must be >= 2, "
              "got 1"),
-            # Past 2^24 trials, which keep 512 MiB; no trial runs.
+            # Past 2^24 trials, which keep 256 MiB; no trial runs.
             (("mc", "--k", "1", "--n", "0", "--beta", "0.3", "--trials",
               "16777217"), None, "argument --trials: must be at most "
-             "16777216 (32 B of memory per trial), got '16777217'"),
+             "16777216 (16 B of memory per trial), got '16777217'"),
             (("verify", "--suite", "mc", "--budget", "16777217"), None,
              "--budget of --suite mc is a trial count and must be at most "
              "16777216, got 16777217"),
@@ -304,7 +304,7 @@ class TestMomCommand:
         assert args.n == cli.MC_MAX_DEPTH
 
     def test_mc_trials_cap_is_inclusive(self):
-        # Parsed only: 2^24 trials keep 512 MiB at 32 B each.
+        # Parsed only: 2^24 trials keep 256 MiB at 16 B each.
         assert cli.MC_MAX_TRIALS == 2 ** 24
         args = cli.parse_args(["mc", "--k", "1", "--n", "0", "--beta", "0.3",
                                "--trials", str(cli.MC_MAX_TRIALS)])
@@ -744,6 +744,14 @@ class TestVerifyCommand:
         cp = run_cli("verify", "--suite", "rmt", "--budget", "2000")
         assert cp.returncode == 0, cp.stdout
 
+    def test_rmt_budget_bounds_every_matrix_size(self, capsys):
+        assert cli.main(["verify", "--suite", "rmt", "--budget", "5"]) == 0
+        checks = json.loads(capsys.readouterr().out)["result"]["checks"]
+        sizes = [int(re.search(r" N<?=(\d+)", c["name"]).group(1))
+                 for c in checks]
+        # The telescoping check and the gamma checks at N = 1.
+        assert len(sizes) == 5 and max(sizes) == 5, sizes
+
     def test_small_budget_used_as_given(self):
         rec = record(run_cli("verify", "--suite", "rmt", "--budget", "50"))
         assert rec["parameters"]["budget"] == 50
@@ -752,3 +760,20 @@ class TestVerifyCommand:
     def test_mc_suite(self):
         cp = run_cli("verify", "--suite", "mc", "--budget", "4000")
         assert cp.returncode == 0, cp.stdout
+
+    @pytest.mark.parametrize("trials, passes", [(2, [True, False]),
+                                                (200, [True, True])])
+    def test_mc_suite_reads_mc(self, trials, passes, capsys):
+        # Each check is the mc run at its (k, n, beta) and seed 42; at 2
+        # trials the k = 2 estimate lies 4.6 standard errors off.
+        code = cli.main(["verify", "--suite", "mc", "--budget", str(trials)])
+        checks = json.loads(capsys.readouterr().out)["result"]["checks"]
+        assert code == (0 if all(passes) else cli.EXIT_VERIFY_FAILED)
+        assert [c["pass"] for c in checks] == passes
+        for k, check in zip((1, 2), checks):
+            assert cli.main(["mc", "--k", str(k), "--n", "6", "--beta", "0.3",
+                             "--trials", str(trials), "--seed", "42"]) == 0
+            mc = json.loads(capsys.readouterr().out)["result"]
+            assert check["lhs"] == repr(mc["estimate"])
+            assert check["rhs"] == repr(float(mc["exact"]["value"]))
+            assert check["pass"] == (abs(mc["z_score"]) <= 3)

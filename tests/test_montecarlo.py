@@ -32,6 +32,29 @@ def per_trial_log_partition(config, trial_index):
     return float(logsumexp(2.0 * config.beta * sums) - math.log(2.0 ** n))
 
 
+def per_trial_log_partitions(config, trials):
+    """per_trial_log_partition of trials 0 .. trials - 1 over a matrix of
+    trials: each row from a fresh stream of its own, then one inverse CDF,
+    one tree and one logsumexp for all rows."""
+    n = config.n
+    if n == 0:
+        return np.zeros(trials)
+    u = np.empty((trials, 2 ** (n + 1) - 2))
+    for t, row in enumerate(u):
+        key = np.array([config.seed, t], dtype=np.uint64)
+        np.random.Generator(np.random.Philox(key=key)).random(out=row)
+    draws = ndtri(u + 2.0 ** -54) * math.sqrt(0.5 * math.log(2.0))
+    sums = np.zeros((trials, 1))
+    offset = 0
+    for level in range(1, n + 1):
+        width = 2 ** level
+        sums = (np.repeat(sums, 2, axis=1)
+                + draws[:, offset:offset + width])
+        offset += width
+    return (logsumexp(2.0 * config.beta * sums, axis=1)
+            - math.log(2.0 ** n))
+
+
 def per_trial_estimate(logz, k):
     """(mean, stderr) as the per-trial loop computed them from the
     trials' log Z."""
@@ -162,8 +185,9 @@ class TestBlocking:
     """Blocking trials may not change a bit of any trial's log Z, nor of
     the estimate."""
 
-    # At n = 1 and 2 a block holds 65536 and 21845 trials, and the
-    # per-trial reference takes ~0.15 ms a trial.
+    # At n = 1 and 2 a block holds 65536 and 21845 trials; the reference
+    # is computed over all trials at once, and checked against the
+    # per-trial one on every 13th trial, and on every trial from n = 7.
     @pytest.mark.parametrize("n", [0, pytest.param(1, marks=pytest.mark.slow),
                                    pytest.param(2, marks=pytest.mark.slow),
                                    7, 12, 16])
@@ -181,7 +205,9 @@ class TestBlocking:
         block = trials_per_block(n)
         most = 2 * block + 3
         cfg = SimConfig(n=n, beta=beta, trials=most, seed=seed)
-        ref = [per_trial_log_partition(cfg, t) for t in range(most)]
+        ref = per_trial_log_partitions(cfg, most).tolist()
+        for t in range(0, most, 1 if n >= 7 else 13):
+            assert ref[t] == per_trial_log_partition(cfg, t), t
         # Every trial at a block edge, and a spread of the others.
         edges = {t for start in range(0, most, block)
                  for t in (start, start + 1, start + block - 1)}
@@ -245,6 +271,19 @@ class TestBlocking:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * 8 * (2 ** (n + 1) - 2), peak
+
+    def test_memory_per_trial(self):
+        # Z^k is formed in the array of log Z and scaled in place for
+        # np.std, so two arrays of the trial count are alive at most.
+        config = SimConfig(n=0, beta=0.3, trials=10 ** 5, seed=1)
+        estimate_mom(config, 2)  # warm-up: first-call allocations
+        tracemalloc.start()
+        try:
+            estimate_mom(config, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 17 * config.trials, peak / config.trials
 
     def test_memory_per_block_bounded(self):
         def peak(trials):

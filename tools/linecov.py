@@ -13,7 +13,8 @@ of the benchmark's workloads (``perfbench/workloads.all_variants``, read
 and not changed): ``cli.main`` for a command, ``rmt.unitary_mom_k1`` and
 ``cli.encode_value`` for an ``rmt`` job.  Then, through ``cli.main``, the
 ``brwmom`` examples of README.md (``--out`` into a temporary directory),
-each ``verify`` suite, ``--help``, and ``ERRORS``: one command line per
+each ``verify`` suite, ``BRANCHES`` (command lines that reach branches no
+benchmark job reaches), ``--help``, and ``ERRORS``: one command line per
 parser error and per error exit of a handler.
 
 Either mode merges the files and prints one JSON record to stdout: the
@@ -106,6 +107,22 @@ ERRORS = [
 ]
 
 
+SUITES = [["verify", "--suite", "oracle", "--budget", "8"],
+          ["verify", "--suite", "mc", "--budget", "200"],
+          ["verify", "--suite", "closedform"],
+          ["verify", "--suite", "rmt", "--budget", "20"]]
+# Command lines that reach branches no benchmark job reaches: k = 1 in
+# asym, a Fraction beta^2 that is an integer, mc at depth 0 and with one
+# trial.
+BRANCHES = [
+    ["asym", "--k", "1", "--beta", "0.5"],
+    ["asym", "--k", "1", "--beta-sq-rational", "1/2"],
+    ["mom", "--k", "2", "--n", "1", "--beta-sq-rational", "4"],
+    ["mc", "--k", "1", "--n", "0", "--beta", "0.3", "--trials", "2"],
+    ["mc", "--k", "1", "--n", "1", "--beta", "0.3", "--trials", "1"],
+]
+
+
 def readme_examples(out_dir: str) -> list:
     """The ``brwmom`` command lines of README.md, ``--out`` moved into
     ``out_dir``."""
@@ -123,7 +140,8 @@ def readme_examples(out_dir: str) -> list:
 
 def run_routes() -> None:
     """Run every benchmark variant once, then the README examples, the
-    verify suites, help and ERRORS; stdout and stderr are discarded."""
+    verify suites, BRANCHES, help and ERRORS; stdout and stderr are
+    discarded."""
     import importlib.util
     import io
     from contextlib import redirect_stderr, redirect_stdout
@@ -141,13 +159,9 @@ def run_routes() -> None:
                         rmt.unitary_mom_k1(job["N"], float(job["beta"])), 256)
                 else:
                     cli.main(job)
-    suites = [["verify", "--suite", "oracle", "--budget", "8"],
-              ["verify", "--suite", "mc", "--budget", "200"],
-              ["verify", "--suite", "closedform"],
-              ["verify", "--suite", "rmt", "--budget", "20"]]
     with tempfile.TemporaryDirectory() as out_dir:
-        for argv in (readme_examples(out_dir) + suites + [["--help"]]
-                     + ERRORS):
+        for argv in (readme_examples(out_dir) + SUITES + BRANCHES
+                     + [["--help"]] + ERRORS):
             try:
                 with redirect_stdout(io.StringIO()), \
                         redirect_stderr(io.StringIO()):
