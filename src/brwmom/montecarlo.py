@@ -143,7 +143,7 @@ def log_partition_function(config: SimConfig, trial_index: int) -> float:
 def _stderr(samples: np.ndarray) -> float:
     """Standard error of the sample mean, 0 for a single sample.
 
-    The samples are scaled, overwritten, by a power of two that brings
+    The samples are overwritten, scaled by a power of two that brings
     the largest below 1 before np.std squares the deviations, so finite
     samples give a finite error; the scaling is exact, so otherwise
     nothing changes.

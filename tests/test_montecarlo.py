@@ -48,11 +48,9 @@ def per_trial_log_partitions(config, trials):
     offset = 0
     for level in range(1, n + 1):
         width = 2 ** level
-        sums = (np.repeat(sums, 2, axis=1)
-                + draws[:, offset:offset + width])
+        sums = np.repeat(sums, 2, axis=1) + draws[:, offset:offset + width]
         offset += width
-    return (logsumexp(2.0 * config.beta * sums, axis=1)
-            - math.log(2.0 ** n))
+    return logsumexp(2.0 * config.beta * sums, axis=1) - math.log(2.0 ** n)
 
 
 def per_trial_estimate(logz, k):

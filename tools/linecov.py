@@ -107,13 +107,9 @@ ERRORS = [
 ]
 
 
-SUITES = [["verify", "--suite", "oracle", "--budget", "8"],
-          ["verify", "--suite", "mc", "--budget", "200"],
-          ["verify", "--suite", "closedform"],
-          ["verify", "--suite", "rmt", "--budget", "20"]]
-# Command lines that reach branches no benchmark job reaches: k = 1 in
-# asym, a Fraction beta^2 that is an integer, mc at depth 0 and with one
-# trial.
+# Command lines that reach branches no benchmark job reaches: asym at
+# k = 1 with a float and an exact beta^2, an integral --beta-sq-rational
+# (RationalContext's Fraction -> int step), mc at depth 0 and at one trial.
 BRANCHES = [
     ["asym", "--k", "1", "--beta", "0.5"],
     ["asym", "--k", "1", "--beta-sq-rational", "1/2"],
@@ -159,8 +155,12 @@ def run_routes() -> None:
                         rmt.unitary_mom_k1(job["N"], float(job["beta"])), 256)
                 else:
                     cli.main(job)
+    suites = [["verify", "--suite", "oracle", "--budget", "8"],
+              ["verify", "--suite", "mc", "--budget", "200"],
+              ["verify", "--suite", "closedform"],
+              ["verify", "--suite", "rmt", "--budget", "20"]]
     with tempfile.TemporaryDirectory() as out_dir:
-        for argv in (readme_examples(out_dir) + SUITES + BRANCHES
+        for argv in (readme_examples(out_dir) + suites + BRANCHES
                      + [["--help"]] + ERRORS):
             try:
                 with redirect_stdout(io.StringIO()), \
