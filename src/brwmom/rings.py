@@ -27,19 +27,21 @@ read x 2^(-e).  Every read is exact.  The table form carries its own
 precision: no table operation reads the ambient mpmath one.
 
 The dense polynomial helpers (coefficient tuples, lowest degree first)
-are the package's one polynomial arithmetic, for ``Radical``,
-``engine._closed_forms`` and the Q(t) layer of ``symbolic``;
-``_pdivmod`` works over Q, the others over any exact ring (Fraction,
-``Radical``, Q(t)).  All values are immutable; operations are pure
-functions.  mpmath is imported by the functions that use it, so
-arithmetic in the exact rings never loads it.
+are the package's one polynomial arithmetic: ``_p*`` over any exact ring,
+``_q*`` on ``QForm`` (nums, den), the normal form of a polynomial over Q:
+int nums over den > 0, gcd(den, *nums) = 1, trimmed.  ``Radical`` stores
+it; the Q(t) layer of ``symbolic`` takes each gcd (the primitive PRS,
+Collins 1967) and exact quotient from it.  All values are immutable;
+operations are pure functions.  mpmath is imported by the functions that
+use it, so exact arithmetic never loads it.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from fractions import Fraction
-from math import gcd
+from functools import partial
+from math import gcd, lcm
 from operator import add, mul
 from typing import NamedTuple, Tuple, Union
 
@@ -48,6 +50,7 @@ MIN_PRECISION = 64
 
 ExactScalar = Union[int, Fraction]
 Coeffs = Tuple[Fraction, ...]
+QForm = Tuple[Tuple[int, ...], int]
 
 
 class RingMismatchError(ValueError):
@@ -99,21 +102,61 @@ def _pmul(a: Coeffs, b: Coeffs) -> Coeffs:
     return _trim(a[-1] - a[-1] if c is None else c for c in out)
 
 
-def _pdivmod(a: Coeffs, b: Coeffs) -> Tuple[Coeffs, Coeffs]:
-    if not b:
+def _fold_mul(x, y, m: int) -> list:
+    """The int convolution of x and y, folded once by x^m = 2 to m slots."""
+    out = [0] * (2 * m - 1)
+    for i, a in enumerate(x):
+        if a:
+            for t, b in enumerate(y, i):
+                out[t] += a * b
+    for d in range(m, 2 * m - 1):
+        out[d - m] += 2 * out[d]
+    return out[:m]
+
+
+def _qnorm(nums, den: int) -> QForm:
+    g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+    return _trim(n // g for n in nums), den // g
+
+
+def _qform(cs) -> QForm:
+    cs = _trim(Fraction(c) for c in cs)
+    den = lcm(*(c.denominator for c in cs))
+    return tuple(c.numerator * (den // c.denominator) for c in cs), den
+
+
+def _qadd(a: QForm, b: QForm, sign: int = 1) -> QForm:
+    (x, dx), (y, dy) = a, b
+    return _qnorm(_padd([dy * v for v in x], [sign * dx * v for v in y]),
+                  dx * dy)
+
+
+def _qdivmod(a: QForm, b: QForm) -> Tuple[QForm, QForm]:
+    """(q, r) with a = q b + r, deg r < deg b: Knuth's pseudo-division
+    (TAOCP vol. 2, 4.6.1) of the ints, scaled per step only as needed."""
+    (u, du), (v, dv) = a, b
+    if not v:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv_lead = Fraction(1) / b[-1]
-    while len(rem) >= len(b):
-        c = rem[-1] * inv_lead
-        d = len(rem) - len(b)
-        q[d] = c
-        for i, y in enumerate(b):
-            rem[d + i] -= c * y
-        while rem and not rem[-1]:
-            rem.pop()
-    return _trim(q), _trim(rem)
+    lead, r, s = v[-1], list(u), du
+    q = [0] * max(len(u) - len(v) + 1, 0)
+    for k in reversed(range(len(q))):
+        f = abs(lead) // gcd(r[-1], lead)
+        if f > 1:
+            r, q, s = [f * x for x in r], [f * x for x in q], f * s
+        c = q[k] = r.pop() // lead
+        for i, y in enumerate(v[:-1], k):
+            r[i] -= c * y
+    return _qnorm([c * dv for c in q], s), _qnorm(r, s)
+
+
+def _qgcd(a: QForm, b: QForm) -> QForm:
+    """The monic gcd of a and b != 0 by the primitive PRS: the primitive
+    part of x is the nums of x / lc(x), monic over Q at the end."""
+    u, v = (_qnorm(x, x[-1])[0] if x else () for x in (a[0], b[0]))
+    while len(v) > 1:
+        r = _qdivmod((u, 1), (v, 1))[1][0]
+        u, v = v, _qnorm(r, r[-1])[0] if r else ()
+    return ((1,), 1) if v else (u, u[-1])
 
 
 def pow2(exponent: int) -> Fraction:
@@ -124,27 +167,26 @@ def pow2(exponent: int) -> Fraction:
 class Radical:
     """Element of the field Q(2^(1/m)): ``coeffs[j]`` multiplies 2^(j/m).
 
-    The rational coefficients are stored trimmed: at most m of them, no
-    trailing zeros, and zero has none, so equal values have equal
-    coefficients.  Every operation runs on the polynomial helpers above;
-    a product reduces with (2^(1/m))^m = 2.  Since x^m - 2 is irreducible
-    over Q (Eisenstein at 2) the ring is a field, so division is exact.
+    The at most m coefficients are stored as their normal form ``form``,
+    so equal values have equal forms; ``coeffs`` reads them as Fractions.
+    A product is ``_fold_mul`` over the product of the denominators, as
+    (2^(1/m))^m = 2.  Since x^m - 2 is irreducible over Q (Eisenstein at
+    2) the ring is a field, so division is exact.
     The root index m is fixed per value.  Values of two indices compare
     when one is rational or the indices are coprime (the fields then share
     only Q); other mixes, and all mixed arithmetic, raise RingMismatchError.
     """
 
-    __slots__ = ("m", "coeffs")
+    __slots__ = ("m", "form")
 
     def __init__(self, m: int, coeffs) -> None:
         if m < 1:
             raise ValueError(f"root index must be positive, got {m}")
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple(coeffs)
         if len(cs) > m:
             raise ValueError(
                 f"expected at most {m} coefficients, got {len(cs)}")
-        self.m = m
-        self.coeffs = _trim(cs)
+        self.m, self.form = m, _qform(cs)
 
     @classmethod
     def rational(cls, m: int, value: ExactScalar) -> "Radical":
@@ -156,67 +198,65 @@ class Radical:
         s, r = divmod(e, m)
         return cls(m, (0,) * r + (pow2(s),))
 
-    def _new(self, coeffs) -> "Radical":
-        # The helpers return trimmed Fraction tuples: nothing to check.
+    @property
+    def coeffs(self) -> Coeffs:
+        nums, den = self.form
+        return tuple(Fraction(n, den) for n in nums)
+
+    def _new(self, form: QForm) -> "Radical":
         out = object.__new__(Radical)
-        out.m, out.coeffs = self.m, coeffs
+        out.m, out.form = self.m, form
         return out
 
     def _coerce(self, value):
-        """The coefficients of a Radical of the same root index or of a
-        rational; None for any other operand."""
+        """The form of a Radical of the same root index or of a rational;
+        None for any other operand."""
         if isinstance(value, Radical):
             if value.m != self.m:
                 raise RingMismatchError(
                     f"mixed root indices {self.m} and {value.m}")
-            return value.coeffs
+            return value.form
         if isinstance(value, (int, Fraction)):
-            return _trim((Fraction(value),))
+            return _qform((value,))
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
-        return (NotImplemented if o is None
-                else self._new(_padd(self.coeffs, o)))
+        return NotImplemented if o is None else self._new(_qadd(self.form, o))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
         return (NotImplemented if o is None
-                else self._new(_padd(self.coeffs, _pneg(o))))
+                else self._new(_qadd(self.form, o, -1)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         return (NotImplemented if o is None
-                else self._new(_padd(o, _pneg(self.coeffs))))
+                else self._new(_qadd(o, self.form, -1)))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        m, out = self.m, list(_pmul(self.coeffs, o))
-        # Degrees reach 2m - 2, so one pass of r^m = 2 reduces them all.
-        for d in range(m, len(out)):
-            out[d - m] += 2 * out[d]
-        return self._new(_trim(out[:m]))
+        (x, dx), (y, dy) = self.form, o
+        return self._new(_qnorm(_fold_mul(x, y, self.m), dx * dy))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Radical":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        against x^m - 2."""
-        if not self.coeffs:
+        """Multiplicative inverse by the extended Euclidean algorithm
+        against x^m - 2, its cofactors kept as Radicals."""
+        if not self:
             raise ZeroDivisionError("inverse of zero radical element")
-        r0 = (Fraction(-2),) + (Fraction(0),) * (self.m - 1) + (Fraction(1),)
-        r1, t0, t1 = self.coeffs, (), (Fraction(1),)
-        while r1:
-            q, rem = _pdivmod(r0, r1)
-            r0, r1 = r1, rem
-            t0, t1 = t1, _padd(t0, _pneg(_pmul(q, t1)))
-        # r0 is a nonzero constant: x^m - 2 is irreducible.
-        inv_const = 1 / r0[0]
-        return self._new(tuple(c * inv_const for c in t0))
+        r0, r1 = ((-2,) + (0,) * (self.m - 1) + (1,), 1), self.form
+        t0, t1 = 0, Radical.rational(self.m, 1)
+        while len(r1[0]) > 1:
+            r0, (q, r1) = r1, _qdivmod(r0, r1)
+            t0, t1 = t1, t0 - self._new(q) * t1
+        # r1 is a nonzero constant, as x^m - 2 is irreducible: t1 a = r1.
+        return t1 * Fraction(r1[1], r1[0][0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -226,19 +266,19 @@ class Radical:
         if isinstance(other, Radical) and other.m != self.m and (
                 self.is_rational() or other.is_rational()
                 or gcd(self.m, other.m) == 1):
-            return self.is_rational() and self.coeffs == other.coeffs
+            return self.is_rational() and self.form == other.form
         o = self._coerce(other)
-        return NotImplemented if o is None else self.coeffs == o
+        return NotImplemented if o is None else self.form == o
 
     def __hash__(self):  # a rational equals its Fraction: hash as one
         return hash(self.to_fraction() if self.is_rational()
-                    else (self.m, self.coeffs))
+                    else (self.m, self.form))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.form[0])
 
     def is_rational(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.form[0]) <= 1
 
     def to_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -276,20 +316,9 @@ class _ExactContext:
         self.numer, self.m = beta_sq.as_integer_ratio()
         self.g, self.h = (2 * beta_sq).as_integer_ratio()
         self.table_unit = [1] + [0] * (self.h - 1)
+        self.table_mul = partial(_fold_mul, m=self.h)
         if self.h == 1:  # Z[2^(1/1)]: plain ints, not the slot forms below
             self.table_unit, self.table_mul, self.table_add = 1, mul, add
-
-    def table_mul(self, x, y) -> list:
-        """One int convolution, folded once by (2^(1/h))^h = 2."""
-        h = self.h
-        out = [0] * (2 * h - 1)
-        for i, a in enumerate(x):
-            if a:
-                for t, b in enumerate(y, i):
-                    out[t] += a * b
-        for d in range(h, 2 * h - 1):
-            out[d - h] += 2 * out[d]
-        return out[:h]
 
     table_add = staticmethod(lambda x, y: [a + b for a, b in zip(x, y)])
 

@@ -16,10 +16,10 @@ to a ``RatFun`` once, at the end, core by core: one gcd of the numerator
 with each core's power, none with the whole denominator.
 ``geometric_sum`` gives a geometric series in closed form only, in
 symbolic n; no route calls it, and the tests build their lambda-sum
-reference from it.  The polynomial arithmetic and ``ExpPair`` come from
-``rings``; ``_pmonic``, ``_pgcd`` and ``_peval`` serve this module
-alone.  No CLI route loads this module: ``mom_symbolic`` is a library
-function and the tests' reference.
+reference from it.  ``ExpPair`` and the polynomial arithmetic come from
+``rings``, each gcd and exact quotient on its integer normal form.  No
+CLI route loads this module: ``mom_symbolic`` is a library function and
+the tests' reference.
 """
 
 from __future__ import annotations
@@ -28,27 +28,12 @@ from contextlib import nullcontext
 from fractions import Fraction
 from typing import Dict, Iterator, Tuple
 
-from .rings import Coeffs, ExpPair, _padd, _pdivmod, _pmul, _pneg, _trim
+from .rings import (Coeffs, ExpPair, QForm, _padd, _pmul, _pneg, _qdivmod,
+                    _qform, _qgcd, _trim)
 
 
 class DegenerateExponent(ArithmeticError):
     """A geometric sum with unit ratio has no closed form; the sum is n."""
-
-
-def _pmonic(a: Coeffs) -> Coeffs:
-    if not a or a[-1] == 1:
-        return a
-    inv = Fraction(1) / a[-1]
-    return tuple(x * inv for x in a)
-
-
-def _pgcd(a: Coeffs, b: Coeffs) -> Coeffs:
-    # Monic normalization each step keeps the coefficient growth in check.
-    a, b = _pmonic(a), _pmonic(b)
-    while b:
-        _, r = _pdivmod(a, b)
-        a, b = b, _pmonic(r)
-    return a
 
 
 def _peval(a: Coeffs, x):
@@ -68,21 +53,19 @@ class RatFun:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=(Fraction(1),)) -> None:
-        num = _trim(Fraction(c) for c in num)
-        den = _trim(Fraction(c) for c in den)
-        if not den:
+        num, den = _qform(num), _qform(den)
+        if not den[0]:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num:
-            g = _pgcd(num, den)
-            if len(g) > 1:
-                num, _ = _pdivmod(num, g)
-                den, _ = _pdivmod(den, g)
-        else:
-            den = (Fraction(1),)
-        lead = den[-1]
-        if lead != 1:
-            num, den = tuple(c / lead for c in num), _pmonic(den)
-        self.num, self.den = num, den
+        if len((g := _qgcd(num, den))[0]) > 1:
+            num, den = _qdivmod(num, g)[0], _qdivmod(den, g)[0]
+        self._set(num, den)
+
+    def _set(self, num: QForm, den: QForm) -> "RatFun":
+        """num / den, two coprime forms, over a monic denominator."""
+        (a, da), (b, db) = num, den
+        self.num = tuple(Fraction(x * db, da * b[-1]) for x in a)
+        self.den = tuple(Fraction(y, b[-1]) for y in b)
+        return self
 
     @classmethod
     def one(cls) -> "RatFun":
@@ -231,7 +214,7 @@ class _Factored:
         lead = other.num[-1]
         cores = dict(self.cores)
         if len(other.num) > 1:
-            core = _pmonic(other.num)
+            core = tuple(c / lead for c in other.num)
             cores[core] = cores.get(core, 0) + 1
         num = _times_cores(self.num, other.cores)
         return _Factored(tuple(c / lead for c in num), self.v - other.v, cores)
@@ -246,18 +229,17 @@ class _Factored:
 
     def to_ratfun(self) -> RatFun:
         """One gcd of num with each core's power, divided out of both,
-        leaves num prime to each reduced power and so to their monic
-        product (and, as all have non-zero constant terms, to t^v):
-        RatFun's normal form, built with no further gcd."""
-        num, den = self.num, (Fraction(1),)
+        leaves num prime to each reduced power and so to their product
+        (and, as all have non-zero constant terms, to t^v): RatFun's
+        normal form, built with no further gcd."""
+        num = _qform((0,) * -self.v + self.num)
+        den = (0,) * self.v + (1,), 1
         for core, m in self.cores.items():
-            power = _times_cores((Fraction(1),), {core: m})
-            if len(g := _pgcd(num, power)) > 1:
-                num, power = _pdivmod(num, g)[0], _pdivmod(power, g)[0]
-            den = _pmul(den, power)
-        pad, out = (Fraction(0),) * abs(self.v), RatFun.__new__(RatFun)
-        out.num, out.den = (pad + num, den) if self.v < 0 else (num, pad + den)
-        return out
+            power = _qform(_times_cores((Fraction(1),), {core: m}))
+            if len((g := _qgcd(num, power))[0]) > 1:
+                num, power = _qdivmod(num, g)[0], _qdivmod(power, g)[0]
+            den = _pmul(den[0], power[0]), den[1] * power[1]
+        return RatFun.__new__(RatFun)._set(num, den)
 
 
 def _factored(value) -> _Factored:

@@ -5,8 +5,8 @@ import pytest
 from mpmath import mp
 
 from brwmom import asymptotics
-from brwmom import (CRITICAL, SUB, SUPER, ExpPair, Radical, RegimeError,
-                    classify_regime, critical_coefficient,
+from brwmom import (CRITICAL, SUB, SUPER, ExpPair, Radical, RatFun,
+                    RegimeError, classify_regime, critical_coefficient,
                     leading_coefficient_closed_form,
                     leading_coefficient_numeric, leading_term, mom_symbolic,
                     resolve_context, subcritical_coefficient,
@@ -168,6 +168,36 @@ class TestCriticalCoefficient:
     def test_needs_order_two(self):
         with pytest.raises(ValueError):
             critical_coefficient(1)
+
+
+def transition_residues(k):
+    """(1/2) (t^k - 2^(1-k) t^(k^2)) C(t) at t = 2^(1/k), for the
+    coefficients C of the sub- and super-critical bases t^k and
+    2^(1-k) t^(k^2) of ``mom_symbolic(k)``, in Q(2^(1/k))."""
+    terms = mom_symbolic(k).terms
+    gap = RatFun.t_power(k) - RatFun.t_power(k * k, Fraction(2) ** (1 - k))
+    t = Radical.root_power(k, 1)
+    return [(gap * terms[e]).evaluate(t) * Fraction(1, 2)
+            for e in (ExpPair(k, 0), ExpPair(k * k, 1 - k))]
+
+
+class TestTransitionResidues:
+    # At beta^2 = 1/k the two bases meet at 2; M_k(n) is a polynomial in t
+    # for every n, so their coefficients' poles cancel and their sum tends
+    # to A n 2^(n-1), A the shared residue: the critical coefficient is
+    # half of it, from either side.
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_critical_coefficient_is_the_shared_residue(self, k):
+        meeting = [e for e in mom_symbolic(k).terms
+                   if Fraction(e.p, k) + e.q == 1]
+        assert sorted(meeting) == [ExpPair(k, 0), ExpPair(k * k, 1 - k)]
+        sub, sup = transition_residues(k)
+        assert sub == -1 * sup
+        want, tol = critical_coefficient(k, 256), mpmath.mpf(2) ** -224
+        with mp.workprec(256):
+            assert abs(to_mpf(sub, 256) - want) <= abs(want) * tol
+        if k == 2:
+            assert sub == Fraction(1, 2)
 
 
 class TestSupercriticalCoefficient:

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import importlib.util
 import json
 import os
@@ -581,6 +582,15 @@ class TestAsymCommand:
         assert rec["result"]["exponent"] == {"beta_sq_coeff": 4,
                                              "constant": -1}
         validate_schema(rec)
+
+    def test_exact_supercritical_record_is_pinned(self, capsys):
+        # The record's sha-256, recorded from the Fraction-based Radical
+        # arithmetic: each value has one normal form, so it keeps every byte.
+        assert cli.main(["asym", "--k", "8", "--beta-sq-rational", "9/25"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == (
+            "36baea63453214f3d9be70c53974c9ec"
+            "27c5983e1118af976b9566ae4b684ad0")
 
     def test_critical_snap_from_float_beta(self):
         rec = record(run_cli("asym", "--k", "2", "--beta",

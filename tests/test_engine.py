@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -510,6 +511,20 @@ class TestClosedForms:
         assert mom_symbolic.cache_info().misses == 0
 
 
+# sha-256 of repr(mom_symbolic(k)), recorded from the Fraction-based Q(t)
+# arithmetic.  RatFun's form is a normal form, so any correct gcd and
+# division keep every byte.
+MOM_SYMBOLIC_SHA256 = {
+    1: "e4655e8a48a99096b433ae8d195abe506b60b91ba3312cd024de20030ed58c9a",
+    2: "ae96042ee290def425b9c2311b2a1e60cc28bdedac5b8a234919ab8dcdb72989",
+    3: "4f71b6b94d1ebc7d0e833d2d8639547130797b1cf858d068381efdd1da49a034",
+    4: "addb439cb30dd478d8ea147f5e0577d72d32a03dbbe3eb1a126f1fbc21674c49",
+    5: "8eb50fc7af891d83011b30b1af8c1ab165b3e1305627b07253bd0cf3267a5c32",
+    6: "7fed9013c34e46a3fc20f56f7a8d6a8f74b17070aa3aa53e9da8021d3690dd35",
+    7: "fbfd9f0b0c1346769d5300c1a6f74e0dd2911993a0157f11cf507bf20389f76c",
+}
+
+
 class TestMomSymbolic:
     def test_first_moment_single_term(self):
         g = mom_symbolic(1)
@@ -569,6 +584,11 @@ class TestMomSymbolic:
         coeff = mom_symbolic(k).terms[ExpPair(k * k, 1 - k)]
         t = RadicalContext(beta_sq).two_pow(1, 0)
         assert coeff.evaluate(t) == supercritical_coefficient(k, beta_sq)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_repr_is_pinned(self, k):
+        digest = hashlib.sha256(repr(mom_symbolic(k)).encode()).hexdigest()
+        assert digest == MOM_SYMBOLIC_SHA256[k]
 
 
 class TestEvaluateGenpoly:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath
@@ -8,7 +9,8 @@ from mpmath.libmp import from_man_exp, mpf_add, mpf_mul, mpf_mul_int, mpf_shift
 
 from brwmom import Radical, RingMismatchError, resolve_context, rings, to_mpf
 from brwmom.rings import (ExpPair, FloatContext, RadicalContext,
-                          RationalContext)
+                          RationalContext, _padd, _pmul, _pneg, _qdivmod,
+                          _qform, _qgcd, _qnorm, _trim)
 
 
 def rad(m, *coeffs):
@@ -157,6 +159,108 @@ class TestRadicalField:
     def test_zero_inverse_raises(self):
         with pytest.raises(ZeroDivisionError):
             rad(2, 0, 0).inverse()
+
+
+# The Euclidean algorithm over Fractions that the normal form replaced in
+# the package: an independent reference for its division, gcd and inverse.
+def fraction_divmod(a, b):
+    """(q, r) with a = q b + r, deg r < deg b, over Fraction tuples."""
+    rem = list(a)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        c, d = rem[-1] / b[-1], len(rem) - len(b)
+        q[d] = c
+        for i, y in enumerate(b):
+            rem[d + i] -= c * y
+        rem = list(_trim(rem))
+    return _trim(q), _trim(rem)
+
+
+def fraction_monic(a):
+    return tuple(x / a[-1] for x in a) if a else a
+
+
+def fraction_gcd(a, b):
+    """The monic gcd by Euclid, monic at each step."""
+    a, b = fraction_monic(a), fraction_monic(b)
+    while b:
+        a, b = b, fraction_monic(fraction_divmod(a, b)[1])
+    return a
+
+
+def fraction_inverse(x):
+    """x's inverse by the extended Euclidean algorithm against x^m - 2."""
+    r0 = (Fraction(-2),) + (Fraction(0),) * (x.m - 1) + (Fraction(1),)
+    r1, t0, t1 = x.coeffs, (), (Fraction(1),)
+    while r1:
+        q, rem = fraction_divmod(r0, r1)
+        r0, r1 = r1, rem
+        t0, t1 = t1, _padd(t0, _pneg(_pmul(q, t1)))
+    return Radical(x.m, [c / r0[0] for c in t0])
+
+
+def coefficients(form):
+    nums, den = form
+    return tuple(Fraction(n, den) for n in nums)
+
+
+polys = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=12),
+                 max_size=7).map(_trim)
+nonzero_polys = polys.filter(bool)
+
+
+def times(*factors):
+    out = (Fraction(1),)
+    for f in factors:
+        out = _pmul(out, f)
+    return out
+
+
+class TestNormalForm:
+    @given(polys, st.integers(-30, 30).filter(bool))
+    @settings(max_examples=100, deadline=None)
+    def test_form_is_the_normal_form(self, cs, scale):
+        nums, den = form = _qform(cs)
+        assert den > 0 and math.gcd(den, *nums) == 1 and nums == _trim(nums)
+        assert coefficients(form) == cs
+        assert _qnorm([n * scale for n in nums], den * scale) == form
+
+    @given(polys, nonzero_polys)
+    @settings(max_examples=100, deadline=None)
+    def test_divmod_equals_fraction_division(self, a, b):
+        q, r = _qdivmod(_qform(a), _qform(b))
+        assert len(r[0]) < len(b)
+        assert _padd(_pmul(coefficients(q), b), coefficients(r)) == a
+        assert (coefficients(q), coefficients(r)) == fraction_divmod(a, b)
+
+    @given(nonzero_polys, nonzero_polys, polys)
+    @settings(max_examples=100, deadline=None)
+    # A common factor of degree 2 whose leading coefficient is not 1.
+    @example((Fraction(1), Fraction(1)), (Fraction(-1), Fraction(1)),
+             (Fraction(1, 3), Fraction(0), Fraction(5, 2)))
+    def test_gcd_equals_euclid(self, a, b, c):
+        for x, y in ((a, b), (times(a, c), times(b, c)), (times(a, c), c)):
+            if x and y:
+                assert coefficients(_qgcd(_qform(x), _qform(y))) == (
+                    fraction_gcd(x, y))
+
+    @given(st.integers(1, 6), st.lists(coeff_strategy, min_size=6, max_size=6),
+           st.lists(coeff_strategy, min_size=6, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_product_equals_folded_fraction_convolution(self, m, a, b):
+        out = list(_pmul(_trim(a[:m]), _trim(b[:m]))) + [Fraction(0)] * 2 * m
+        for d in range(m, 2 * m - 1):
+            out[d - m] += 2 * out[d]
+        assert Radical(m, a[:m]) * Radical(m, b[:m]) == Radical(m, out[:m])
+
+    @given(st.integers(2, 6), st.lists(coeff_strategy, min_size=6, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    @example(6, [Fraction(3, 7)] + [0] * 5)
+    def test_inverse_equals_fraction_euclid(self, m, coeffs):
+        x = Radical(m, coeffs[:m])
+        if x:
+            assert x * x.inverse() == 1
+            assert x.inverse() == fraction_inverse(x)
 
 
 class TestContexts:
