@@ -14,7 +14,9 @@ Z_n = 2^(-n) * sum over leaves of exp(2*beta*X_n(leaf)):
   whole table.  It never divides, so every beta (critical points
   included) is in range.  ``MomentTable`` runs it scaled, in the ring's
   table form (``rings``): on 2^((1 - beta^2) kn) M_k(n) in the exact
-  rings and on 2^(kn) M_k(n) in mpf, unscaled exactly on a read.
+  rings and on 2^(kn) M_k(n) in mpf, unscaled exactly on a read.  At
+  integer and half-integer beta^2 an entry is one int, and the loop runs
+  on int operators with no call per product (``_int_rows``).
 
 * ``mom_symbolic``: the same recurrence solved in closed form,
   M_k(n) = sum over bases b = 2^(p beta^2 + q) of P_b(n) b^n, by
@@ -29,13 +31,14 @@ Z_n = 2^(-n) * sum over leaves of exp(2*beta*X_n(leaf)):
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Dict, NamedTuple
 
 from .rings import (DEFAULT_PRECISION, ExpPair, RingContext, _padd, _pmul,
-                    _trim, resolve_context)
+                    _table_shift, _trim, resolve_context)
 
 
 class PoleAtCriticalBeta(ArithmeticError):
@@ -43,15 +46,27 @@ class PoleAtCriticalBeta(ArithmeticError):
     termwise dynamic program instead."""
 
 
+@lru_cache(maxsize=128)
 def recurrence_terms(j: int):
-    """(s, [(i, c_i, e_i)]), ring-free, of order j's depth recurrence
+    """(s, ((i, c_i, e_i), ...)), ring-free, of order j's depth recurrence
     M_j(d) = 2^s M_j(d-1) + sum_{0<i<=j/2} c_i 2^(e_i) M_i(d-1) M_{j-i}(d-1)
     (module docstring), each exponent an ``ExpPair``.  The split i stands
-    for itself and j - i, so c_i is twice their binomial unless 2i = j."""
-    return ExpPair(j * j, 1 - j), [
+    for itself and j - i, so c_i is twice their binomial unless 2i = j.
+    Cached, so tuples: no caller can change a cached value."""
+    return ExpPair(j * j, 1 - j), tuple(
         (i, (2 - (2 * i == j)) * comb(j, i),
          ExpPair(j * j + 2 * i * (i - j), -j))
-        for i in range(1, j // 2 + 1)]
+        for i in range(1, j // 2 + 1))
+
+
+@lru_cache(maxsize=128)
+def _int_weights(j: int, g: int):
+    """(step, ((i, w_i), ...)): order j's table multipliers c 2^s as ints
+    in the exact table form at h = 1, 2 beta^2 = g.  Cached for 128 pairs
+    (j, g); one pair's weights sum to row j's entry at depth 1."""
+    step, terms = recurrence_terms(j)
+    return 1 << _table_shift(step, j, g, 1)[0], tuple(
+        (i, c << _table_shift(e, j, g, 1)[0]) for i, c, e in terms)
 
 
 def recurrence_coefficients(j: int, ring: RingContext):
@@ -67,14 +82,16 @@ class MomentTable:
 
     Depth 0 is 1; each row then takes one step of the depth recurrence
     per depth (order 1 has no split term: (2^(beta^2))^d).  The rows hold
-    a scaled M_j(d), each ring's normalisation (``rings``), with no gcd and
-    no branch on the ring: N_j(d) = 2^(jd) M_j(d) in mpf, the one scaling
-    exact in binary (coefficients: the exact 2^j times the rounded step
-    and w_i, as two_pow(j*j, 1) rounds otherwise), and R_j(d) =
-    2^((1 - beta^2) jd) M_j(d) in the exact rings (coefficients times 2^j
-    2^(-j beta^2), integral in 2^(2 beta^2) by the parity lemma).
-    ``value`` undoes the scaling exactly; the table form carries its own
-    precision, so in mpf each value is the unscaled recurrence's to the bit.
+    a scaled M_j(d), each ring's normalisation (``rings``), with no gcd:
+    N_j(d) = 2^(jd) M_j(d) in mpf, the one scaling exact in binary
+    (coefficients: the exact 2^j times the rounded step and w_i, as
+    two_pow(j*j, 1) rounds otherwise), and R_j(d) = 2^((1 - beta^2) jd)
+    M_j(d) in the exact rings (coefficients times 2^j 2^(-j beta^2),
+    integral in 2^(2 beta^2) by the parity lemma).  Where ``table_mul``
+    is ``operator.mul`` (one int per entry) ``_int_rows`` builds the rows
+    on int operators, else the ring's table callables do.  ``value``
+    undoes the scaling exactly; the table form carries its own precision,
+    so in mpf each value is the unscaled recurrence's to the bit.
     """
 
     def __init__(self, ring: RingContext, rows: list) -> None:
@@ -88,6 +105,8 @@ class MomentTable:
             raise ValueError("depth must be nonnegative")
         if ring.beta_sq < 0:
             raise ValueError("beta^2 must be nonnegative")
+        if ring.table_mul is operator.mul:
+            return cls(ring, _int_rows(k_max, n_max, ring.g))
         mul, add, rows = ring.table_mul, ring.table_add, [None]
         for j in range(1, k_max + 1):
             step, terms = recurrence_terms(j)
@@ -107,6 +126,23 @@ class MomentTable:
         if j < 1 or depth < 0:  # a negative index would wrap silently
             raise IndexError(f"no entry ({j}, {depth}) in the table")
         return self._ring.from_table(self._rows[j][depth], j * depth)
+
+
+def _int_rows(k_max: int, n_max: int, g: int) -> list:
+    """``MomentTable``'s rows at h = 1, one int per entry, by the depth
+    loop on the interpreter's own operators."""
+    rows = [None]
+    for j in range(1, k_max + 1):
+        step, weights = _int_weights(j, g)
+        splits = [(rows[i], rows[j - i], w) for i, w in weights]
+        row = [1]
+        for d in range(n_max):
+            total = step * row[d]
+            for a, b, w in splits:
+                total += w * a[d] * b[d]
+            row.append(total)
+        rows.append(row)
+    return rows
 
 
 def mom_dp(k: int, n: int, beta_sq, precision: int = DEFAULT_PRECISION):

@@ -13,18 +13,21 @@ The ring contexts below evaluate such powers in one of three backends:
 ``table_mul`` and ``table_add`` act on Z[2^(1/h)] for 2 beta^2 = g/h in
 lowest terms (one int at h = 1, else h ints of 2^(i/h)) in the exact
 rings, and on int pairs (man, exp) for man 2^exp in mpf, each product and
-sum rounded once to ``precision`` bits as mpf's * and + round.  Parity
-lemma: with t = 2^(beta^2), every term of N_j(d) = 2^(jd) M_j(d) is t^p,
-p >= jd, p = jd (mod 2).  Proof by induction over the recurrence's
-factors (``engine.recurrence_terms``): the step's t^(j^2) has j^2 >= j,
-= j (mod 2); a split's t^(i^2 + (j-i)^2) has i^2 + (j-i)^2 >= j, = j.
-So the exact rows hold R_j(d) = t^(-jd) N_j(d), integral in t^2, and
+sum rounded once to ``precision`` bits as mpf's * and + round.  At h = 1
+``table_mul`` is ``operator.mul``, and ``engine.MomentTable`` runs on int
+operators without calling the form.  Parity lemma: with t = 2^(beta^2),
+every term of N_j(d) = 2^(jd) M_j(d) is t^p, p >= jd, p = jd (mod 2).
+Proof by induction over the recurrence's factors
+(``engine.recurrence_terms``): the step's t^(j^2) has j^2 >= j, = j
+(mod 2); a split's t^(i^2 + (j-i)^2) has i^2 + (j-i)^2 >= j, = j.  So the
+exact rows hold R_j(d) = t^(-jd) N_j(d), integral in t^2, and
 ``table_multiplier(c, e, j)`` applies c 2^(e+j) t^(-j): a shift, or a
-rotation by r slots that doubles what wraps (2^(h/h) = 2) times a shift;
-``from_table(x, e)`` is x 2^((beta^2 - 1) e).  The mpf rows hold N_j(d):
-the multiplier is the rounded c two_pow(e) times an exact 2^j, and the
-read x 2^(-e).  Every read is exact.  The table form carries its own
-precision: no table operation reads the ambient mpmath one.
+rotation by r slots that doubles what wraps (2^(h/h) = 2) times a shift
+(``_table_shift``); ``from_table(x, e)`` is x 2^((beta^2 - 1) e).  The
+mpf rows hold N_j(d): the multiplier is the rounded c two_pow(e) times an
+exact 2^j, and the read x 2^(-e).  Every read is exact.  The table form
+carries its own precision: no table operation reads the ambient mpmath
+one.
 
 The dense polynomial helpers (coefficient tuples, lowest degree first)
 are the package's one polynomial arithmetic: ``_p*`` over any exact ring,
@@ -304,6 +307,15 @@ class Radical:
         return " + ".join(parts) or "0"
 
 
+def _table_shift(e: ExpPair, j: int, g: int, h: int) -> Tuple[int, int]:
+    """(s, r): 2^(e + j) t^(-j) = 2^s 2^(r/h) for 2 beta^2 = g/h, 0 <= r < h;
+    ArithmeticError off the parity lemma's lattice."""
+    half, odd = divmod(e.p - j, 2)
+    if odd or half < 0:
+        raise ArithmeticError(f"t^{e.p} is not t^{j} times a power of t^2")
+    return divmod(half * g + (e.q + j) * h, h)
+
+
 class _ExactContext:
     """The exact rings' table form: Z[2^(1/h)] for 2 beta^2 = g/h, as the
     parity lemma (module docstring) allows; one int at h = 1 (integer and
@@ -323,10 +335,7 @@ class _ExactContext:
     table_add = staticmethod(lambda x, y: [a + b for a, b in zip(x, y)])
 
     def table_multiplier(self, c: int, e: ExpPair, j: int):
-        half, odd = divmod(e.p - j, 2)
-        if odd or half < 0:
-            raise ArithmeticError(f"t^{e.p} is not t^{j} times a power of t^2")
-        s, r = divmod(half * self.g + (e.q + j) * self.h, self.h)
+        s, r = _table_shift(e, j, self.g, self.h)
         if self.h == 1:
             return (c << s).__mul__
         lo, hi, cut = c << s, c << (s + 1), self.h - r
@@ -356,7 +365,7 @@ class RationalContext(_ExactContext):
             beta_sq = int(beta_sq)
         if not isinstance(beta_sq, int):
             raise RingMismatchError(
-                f"rational ring needs integer beta^2, got {beta_sq!r}")
+                f"rational ring needs integer beta^2, got {beta_sq}")
         super().__init__(beta_sq)
 
     def two_pow(self, p: int, q: int) -> Fraction:

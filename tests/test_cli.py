@@ -120,6 +120,16 @@ class TestMomCommand:
                      "--ring", "rational")
         assert cp.returncode == 3
 
+    @pytest.mark.parametrize("beta, shown", [
+        (("--beta-sq-rational", "3/4"), "3/4"), (("--beta", "0.5"), "0.25")])
+    def test_ring_mismatch_error_line(self, beta, shown, capsys):
+        # beta^2 as the flag gave it, never a Python repr.
+        assert cli.main(["mom", "--k", "3", "--n", "3", *beta,
+                         "--ring", "rational"]) == 3
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: rational ring needs "
+                                      f"integer beta^2, got {shown}\n")
+
     def test_invalid_flags_exit_code(self):
         # Each message is the one argparse gave before the flag table
         # replaced it, but for the two trial caps, which came after it.

@@ -1,4 +1,5 @@
 import hashlib
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -117,7 +118,9 @@ class CountingContext:
     """Exact ring context that counts the products of its table form:
     table products and coefficient multiplies.  The table form is set
     per instance (one int or h slots), so it is read off the inner
-    context, not its class."""
+    context, not its class.  Its ``table_mul`` is a method, never
+    ``operator.mul``, so ``MomentTable.build`` runs the callable loop on
+    it at every h, the loop it counts."""
 
     def __init__(self, beta_sq):
         self.inner = resolve_context(beta_sq)
@@ -206,7 +209,9 @@ class TestMomentTable:
                     assert abs(got - w) <= tol * abs(w), (beta_sq, key)
 
     def test_multiplications_linear_in_depth(self):
-        # the lam-sum costs ~4x the products at twice the depth
+        # the lam-sum costs ~4x the products at twice the depth.  This
+        # counts the callable loop: at h = 1 a plain ring runs the int
+        # loop, which makes no call to count.
         counts = []
         for n in (20, 40):
             ctx = CountingContext(1)
@@ -219,6 +224,29 @@ class TestMomentTable:
         # i | j - i, 0 < i <= j/2.
         per_step = sum(1 + 2 * (j // 2) for j in range(1, 7))
         assert counts[1] - counts[0] == 20 * per_step == 480, counts
+
+    @pytest.mark.parametrize("beta_sq", [0, 1, 2, 4, Fraction(1, 2),
+                                         Fraction(3, 2)])
+    def test_int_loop_equals_callable_loop(self, beta_sq, monkeypatch):
+        # At h = 1 a plain ring runs the depth loop on ints with the
+        # interpreter's operators, and the counting wrapper the callable
+        # loop on the same ring's table form: equal rows, entry for entry.
+        ring, counted = resolve_context(beta_sq), CountingContext(beta_sq)
+        assert ring.table_mul is operator.mul
+
+        def refuse(*args):
+            raise AssertionError("the int loop calls no table method")
+        for name in ("table_add", "table_multiplier", "from_table"):
+            monkeypatch.setattr(ring, name, refuse)
+        for k, n in ((10, 60), (10, 0), (1, 60), (7, 13)):
+            plain = MomentTable.build(k, n, ring)
+            counted.muls = 0
+            called = MomentTable.build(k, n, counted)
+            assert counted.muls == n * sum(1 + 2 * (j // 2)
+                                           for j in range(1, k + 1))
+            assert plain._rows[1:] == called._rows[1:], (k, n)
+            assert all(type(x) is int for row in plain._rows[1:]
+                       for x in row)
 
     @pytest.mark.parametrize("beta_sq", [0, 1, 2, 4, *(Fraction(b) for b in (
         "1/2", "1/3", "2/5", "3/7", "3/2", "1/4", "3/8", "5/6", "1/12"))])
@@ -314,6 +342,21 @@ class TestMomentTable:
             assert [i for i, _, _ in terms] == [i for i, _ in weights]
             assert got == [table_form(w, j)
                            for w in [step] + [w for _, w in weights]], j
+            if ring.table_mul is operator.mul:  # the int loop's weights
+                s, ints = engine._int_weights(j, ring.g)
+                assert [s] + [w for _, w in ints] == got, j
+
+    def test_cached_terms_are_shared_and_immutable(self):
+        # Cached per process, so every caller gets the same value:
+        # tuples all the way down, which no caller can change.
+        for j in range(1, 13):
+            for cached, again in ((recurrence_terms(j), recurrence_terms(j)),
+                                  (engine._int_weights(j, 2),
+                                   engine._int_weights(j, 2))):
+                assert cached is again
+                hash(cached)
+                with pytest.raises(TypeError):
+                    cached[1][0] = None
 
     def test_value_types(self):
         # The table runs on ints; none may leave it.
@@ -365,8 +408,13 @@ class TestMomentTable:
             return step, [(i, c, ExpPair(e.p + shift, e.q))
                           for i, c, e in splits]
         monkeypatch.setattr(engine, "recurrence_terms", shifted)
-        with pytest.raises(ArithmeticError):
-            MomentTable.build(3, 4, resolve_context(beta_sq))
+        # The int loop's weights are cached per (j, g): a fresh cache for
+        # the patch, so no weight of the true terms is served from it.
+        monkeypatch.setattr(engine, "_int_weights", lru_cache(maxsize=None)(
+            engine._int_weights.__wrapped__))
+        for ring in (resolve_context(beta_sq), CountingContext(beta_sq)):
+            with pytest.raises(ArithmeticError):
+                MomentTable.build(3, 4, ring)
 
     @pytest.mark.parametrize("beta_sq", [1, Fraction(1, 2), 0.25])
     def test_value_outside_table_raises(self, beta_sq):
