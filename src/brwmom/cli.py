@@ -7,9 +7,10 @@ floating-point payloads carry their precision in bits.
 
 Exit codes: 0 success, 1 failed verification, 2 invalid flags (one
 ``error:`` line on stderr), 3 ring/beta mismatch, 4 unwritable output
-file, 5 heavy-tail refusal.  ``parse_args`` reads a command line from
-one flag table (``COMMANDS``) as argparse would, each flag value
-checked by one ``_checked`` validator; ``emit`` prints every record.
+(a ``--out`` file or stdout), 5 heavy-tail refusal.  ``parse_args``
+reads a command line from one flag table (``COMMANDS``) as argparse
+would, each flag value checked by one ``_checked`` validator; ``emit``
+prints every record.
 
 Each handler imports the modules it calls in its own body, so a fresh
 process loads only its route's: mpmath for float and radical output,
@@ -600,13 +601,22 @@ def main(argv=None) -> int:
 def run() -> int:
     """Process entry point of ``python -m brwmom`` and the ``brwmom`` script.
 
-    Runs ``main()`` and then freezes the heap, also when ``main`` raises,
-    so the full collections of interpreter shutdown skip the objects the
-    imports left (11-18 ms of a fresh command); atexit handlers, flushes
-    and the exit status are unchanged.  ``main`` leaves the collector
-    alone, for callers that run many commands in one process.
+    Runs ``main()`` and flushes stdout; an ``OSError`` from writing
+    stdout (``> /dev/full``, a closed pipe) exits ``EXIT_UNWRITABLE``
+    with one ``error:`` line, and stdout is pointed at the null device so
+    that the interpreter's last flush has nowhere to fail.  Then it
+    freezes the heap, also when ``main`` raises, so the full collections
+    of interpreter shutdown skip the objects the imports left (11-18 ms
+    of a fresh command); atexit handlers and flushes are unchanged.
+    ``main`` leaves the collector and stdout alone, for callers that run
+    many commands in one process.
     """
     try:
-        return main()
+        status = main()
+        sys.stdout.flush()
+        return status
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _error(EXIT_UNWRITABLE, f"cannot write stdout: {exc}")
     finally:
         gc.freeze()

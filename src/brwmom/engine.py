@@ -14,9 +14,11 @@ Z_n = 2^(-n) * sum over leaves of exp(2*beta*X_n(leaf)):
   whole table.  It never divides, so every beta (critical points
   included) is in range.  ``MomentTable`` runs it scaled, in the ring's
   table form (``rings``): on 2^((1 - beta^2) kn) M_k(n) in the exact
-  rings and on 2^(kn) M_k(n) in mpf, unscaled exactly on a read.  At
-  integer and half-integer beta^2 an entry is one int, and the loop runs
-  on int operators with no call per product (``_int_rows``).
+  rings and on 2^(kn) M_k(n) in mpf, unscaled exactly on a read.  The
+  loop runs on the interpreter's int operators, with no call per product
+  in the exact forms: one int per entry at integer and half-integer
+  beta^2 (``_int_rows``), h slot ints at h > 1 (``_slot_rows``), and an
+  int pair rounded by ``rings._round_pair`` in mpf (``_pair_rows``).
 
 * ``mom_symbolic``: the same recurrence solved in closed form,
   M_k(n) = sum over bases b = 2^(p beta^2 + q) of P_b(n) b^n, by
@@ -31,13 +33,13 @@ Z_n = 2^(-n) * sum over leaves of exp(2*beta*X_n(leaf)):
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Dict, NamedTuple
 
-from .rings import (DEFAULT_PRECISION, ExpPair, RingContext, _padd, _pmul,
+from .rings import (DEFAULT_PRECISION, ExpPair, FloatContext, RingContext,
+                    _ExactContext, _padd, _pair_weight, _pmul, _round_pair,
                     _table_shift, _trim, resolve_context)
 
 
@@ -69,6 +71,17 @@ def _int_weights(j: int, g: int):
         (i, c << _table_shift(e, j, g, 1)[0]) for i, c, e in terms)
 
 
+@lru_cache(maxsize=128)
+def _pair_weights(j: int, beta_sq: tuple, prec: int):
+    """(step, ((i, man_i, exp_i), ...)): order j's table multipliers in
+    mpf's table form (``rings._pair_weight``) for the raw mpf beta^2 at
+    ``prec`` bits, one mpf_pow each.  Cached for 128 keys, so at most
+    128 (1 + j/2) int pairs of at most ``prec`` bits each are kept."""
+    step, terms = recurrence_terms(j)
+    return _pair_weight(1, step, j, beta_sq, prec), tuple(
+        (i, *_pair_weight(c, e, j, beta_sq, prec)) for i, c, e in terms)
+
+
 def recurrence_coefficients(j: int, ring: RingContext):
     """(step, [(i, w_i)]): ``recurrence_terms`` evaluated in ``ring``.
     Call it under ``ring.workprec()``."""
@@ -87,9 +100,10 @@ class MomentTable:
     (coefficients: the exact 2^j times the rounded step and w_i, as
     two_pow(j*j, 1) rounds otherwise), and R_j(d) = 2^((1 - beta^2) jd)
     M_j(d) in the exact rings (coefficients times 2^j 2^(-j beta^2),
-    integral in 2^(2 beta^2) by the parity lemma).  Where ``table_mul``
-    is ``operator.mul`` (one int per entry) ``_int_rows`` builds the rows
-    on int operators, else the ring's table callables do.  ``value``
+    integral in 2^(2 beta^2) by the parity lemma).  ``build`` picks the
+    operator loop of the ring's table form once: ``_int_rows`` at h = 1,
+    ``_slot_rows`` at h > 1, ``_pair_rows`` in mpf; a context of no ring
+    class (the tests' reference) runs its own table callables.  ``value``
     undoes the scaling exactly; the table form carries its own precision,
     so in mpf each value is the unscaled recurrence's to the bit.
     """
@@ -105,27 +119,39 @@ class MomentTable:
             raise ValueError("depth must be nonnegative")
         if ring.beta_sq < 0:
             raise ValueError("beta^2 must be nonnegative")
-        if ring.table_mul is operator.mul:
-            return cls(ring, _int_rows(k_max, n_max, ring.g))
-        mul, add, rows = ring.table_mul, ring.table_add, [None]
-        for j in range(1, k_max + 1):
-            step, terms = recurrence_terms(j)
-            step = ring.table_multiplier(1, step, j)
-            splits = [(rows[i], rows[j - i], ring.table_multiplier(c, e, j))
-                      for i, c, e in terms]
-            row = [ring.table_unit]
-            for d in range(n_max):
-                total = step(row[d])
-                for a, b, w in splits:
-                    total = add(total, mul(w(a[d]), b[d]))
-                row.append(total)
-            rows.append(row)
+        if isinstance(ring, FloatContext):
+            rows = _pair_rows(k_max, n_max, ring.beta_sq._mpf_, ring.precision)
+        elif not isinstance(ring, _ExactContext):
+            rows = _callable_rows(k_max, n_max, ring)
+        elif ring.h == 1:
+            rows = _int_rows(k_max, n_max, ring.g)
+        else:
+            rows = _slot_rows(k_max, n_max, ring.g, ring.h)
         return cls(ring, rows)
 
     def value(self, j: int, depth: int):
         if j < 1 or depth < 0:  # a negative index would wrap silently
             raise IndexError(f"no entry ({j}, {depth}) in the table")
         return self._ring.from_table(self._rows[j][depth], j * depth)
+
+
+def _callable_rows(k_max: int, n_max: int, ring) -> list:
+    """``MomentTable``'s rows by a ring's own table callables: the
+    reference each operator loop below equals entry for entry."""
+    mul, add, rows = ring.table_mul, ring.table_add, [None]
+    for j in range(1, k_max + 1):
+        step, terms = recurrence_terms(j)
+        step = ring.table_multiplier(1, step, j)
+        splits = [(rows[i], rows[j - i], ring.table_multiplier(c, e, j))
+                  for i, c, e in terms]
+        row = [ring.table_unit]
+        for d in range(n_max):
+            total = step(row[d])
+            for a, b, w in splits:
+                total = add(total, mul(w(a[d]), b[d]))
+            row.append(total)
+        rows.append(row)
+    return rows
 
 
 def _int_rows(k_max: int, n_max: int, g: int) -> list:
@@ -141,6 +167,65 @@ def _int_rows(k_max: int, n_max: int, g: int) -> list:
             for a, b, w in splits:
                 total += w * a[d] * b[d]
             row.append(total)
+        rows.append(row)
+    return rows
+
+
+def _slot_rows(k_max: int, n_max: int, g: int, h: int) -> list:
+    """``MomentTable``'s rows at h > 1, h ints per entry (slot i holds
+    the coefficient of 2^(i/h)).  A multiplier c 2^s 2^(r/h) is the int
+    c 2^s and an offset of r slots, so each depth step adds every
+    product unfolded into 3h - 2 slots and folds by 2^(h/h) = 2 once."""
+    rows, top = [None], range(3 * h - 3, h - 1, -1)
+    for j in range(1, k_max + 1):
+        step, terms = recurrence_terms(j)
+        s, r = _table_shift(step, j, g, h)
+        splits = []
+        for i, c, e in terms:
+            ws, wr = _table_shift(e, j, g, h)
+            splits.append((rows[i], rows[j - i], wr, c << ws))
+        row = [[1] + [0] * (h - 1)]
+        for d in range(n_max):
+            acc = [0] * (3 * h - 2)
+            for t, x in enumerate(row[d], r):
+                acc[t] = x << s
+            for a, b, wr, w in splits:
+                b = b[d]
+                for i, x in enumerate(a[d], wr):
+                    if x:
+                        x *= w
+                        for t, y in enumerate(b, i):
+                            acc[t] += x * y
+            for t in top:
+                acc[t - h] += 2 * acc[t]
+            row.append(acc[:h])
+        rows.append(row)
+    return rows
+
+
+def _pair_rows(k_max: int, n_max: int, beta_sq: tuple, prec: int) -> list:
+    """``MomentTable``'s rows in mpf, int pairs (man, exp), by the depth
+    loop on ints: each product and sum rounded as ``FloatContext``'s
+    table callables round it, in the same order, so to the same bit."""
+    rows = [None]
+    for j in range(1, k_max + 1):
+        (sm, se), weights = _pair_weights(j, beta_sq, prec)
+        splits = [(rows[i], rows[j - i], wm, we) for i, wm, we in weights]
+        row = [(1, 0)]
+        for d in range(n_max):
+            xm, xe = row[d]
+            tm, te = _round_pair(sm * xm, se + xe, prec)
+            for a, b, wm, we in splits:
+                (am, ae), (bm, be) = a[d], b[d]
+                x, ex = _round_pair(wm * am, we + ae, prec)
+                x, ex = _round_pair(x * bm, ex + be, prec)
+                if te < ex:
+                    tm, te, x, ex = x, ex, tm, te
+                # ``FloatContext.table_add``'s skip of a far-below addend.
+                gap = te - ex
+                if gap <= prec + 4 + x.bit_length() - tm.bit_length():
+                    tm, te = _round_pair((tm << gap) + x, ex, prec)
+            row.append((tm, te))
         rows.append(row)
     return rows
 

@@ -13,10 +13,11 @@ The ring contexts below evaluate such powers in one of three backends:
 ``table_mul`` and ``table_add`` act on Z[2^(1/h)] for 2 beta^2 = g/h in
 lowest terms (one int at h = 1, else h ints of 2^(i/h)) in the exact
 rings, and on int pairs (man, exp) for man 2^exp in mpf, each product and
-sum rounded once to ``precision`` bits as mpf's * and + round.  At h = 1
-``table_mul`` is ``operator.mul``, and ``engine.MomentTable`` runs on int
-operators without calling the form.  Parity lemma: with t = 2^(beta^2),
-every term of N_j(d) = 2^(jd) M_j(d) is t^p, p >= jd, p = jd (mod 2).
+sum rounded once to ``precision`` bits as mpf's * and + round.  These
+table callables define the form and are the tests' reference: the engine
+runs each form's depth loop on int operators without them, and reads
+values with ``from_table``.  Parity lemma: with t = 2^(beta^2), every
+term of N_j(d) = 2^(jd) M_j(d) is t^p, p >= jd, p = jd (mod 2).
 Proof by induction over the recurrence's factors
 (``engine.recurrence_terms``): the step's t^(j^2) has j^2 >= j, = j
 (mod 2); a split's t^(i^2 + (j-i)^2) has i^2 + (j-i)^2 >= j, = j.  So the
@@ -403,6 +404,24 @@ def _round_pair(man: int, exp: int, prec: int) -> tuple:
     return t >> 1, exp + n
 
 
+def _mpf_two_pow(beta_sq: tuple, p: int, q: int, prec: int) -> tuple:
+    """The libmp calls of ``mpf(2) ** (p * beta_sq + q)`` under
+    ``workprec(prec)``, on raw values: the same value to the bit."""
+    from mpmath.libmp import from_int, mpf_add, mpf_mul_int, mpf_pow
+    x = mpf_add(mpf_mul_int(beta_sq, p, prec, "n"), from_int(q), prec, "n")
+    return mpf_pow(from_int(2), x, prec, "n")
+
+
+def _pair_weight(c: int, e: ExpPair, j: int, beta_sq: tuple,
+                 prec: int) -> tuple:
+    """(man, exp): the mpf table multiplier c 2^(e + j), c times the
+    rounded 2^e rounded once more, times the exact 2^j."""
+    from mpmath.libmp import mpf_mul_int
+    power = _mpf_two_pow(beta_sq, *e, prec)
+    _, man, exp, _ = mpf_mul_int(power, c, prec, "n")
+    return man, exp + j
+
+
 class FloatContext:
     """Correctly rounded binary floats at a configurable precision in bits.
 
@@ -427,14 +446,9 @@ class FloatContext:
             self.beta_sq = +to_mpf(beta_sq, precision)
 
     def two_pow(self, p: int, q: int) -> mpmath.mpf:
-        """The libmp calls of ``mpf(2) ** (p * beta_sq + q)`` under
-        ``workprec(precision)``, on raw values: the same value to the bit."""
         from mpmath import mp
-        from mpmath.libmp import from_int, mpf_add, mpf_mul_int, mpf_pow
-        prec = self.precision
-        x = mpf_add(mpf_mul_int(self.beta_sq._mpf_, p, prec, "n"),
-                    from_int(q), prec, "n")
-        return mp.make_mpf(mpf_pow(from_int(2), x, prec, "n"))
+        return mp.make_mpf(_mpf_two_pow(self.beta_sq._mpf_, p, q,
+                                        self.precision))
 
     def table_mul(self, x, y) -> tuple:
         return _round_pair(x[0] * y[0], x[1] + y[1], self.precision)
@@ -449,10 +463,8 @@ class FloatContext:
         return _round_pair((a << gap) + b, eb, prec)
 
     def table_multiplier(self, c: int, e: ExpPair, j: int):
-        from mpmath.libmp import mpf_mul_int
         prec = self.precision
-        _, man, exp, _ = mpf_mul_int(self.two_pow(*e)._mpf_, c, prec, "n")
-        exp += j
+        man, exp = _pair_weight(c, e, j, self.beta_sq._mpf_, prec)
         return lambda x: _round_pair(man * x[0], exp + x[1], prec)
 
     def from_table(self, x, e: int) -> mpmath.mpf:

@@ -553,6 +553,29 @@ class TestEntryPoint:
         assert cp.returncode == status == code
         assert (cp.stdout, "".join(err)) == (out.out, out.err)
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("argv", [
+        # 0.3 KB fails at run()'s flush, 47 KB inside main's write.
+        ["mom", "--k", "3", "--n", "3", "--beta", "0.5"],
+        ["mom", "--k", "10", "--n", "400", "--beta", "2"]])
+    def test_unwritable_stdout_exits_4_with_one_line(self, argv,
+                                                      unbuffered):
+        # No traceback and no "Exception ignored" at the interpreter's
+        # last flush, buffered or not; the heap is still frozen.
+        with open("/dev/full", "w") as full:
+            cp = subprocess.run(
+                [sys.executable, "-c", AS_MAIN, *argv], stdout=full,
+                stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
+        *err, last = cp.stderr.splitlines()
+        assert cp.returncode == cli.EXIT_UNWRITABLE == 4
+        assert err == ["error: cannot write stdout: "
+                       "[Errno 28] No space left on device"]
+        label, count = last.split()
+        assert label == "frozen" and int(count) > 0
+
     def test_main_leaves_collector_alone(self, capsys):
         frozen = gc.get_freeze_count()
         assert cli.main(["poly", "--k", "2", "--beta", "1"]) == 0

@@ -115,15 +115,15 @@ def lambda_sum_table(k_max, n_max, ring):
 
 
 class CountingContext:
-    """Exact ring context that counts the products of its table form:
-    table products and coefficient multiplies.  The table form is set
-    per instance (one int or h slots), so it is read off the inner
-    context, not its class.  Its ``table_mul`` is a method, never
-    ``operator.mul``, so ``MomentTable.build`` runs the callable loop on
-    it at every h, the loop it counts."""
+    """Ring context that counts the products of its table form: table
+    products and coefficient multiplies.  The table form is set per
+    instance (one int, h slots or an mpf pair), so it is read off the
+    inner context, not its class.  It is no ring class of ``rings``, so
+    ``MomentTable.build`` runs the callable loop on it in every form,
+    the loop it counts and the reference of the operator loops."""
 
-    def __init__(self, beta_sq):
-        self.inner = resolve_context(beta_sq)
+    def __init__(self, beta_sq, ring="auto", precision=256):
+        self.inner = resolve_context(beta_sq, ring, precision)
         self.beta_sq = beta_sq
         self.table_unit = self.inner.table_unit
         self.table_add = self.inner.table_add
@@ -210,8 +210,8 @@ class TestMomentTable:
 
     def test_multiplications_linear_in_depth(self):
         # the lam-sum costs ~4x the products at twice the depth.  This
-        # counts the callable loop: at h = 1 a plain ring runs the int
-        # loop, which makes no call to count.
+        # counts the callable loop: a plain ring runs an operator loop
+        # (here the int loop), which makes no call to count.
         counts = []
         for n in (20, 40):
             ctx = CountingContext(1)
@@ -225,18 +225,15 @@ class TestMomentTable:
         per_step = sum(1 + 2 * (j // 2) for j in range(1, 7))
         assert counts[1] - counts[0] == 20 * per_step == 480, counts
 
-    @pytest.mark.parametrize("beta_sq", [0, 1, 2, 4, Fraction(1, 2),
-                                         Fraction(3, 2)])
-    def test_int_loop_equals_callable_loop(self, beta_sq, monkeypatch):
-        # At h = 1 a plain ring runs the depth loop on ints with the
-        # interpreter's operators, and the counting wrapper the callable
-        # loop on the same ring's table form: equal rows, entry for entry.
-        ring, counted = resolve_context(beta_sq), CountingContext(beta_sq)
-        assert ring.table_mul is operator.mul
-
+    @staticmethod
+    def assert_loop_equals_callable_loop(ring, counted, monkeypatch):
+        # A plain ring runs its form's operator loop, and the counting
+        # wrapper the callable loop on the same ring's table form: equal
+        # rows, entry for entry.  The operator loop calls no table method.
         def refuse(*args):
-            raise AssertionError("the int loop calls no table method")
-        for name in ("table_add", "table_multiplier", "from_table"):
+            raise AssertionError("an operator loop calls no table method")
+        for name in ("table_mul", "table_add", "table_multiplier",
+                     "from_table"):
             monkeypatch.setattr(ring, name, refuse)
         for k, n in ((10, 60), (10, 0), (1, 60), (7, 13)):
             plain = MomentTable.build(k, n, ring)
@@ -245,8 +242,57 @@ class TestMomentTable:
             assert counted.muls == n * sum(1 + 2 * (j // 2)
                                            for j in range(1, k + 1))
             assert plain._rows[1:] == called._rows[1:], (k, n)
-            assert all(type(x) is int for row in plain._rows[1:]
-                       for x in row)
+        monkeypatch.undo()
+        return plain
+
+    @pytest.mark.parametrize("beta_sq", [0, 1, 2, 4, Fraction(1, 2),
+                                         Fraction(3, 2)])
+    def test_int_loop_equals_callable_loop(self, beta_sq, monkeypatch):
+        ring = resolve_context(beta_sq)
+        assert ring.table_mul is operator.mul
+        plain = self.assert_loop_equals_callable_loop(
+            ring, CountingContext(beta_sq), monkeypatch)
+        assert all(type(x) is int for row in plain._rows[1:] for x in row)
+
+    @pytest.mark.parametrize("beta_sq", ["1/3", "1/4", "3/8", "2/3", "7/25",
+                                         "9/25"])
+    def test_slot_loop_equals_callable_loop(self, beta_sq, monkeypatch):
+        # h = 3, 2, 4, 3, 25 and 25 slots per entry.
+        ring = resolve_context(Fraction(beta_sq))
+        assert ring.h > 1
+        plain = self.assert_loop_equals_callable_loop(
+            ring, CountingContext(Fraction(beta_sq)), monkeypatch)
+        assert all(type(x) is list and len(x) == ring.h
+                   for row in plain._rows[1:] for x in row)
+
+    @pytest.mark.parametrize("precision", [64, 256, 1024])
+    @pytest.mark.parametrize("beta_sq", [0.0, 0.35 ** 2, 0.45 ** 2,
+                                         0.55 ** 2, 1 / 3])
+    def test_pair_loop_equals_callable_loop(self, beta_sq, precision,
+                                            monkeypatch):
+        ring = resolve_context(beta_sq, "float", precision)
+        plain = self.assert_loop_equals_callable_loop(
+            ring, CountingContext(beta_sq, "float", precision), monkeypatch)
+        assert all(type(x) is tuple and x[0] > 0 and x[0].bit_length()
+                   <= precision for row in plain._rows[1:] for x in row)
+
+    def test_pair_weights_are_keyed_by_precision(self, monkeypatch):
+        # The raw beta^2 of a double is the same mpf at 256 and 1024 bits,
+        # so only the precision in the key tells their weights apart:
+        # 256, 1024, then 256 again (a cache hit), each against the
+        # callable loop.  A fresh cache, so that the hits are this test's.
+        monkeypatch.setattr(engine, "_pair_weights", lru_cache(maxsize=128)(
+            engine._pair_weights.__wrapped__))
+        for precision in (256, 1024, 256):
+            ring = resolve_context(0.45 ** 2, "float", precision)
+            counted = CountingContext(0.45 ** 2, "float", precision)
+            assert (MomentTable.build(8, 20, ring)._rows
+                    == MomentTable.build(8, 20, counted)._rows), precision
+        raw = ring.beta_sq._mpf_
+        assert raw == resolve_context(0.45 ** 2, "float", 1024).beta_sq._mpf_
+        assert engine._pair_weights.cache_info().hits == 8
+        assert (engine._pair_weights(8, raw, 256)
+                != engine._pair_weights(8, raw, 1024))
 
     @pytest.mark.parametrize("beta_sq", [0, 1, 2, 4, *(Fraction(b) for b in (
         "1/2", "1/3", "2/5", "3/7", "3/2", "1/4", "3/8", "5/6", "1/12"))])
@@ -345,18 +391,27 @@ class TestMomentTable:
             if ring.table_mul is operator.mul:  # the int loop's weights
                 s, ints = engine._int_weights(j, ring.g)
                 assert [s] + [w for _, w in ints] == got, j
+            if isinstance(ring, FloatContext):  # the pair loop's weights
+                s, pairs = engine._pair_weights(j, ring.beta_sq._mpf_, bits)
+                assert [s] + [(m, e) for _, m, e in pairs] == got, j
 
     def test_cached_terms_are_shared_and_immutable(self):
         # Cached per process, so every caller gets the same value:
-        # tuples all the way down, which no caller can change.
+        # tuples all the way down, which no caller can change; and each
+        # weight cache is bounded.
+        raw = resolve_context(0.3, "float", 1024).beta_sq._mpf_
         for j in range(1, 13):
             for cached, again in ((recurrence_terms(j), recurrence_terms(j)),
                                   (engine._int_weights(j, 2),
-                                   engine._int_weights(j, 2))):
+                                   engine._int_weights(j, 2)),
+                                  (engine._pair_weights(j, raw, 1024),
+                                   engine._pair_weights(j, raw, 1024))):
                 assert cached is again
                 hash(cached)
                 with pytest.raises(TypeError):
                     cached[1][0] = None
+        for cache in (engine._int_weights, engine._pair_weights):
+            assert 0 < cache.cache_info().maxsize <= 128
 
     def test_value_types(self):
         # The table runs on ints; none may leave it.
@@ -400,7 +455,8 @@ class TestMomentTable:
     def test_exponent_off_the_parity_lattice_raises(self, beta_sq, shift,
                                                     monkeypatch):
         # An odd power of t, or one below t^j, has no exact multiplier
-        # in Z[2^(2 beta^2)]; it must raise, never floor.
+        # in Z[2^(2 beta^2)]; it must raise, never floor: in the int loop
+        # (h = 1), the slot loop (1/3, h = 3) and the callable loop.
         terms = engine.recurrence_terms
 
         def shifted(j):
