@@ -613,7 +613,8 @@ def run() -> int:
     """
     try:
         status = main()
-        sys.stdout.flush()
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()
         return status
     except OSError as exc:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -39,8 +39,8 @@ from math import comb
 from typing import Dict, NamedTuple
 
 from .rings import (DEFAULT_PRECISION, ExpPair, FloatContext, RingContext,
-                    _ExactContext, _padd, _pair_weight, _pmul, _round_pair,
-                    _table_shift, _trim, resolve_context)
+                    _padd, _pair_weight, _pmul, _round_pair, _table_shift,
+                    _trim, resolve_context)
 
 
 class PoleAtCriticalBeta(ArithmeticError):
@@ -75,8 +75,12 @@ def _int_weights(j: int, g: int):
 def _pair_weights(j: int, beta_sq: tuple, prec: int):
     """(step, ((i, man_i, exp_i), ...)): order j's table multipliers in
     mpf's table form (``rings._pair_weight``) for the raw mpf beta^2 at
-    ``prec`` bits, one mpf_pow each.  Cached for 128 keys, so at most
-    128 (1 + j/2) int pairs of at most ``prec`` bits each are kept."""
+    ``prec`` bits, one mpf_pow each.  One build computes each order's
+    weights once; the cache serves the next float table at the same
+    beta^2 and precision in the process (``verify --suite oracle``'s 15
+    tables, a caller of ``cli.main`` or ``mom_dp`` running many jobs).
+    Cached for 128 keys, so at most 128 (1 + j/2) int pairs of at most
+    ``prec`` bits each are kept."""
     step, terms = recurrence_terms(j)
     return _pair_weight(1, step, j, beta_sq, prec), tuple(
         (i, *_pair_weight(c, e, j, beta_sq, prec)) for i, c, e in terms)
@@ -102,10 +106,11 @@ class MomentTable:
     M_j(d) in the exact rings (coefficients times 2^j 2^(-j beta^2),
     integral in 2^(2 beta^2) by the parity lemma).  ``build`` picks the
     operator loop of the ring's table form once: ``_int_rows`` at h = 1,
-    ``_slot_rows`` at h > 1, ``_pair_rows`` in mpf; a context of no ring
-    class (the tests' reference) runs its own table callables.  ``value``
-    undoes the scaling exactly; the table form carries its own precision,
-    so in mpf each value is the unscaled recurrence's to the bit.
+    ``_slot_rows`` at h > 1, ``_pair_rows`` in mpf.  ``_callable_rows``
+    runs a ring's own table callables instead: the tests' reference for
+    the three.  ``value`` undoes the scaling exactly; the table form
+    carries its own precision, so in mpf each value is the unscaled
+    recurrence's to the bit.
     """
 
     def __init__(self, ring: RingContext, rows: list) -> None:
@@ -121,8 +126,6 @@ class MomentTable:
             raise ValueError("beta^2 must be nonnegative")
         if isinstance(ring, FloatContext):
             rows = _pair_rows(k_max, n_max, ring.beta_sq._mpf_, ring.precision)
-        elif not isinstance(ring, _ExactContext):
-            rows = _callable_rows(k_max, n_max, ring)
         elif ring.h == 1:
             rows = _int_rows(k_max, n_max, ring.g)
         else:
@@ -136,8 +139,8 @@ class MomentTable:
 
 
 def _callable_rows(k_max: int, n_max: int, ring) -> list:
-    """``MomentTable``'s rows by a ring's own table callables: the
-    reference each operator loop below equals entry for entry."""
+    """``MomentTable``'s rows by a ring's own table callables: the tests'
+    reference, which each operator loop below equals entry for entry."""
     mul, add, rows = ring.table_mul, ring.table_add, [None]
     for j in range(1, k_max + 1):
         step, terms = recurrence_terms(j)

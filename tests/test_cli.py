@@ -576,6 +576,21 @@ class TestEntryPoint:
         label, count = last.split()
         assert label == "frozen" and int(count) > 0
 
+    def test_closed_stdout_with_out_file_exits_0(self, tmp_path):
+        # Started with stdout closed, the interpreter sets sys.stdout to
+        # None; a command that writes only its --out file still succeeds.
+        out = tmp_path / "sweep.csv"
+        cp = subprocess.run(
+            [sys.executable, "-c", AS_MAIN, "sweep", "--k", "2",
+             "--beta-min", "0.5", "--beta-max", "1.5", "--steps", "8",
+             "--out", str(out)],
+            stderr=subprocess.PIPE, text=True,
+            preexec_fn=lambda: os.close(1))
+        assert cp.returncode == 0, cp.stderr
+        label, count = cp.stderr.split()
+        assert label == "frozen" and int(count) > 0
+        assert len(out.read_text().splitlines()) == 9
+
     def test_main_leaves_collector_alone(self, capsys):
         frozen = gc.get_freeze_count()
         assert cli.main(["poly", "--k", "2", "--beta", "1"]) == 0

@@ -118,9 +118,9 @@ class CountingContext:
     """Ring context that counts the products of its table form: table
     products and coefficient multiplies.  The table form is set per
     instance (one int, h slots or an mpf pair), so it is read off the
-    inner context, not its class.  It is no ring class of ``rings``, so
-    ``MomentTable.build`` runs the callable loop on it in every form,
-    the loop it counts and the reference of the operator loops."""
+    inner context, not its class.  ``engine._callable_rows`` runs on it
+    in every form: the loop it counts, and the reference of the
+    operator loops that ``MomentTable.build`` runs."""
 
     def __init__(self, beta_sq, ring="auto", precision=256):
         self.inner = resolve_context(beta_sq, ring, precision)
@@ -215,7 +215,7 @@ class TestMomentTable:
         counts = []
         for n in (20, 40):
             ctx = CountingContext(1)
-            table = MomentTable.build(6, n, ctx)
+            table = MomentTable(ctx, engine._callable_rows(6, n, ctx))
             assert table.value(6, n) == mom_dp(6, n, 1)
             counts.append(ctx.muls)
         assert counts[1] <= 2.2 * counts[0], counts
@@ -238,10 +238,10 @@ class TestMomentTable:
         for k, n in ((10, 60), (10, 0), (1, 60), (7, 13)):
             plain = MomentTable.build(k, n, ring)
             counted.muls = 0
-            called = MomentTable.build(k, n, counted)
+            called = engine._callable_rows(k, n, counted)
             assert counted.muls == n * sum(1 + 2 * (j // 2)
                                            for j in range(1, k + 1))
-            assert plain._rows[1:] == called._rows[1:], (k, n)
+            assert plain._rows[1:] == called[1:], (k, n)
         monkeypatch.undo()
         return plain
 
@@ -287,7 +287,7 @@ class TestMomentTable:
             ring = resolve_context(0.45 ** 2, "float", precision)
             counted = CountingContext(0.45 ** 2, "float", precision)
             assert (MomentTable.build(8, 20, ring)._rows
-                    == MomentTable.build(8, 20, counted)._rows), precision
+                    == engine._callable_rows(8, 20, counted)), precision
         raw = ring.beta_sq._mpf_
         assert raw == resolve_context(0.45 ** 2, "float", 1024).beta_sq._mpf_
         assert engine._pair_weights.cache_info().hits == 8
@@ -468,9 +468,10 @@ class TestMomentTable:
         # the patch, so no weight of the true terms is served from it.
         monkeypatch.setattr(engine, "_int_weights", lru_cache(maxsize=None)(
             engine._int_weights.__wrapped__))
-        for ring in (resolve_context(beta_sq), CountingContext(beta_sq)):
-            with pytest.raises(ArithmeticError):
-                MomentTable.build(3, 4, ring)
+        with pytest.raises(ArithmeticError):
+            MomentTable.build(3, 4, resolve_context(beta_sq))
+        with pytest.raises(ArithmeticError):
+            engine._callable_rows(3, 4, CountingContext(beta_sq))
 
     @pytest.mark.parametrize("beta_sq", [1, Fraction(1, 2), 0.25])
     def test_value_outside_table_raises(self, beta_sq):
