@@ -465,8 +465,12 @@ _OPTIONS = {name: {**_TOP, **{flag[0]: flag for flag in flags}}
 
 
 def _error(code: int, message: str) -> int:
-    """Writes a failed command's one ``error:`` line; returns ``code``."""
-    sys.stderr.write(f"error: {message}\n")
+    """Writes a failed command's one ``error:`` line, if stderr takes it
+    (it is None when closed, and raises when full); returns ``code``."""
+    try:
+        sys.stderr.write(f"error: {message}\n")
+    except (AttributeError, OSError):
+        pass
     return code
 
 
@@ -602,7 +606,8 @@ def run() -> int:
     """Process entry point of ``python -m brwmom`` and the ``brwmom`` script.
 
     Runs ``main()`` and flushes stdout; an ``OSError`` from writing
-    stdout (``> /dev/full``, a closed pipe) exits ``EXIT_UNWRITABLE``
+    stdout (``> /dev/full``, a closed pipe, or a stdout closed at start,
+    read as the null device opened for reading) exits ``EXIT_UNWRITABLE``
     with one ``error:`` line, and stdout is pointed at the null device so
     that the interpreter's last flush has nowhere to fail.  Then it
     freezes the heap, also when ``main`` raises, so the full collections
@@ -612,9 +617,10 @@ def run() -> int:
     many commands in one process.
     """
     try:
+        if sys.stdout is None:  # started with stdout closed
+            sys.stdout = open(os.devnull)
         status = main()
-        if sys.stdout is not None:  # None when started with stdout closed
-            sys.stdout.flush()
+        sys.stdout.flush()
         return status
     except OSError as exc:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

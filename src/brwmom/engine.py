@@ -106,11 +106,9 @@ class MomentTable:
     M_j(d) in the exact rings (coefficients times 2^j 2^(-j beta^2),
     integral in 2^(2 beta^2) by the parity lemma).  ``build`` picks the
     operator loop of the ring's table form once: ``_int_rows`` at h = 1,
-    ``_slot_rows`` at h > 1, ``_pair_rows`` in mpf.  ``_callable_rows``
-    runs a ring's own table callables instead: the tests' reference for
-    the three.  ``value`` undoes the scaling exactly; the table form
-    carries its own precision, so in mpf each value is the unscaled
-    recurrence's to the bit.
+    ``_slot_rows`` at h > 1, ``_pair_rows`` in mpf.  ``value`` undoes the
+    scaling exactly; the table form carries its own precision, so in mpf
+    each value is the unscaled recurrence's to the bit.
     """
 
     def __init__(self, ring: RingContext, rows: list) -> None:
@@ -136,25 +134,6 @@ class MomentTable:
         if j < 1 or depth < 0:  # a negative index would wrap silently
             raise IndexError(f"no entry ({j}, {depth}) in the table")
         return self._ring.from_table(self._rows[j][depth], j * depth)
-
-
-def _callable_rows(k_max: int, n_max: int, ring) -> list:
-    """``MomentTable``'s rows by a ring's own table callables: the tests'
-    reference, which each operator loop below equals entry for entry."""
-    mul, add, rows = ring.table_mul, ring.table_add, [None]
-    for j in range(1, k_max + 1):
-        step, terms = recurrence_terms(j)
-        step = ring.table_multiplier(1, step, j)
-        splits = [(rows[i], rows[j - i], ring.table_multiplier(c, e, j))
-                  for i, c, e in terms]
-        row = [ring.table_unit]
-        for d in range(n_max):
-            total = step(row[d])
-            for a, b, w in splits:
-                total = add(total, mul(w(a[d]), b[d]))
-            row.append(total)
-        rows.append(row)
-    return rows
 
 
 def _int_rows(k_max: int, n_max: int, g: int) -> list:
@@ -208,8 +187,9 @@ def _slot_rows(k_max: int, n_max: int, g: int, h: int) -> list:
 
 def _pair_rows(k_max: int, n_max: int, beta_sq: tuple, prec: int) -> list:
     """``MomentTable``'s rows in mpf, int pairs (man, exp), by the depth
-    loop on ints: each product and sum rounded as ``FloatContext``'s
-    table callables round it, in the same order, so to the same bit."""
+    loop on ints: each product and sum formed exactly and rounded once by
+    ``_round_pair``, in the unscaled recurrence's order, so each entry is
+    that recurrence's in mpf to the bit."""
     rows = [None]
     for j in range(1, k_max + 1):
         (sm, se), weights = _pair_weights(j, beta_sq, prec)
@@ -224,7 +204,8 @@ def _pair_rows(k_max: int, n_max: int, beta_sq: tuple, prec: int) -> list:
                 x, ex = _round_pair(x * bm, ex + be, prec)
                 if te < ex:
                     tm, te, x, ex = x, ex, tm, te
-                # ``FloatContext.table_add``'s skip of a far-below addend.
+                # x 2^ex below 1/32 ulp of the rounded total rounds away:
+                # the sum is the total, and no int grows with the gap.
                 gap = te - ex
                 if gap <= prec + 4 + x.bit_length() - tm.bit_length():
                     tm, te = _round_pair((tm << gap) + x, ex, prec)

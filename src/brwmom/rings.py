@@ -9,26 +9,26 @@ The ring contexts below evaluate such powers in one of three backends:
 * the radical field Q(2^(1/m)) when beta^2 = a/m in lowest terms,
 * correctly rounded binary floats (mpmath) at a configurable precision.
 
-``engine.MomentTable`` runs in each context's table form: ``table_unit``,
-``table_mul`` and ``table_add`` act on Z[2^(1/h)] for 2 beta^2 = g/h in
-lowest terms (one int at h = 1, else h ints of 2^(i/h)) in the exact
-rings, and on int pairs (man, exp) for man 2^exp in mpf, each product and
-sum rounded once to ``precision`` bits as mpf's * and + round.  These
-table callables define the form and are the tests' reference: the engine
-runs each form's depth loop on int operators without them, and reads
-values with ``from_table``.  Parity lemma: with t = 2^(beta^2), every
-term of N_j(d) = 2^(jd) M_j(d) is t^p, p >= jd, p = jd (mod 2).
-Proof by induction over the recurrence's factors
+``engine.MomentTable`` runs each ring's depth loop on int operators, in
+the ring's table form.  In the exact rings it is Z[2^(1/h)] for
+2 beta^2 = g/h in lowest terms: one int per entry at h = 1
+(``engine._int_rows``), else h slot ints, slot i the coefficient of
+2^(i/h) (``engine._slot_rows``).  In mpf it is an int pair (man, exp) for
+man 2^exp (``engine._pair_rows``), each product and sum formed exactly in
+ints and rounded once to ``precision`` bits by ``_round_pair``, as mpf's
+* and + round.  ``from_table`` reads an entry.  Parity lemma: with
+t = 2^(beta^2), every term of N_j(d) = 2^(jd) M_j(d) is t^p, p >= jd,
+p = jd (mod 2).  Proof by induction over the recurrence's factors
 (``engine.recurrence_terms``): the step's t^(j^2) has j^2 >= j, = j
 (mod 2); a split's t^(i^2 + (j-i)^2) has i^2 + (j-i)^2 >= j, = j.  So the
-exact rows hold R_j(d) = t^(-jd) N_j(d), integral in t^2, and
-``table_multiplier(c, e, j)`` applies c 2^(e+j) t^(-j): a shift, or a
-rotation by r slots that doubles what wraps (2^(h/h) = 2) times a shift
-(``_table_shift``); ``from_table(x, e)`` is x 2^((beta^2 - 1) e).  The
-mpf rows hold N_j(d): the multiplier is the rounded c two_pow(e) times an
-exact 2^j, and the read x 2^(-e).  Every read is exact.  The table form
-carries its own precision: no table operation reads the ambient mpmath
-one.
+exact rows hold R_j(d) = t^(-jd) N_j(d), integral in t^2, and the loops
+apply a coefficient c 2^(e+j) t^(-j) as c 2^s 2^(r/h) (``_table_shift``):
+a shift at h = 1, else a shift and a rotation by r slots that doubles
+what wraps (2^(h/h) = 2); ``from_table(x, e)`` is x 2^((beta^2 - 1) e).
+The mpf rows hold N_j(d): the weight is the rounded c 2^e times an exact
+2^j (``_pair_weight``), and the read x 2^(-e).  Every read is exact.  The
+table form carries its own precision: no table operation reads the
+ambient mpmath one.
 
 The dense polynomial helpers (coefficient tuples, lowest degree first)
 are the package's one polynomial arithmetic: ``_p*`` over any exact ring,
@@ -44,9 +44,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from fractions import Fraction
-from functools import partial
 from math import gcd, lcm
-from operator import add, mul
 from typing import NamedTuple, Tuple, Union
 
 DEFAULT_PRECISION = 256
@@ -328,19 +326,6 @@ class _ExactContext:
         self.beta_sq = beta_sq
         self.numer, self.m = beta_sq.as_integer_ratio()
         self.g, self.h = (2 * beta_sq).as_integer_ratio()
-        self.table_unit = [1] + [0] * (self.h - 1)
-        self.table_mul = partial(_fold_mul, m=self.h)
-        if self.h == 1:  # Z[2^(1/1)]: plain ints, not the slot forms below
-            self.table_unit, self.table_mul, self.table_add = 1, mul, add
-
-    table_add = staticmethod(lambda x, y: [a + b for a, b in zip(x, y)])
-
-    def table_multiplier(self, c: int, e: ExpPair, j: int):
-        s, r = _table_shift(e, j, self.g, self.h)
-        if self.h == 1:
-            return (c << s).__mul__
-        lo, hi, cut = c << s, c << (s + 1), self.h - r
-        return lambda x: [hi * v for v in x[cut:]] + [lo * v for v in x[:cut]]
 
     def _read(self, x, e: int) -> list:
         """x 2^((beta^2 - 1) e) as the m Fractions of 2^(i/m)."""
@@ -427,12 +412,10 @@ class FloatContext:
 
     ``two_pow`` runs on raw mpmath values.  The table form is an int pair
     (man, exp) for man 2^exp, man > 0: every table entry is positive.
-    Each product and sum is formed exactly in ints and rounded once by
-    ``_round_pair``, so it equals mpf's * and + to the bit without a
-    sign, a normalisation or an mpf per value.
+    ``engine._pair_rows`` forms each product and sum exactly in ints and
+    rounds it once by ``_round_pair``, so it equals mpf's * and + to the
+    bit without a sign, a normalisation or an mpf per value.
     """
-
-    table_unit = (1, 0)
 
     def __init__(self, beta_sq, precision: int = DEFAULT_PRECISION) -> None:
         import mpmath
@@ -449,23 +432,6 @@ class FloatContext:
         from mpmath import mp
         return mp.make_mpf(_mpf_two_pow(self.beta_sq._mpf_, p, q,
                                         self.precision))
-
-    def table_mul(self, x, y) -> tuple:
-        return _round_pair(x[0] * y[0], x[1] + y[1], self.precision)
-
-    def table_add(self, x, y) -> tuple:
-        (a, ea), (b, eb) = (x, y) if x[1] >= y[1] else (y, x)
-        gap, prec = ea - eb, self.precision
-        if gap > prec + 4 + b.bit_length() - a.bit_length():
-            # b 2^eb is below 1/32 ulp of a 2^ea, a rounded value, so the
-            # sum rounds to a 2^ea; the int never grows with the gap.
-            return a, ea
-        return _round_pair((a << gap) + b, eb, prec)
-
-    def table_multiplier(self, c: int, e: ExpPair, j: int):
-        prec = self.precision
-        man, exp = _pair_weight(c, e, j, self.beta_sq._mpf_, prec)
-        return lambda x: _round_pair(man * x[0], exp + x[1], prec)
 
     def from_table(self, x, e: int) -> mpmath.mpf:
         from mpmath import libmp, mp

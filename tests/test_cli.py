@@ -591,6 +591,36 @@ class TestEntryPoint:
         assert label == "frozen" and int(count) > 0
         assert len(out.read_text().splitlines()) == 9
 
+    @pytest.mark.parametrize("argv", [
+        ["mom", "--k", "3", "--n", "3", "--beta", "0.5"],
+        ["sweep", "--k", "2", "--beta-min", "0.1", "--beta-max", "0.5",
+         "--steps", "3"]])
+    def test_write_to_closed_stdout_exits_4(self, argv):
+        # Started with stdout closed, a command that prints exits 4 with
+        # its one error line, as on a full stdout, and no traceback.
+        cp = subprocess.run([sys.executable, "-m", "brwmom", *argv],
+                            stderr=subprocess.PIPE, text=True,
+                            preexec_fn=lambda: os.close(1))
+        assert cp.returncode == cli.EXIT_UNWRITABLE == 4
+        assert cp.stderr == "error: cannot write stdout: not writable\n"
+
+    @pytest.mark.parametrize("stderr", ["closed", "/dev/full"])
+    def test_error_on_unwritable_stderr_keeps_its_code(self, stderr):
+        # The error line has nowhere to go; the exit code is still the
+        # documented one, not 1 from an escaped AttributeError or OSError.
+        if not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        argv = [sys.executable, "-m", "brwmom", "mom", "--k", "0", "--n",
+                "3", "--beta", "0.5"]
+        with open("/dev/full", "w") as full:
+            cp = subprocess.run(
+                argv, stdout=subprocess.PIPE, text=True,
+                stderr=None if stderr == "closed" else full,
+                preexec_fn=(lambda: os.close(2)) if stderr == "closed"
+                else None)
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+
     def test_main_leaves_collector_alone(self, capsys):
         frozen = gc.get_freeze_count()
         assert cli.main(["poly", "--k", "2", "--beta", "1"]) == 0

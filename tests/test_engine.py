@@ -1,5 +1,4 @@
 import hashlib
-import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -15,7 +14,7 @@ from brwmom import (ExpPair, GenPoly, MomentTable, PoleAtCriticalBeta,
 from brwmom import engine
 from brwmom.engine import (_closed_forms, recurrence_coefficients,
                            recurrence_terms)
-from brwmom.rings import FloatContext, RadicalContext, pow2
+from brwmom.rings import FloatContext, RadicalContext, _table_shift, pow2
 
 
 def rf(num, den=(1,)):
@@ -114,44 +113,28 @@ def lambda_sum_table(k_max, n_max, ring):
     return ent
 
 
-class CountingContext:
-    """Ring context that counts the products of its table form: table
-    products and coefficient multiplies.  The table form is set per
-    instance (one int, h slots or an mpf pair), so it is read off the
-    inner context, not its class.  ``engine._callable_rows`` runs on it
-    in every form: the loop it counts, and the reference of the
-    operator loops that ``MomentTable.build`` runs."""
-
-    def __init__(self, beta_sq, ring="auto", precision=256):
-        self.inner = resolve_context(beta_sq, ring, precision)
-        self.beta_sq = beta_sq
-        self.table_unit = self.inner.table_unit
-        self.table_add = self.inner.table_add
-        self.from_table = self.inner.from_table
-        self.workprec = self.inner.workprec
-        self.muls = 0
-
-    def table_mul(self, x, y):
-        self.muls += 1
-        return self.inner.table_mul(x, y)
-
-    def table_multiplier(self, c, e, j):
-        times = self.inner.table_multiplier(c, e, j)
-
-        def counted(x):
-            self.muls += 1
-            return times(x)
-        return counted
+def two_power(ring, e):
+    """2^(p beta^2 + q) in the ring's own arithmetic: a Fraction or a
+    ``Radical`` from ``two_pow``, or in mpf ``mpf(2) ** (p beta^2 + q)``
+    (mpmath's operators, not the ring's libmp calls that the table's
+    weights share).  Call it under ``ring.workprec()``."""
+    if isinstance(ring, FloatContext):
+        return mpmath.mpf(2) ** (e.p * ring.beta_sq + e.q)
+    return ring.two_pow(*e)
 
 
 def unscaled_table(k_max, n_max, ring):
     """Entries of the moment table by the depth recurrence on M_j(d)
-    itself, as ``MomentTable.build`` ran it before it scaled row j by
-    2^(jd).  Test-only reference for the scaled table."""
+    itself, in the ring's own arithmetic with ``two_power``'s weights, as
+    ``MomentTable.build`` ran it before it scaled row j and ran on ints.
+    Test-only reference for every table form: it calls none of the
+    table's loops, weights, rounding or shifts."""
     ent = {}
     with ring.workprec():
         for j in range(1, k_max + 1):
-            step, weights = recurrence_coefficients(j, ring)
+            s, terms = recurrence_terms(j)
+            step = two_power(ring, s)
+            weights = [(i, c * two_power(ring, e)) for i, c, e in terms]
             ent[(j, 0)] = ring.one
             for d in range(n_max):
                 total = step * ent[(j, d)]
@@ -159,6 +142,17 @@ def unscaled_table(k_max, n_max, ring):
                     total = total + w * ent[(i, d)] * ent[(j - i, d)]
                 ent[(j, d + 1)] = total
     return ent
+
+
+def assert_table_equals_reference(k, n, ring):
+    """``MomentTable.build``'s every value is ``unscaled_table``'s, bit
+    for bit: equal ring elements, and in mpf equal raw values."""
+    table = MomentTable.build(k, n, ring)
+    for key, want in unscaled_table(k, n, ring).items():
+        got = table.value(*key)
+        assert getattr(got, "_mpf_", got) == getattr(want, "_mpf_", want), \
+            (k, n, key)
+    return table
 
 
 EXACT_BETA_SQ = [0, 1, 2, Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)]
@@ -208,86 +202,93 @@ class TestMomentTable:
                     got = table.value(*key)
                     assert abs(got - w) <= tol * abs(w), (beta_sq, key)
 
-    def test_multiplications_linear_in_depth(self):
+    def test_multiplications_linear_in_depth(self, monkeypatch):
         # the lam-sum costs ~4x the products at twice the depth.  This
-        # counts the callable loop: a plain ring runs an operator loop
-        # (here the int loop), which makes no call to count.
-        counts = []
-        for n in (20, 40):
-            ctx = CountingContext(1)
-            table = MomentTable(ctx, engine._callable_rows(6, n, ctx))
-            assert table.value(6, n) == mom_dp(6, n, 1)
-            counts.append(ctx.muls)
-        assert counts[1] <= 2.2 * counts[0], counts
-        # Per depth step order j takes one coefficient multiply for its
-        # step, and one and a table product for each unordered split
-        # i | j - i, 0 < i <= j/2.
-        per_step = sum(1 + 2 * (j // 2) for j in range(1, 7))
-        assert counts[1] - counts[0] == 20 * per_step == 480, counts
+        # counts ``_int_rows``' own products: each weight is an int that
+        # counts a product it heads, and so is that product.
+        muls = []
 
-    @staticmethod
-    def assert_loop_equals_callable_loop(ring, counted, monkeypatch):
-        # A plain ring runs its form's operator loop, and the counting
-        # wrapper the callable loop on the same ring's table form: equal
-        # rows, entry for entry.  The operator loop calls no table method.
-        def refuse(*args):
-            raise AssertionError("an operator loop calls no table method")
-        for name in ("table_mul", "table_add", "table_multiplier",
-                     "from_table"):
-            monkeypatch.setattr(ring, name, refuse)
-        for k, n in ((10, 60), (10, 0), (1, 60), (7, 13)):
-            plain = MomentTable.build(k, n, ring)
-            counted.muls = 0
-            called = engine._callable_rows(k, n, counted)
-            assert counted.muls == n * sum(1 + 2 * (j // 2)
-                                           for j in range(1, k + 1))
-            assert plain._rows[1:] == called[1:], (k, n)
-        monkeypatch.undo()
-        return plain
+        class Counted(int):
+            def __mul__(self, other):
+                muls.append(1)
+                return Counted(int(self) * other)
+
+        def counted(j, g):
+            step, weights = int_weights(j, g)
+            return Counted(step), tuple((i, Counted(w)) for i, w in weights)
+        int_weights = engine._int_weights
+        monkeypatch.setattr(engine, "_int_weights", counted)
+        counts, ctx = [], resolve_context(1)
+        for n in (20, 40):
+            muls.clear()
+            table = MomentTable.build(6, n, ctx)
+            counts.append(len(muls))
+            assert table.value(6, n) == unscaled_table(6, n, ctx)[(6, n)]
+        assert counts[1] <= 2.2 * counts[0], counts
+        # Per depth step order j takes one product for its step, and two
+        # for each unordered split i | j - i, 0 < i <= j/2.
+        per_step = sum(1 + 2 * (j // 2) for j in range(1, 7))
+        assert counts == [20 * per_step, 40 * per_step] == [480, 960]
+
+    # The "callable loop" of the next three tests is ``unscaled_table``:
+    # the recurrence on the ring values' own operators.
+    GRID = ((10, 60), (10, 0), (1, 60), (7, 13))
 
     @pytest.mark.parametrize("beta_sq", [0, 1, 2, 4, Fraction(1, 2),
                                          Fraction(3, 2)])
-    def test_int_loop_equals_callable_loop(self, beta_sq, monkeypatch):
+    def test_int_loop_equals_callable_loop(self, beta_sq):
         ring = resolve_context(beta_sq)
-        assert ring.table_mul is operator.mul
-        plain = self.assert_loop_equals_callable_loop(
-            ring, CountingContext(beta_sq), monkeypatch)
-        assert all(type(x) is int for row in plain._rows[1:] for x in row)
+        assert ring.h == 1
+        for k, n in self.GRID:
+            table = assert_table_equals_reference(k, n, ring)
+        assert all(type(x) is int for row in table._rows[1:] for x in row)
 
     @pytest.mark.parametrize("beta_sq", ["1/3", "1/4", "3/8", "2/3", "7/25",
                                          "9/25"])
-    def test_slot_loop_equals_callable_loop(self, beta_sq, monkeypatch):
+    def test_slot_loop_equals_callable_loop(self, beta_sq):
         # h = 3, 2, 4, 3, 25 and 25 slots per entry.
         ring = resolve_context(Fraction(beta_sq))
         assert ring.h > 1
-        plain = self.assert_loop_equals_callable_loop(
-            ring, CountingContext(Fraction(beta_sq)), monkeypatch)
+        for k, n in self.GRID:
+            table = assert_table_equals_reference(k, n, ring)
         assert all(type(x) is list and len(x) == ring.h
-                   for row in plain._rows[1:] for x in row)
+                   for row in table._rows[1:] for x in row)
 
     @pytest.mark.parametrize("precision", [64, 256, 1024])
     @pytest.mark.parametrize("beta_sq", [0.0, 0.35 ** 2, 0.45 ** 2,
                                          0.55 ** 2, 1 / 3])
-    def test_pair_loop_equals_callable_loop(self, beta_sq, precision,
-                                            monkeypatch):
+    def test_pair_loop_equals_callable_loop(self, beta_sq, precision):
         ring = resolve_context(beta_sq, "float", precision)
-        plain = self.assert_loop_equals_callable_loop(
-            ring, CountingContext(beta_sq, "float", precision), monkeypatch)
+        for k, n in self.GRID:
+            table = assert_table_equals_reference(k, n, ring)
         assert all(type(x) is tuple and x[0] > 0 and x[0].bit_length()
-                   <= precision for row in plain._rows[1:] for x in row)
+                   <= precision for row in table._rows[1:] for x in row)
+
+    def test_pair_add_far_below_stays_small(self, monkeypatch):
+        # At beta^2 = 100.3 and 64 bits each split term falls at least
+        # 2 i (j - i) beta^2 - log2 c > 190 bits below its step term, past
+        # prec + 4: every sum is the step term, the mpf reference's to the
+        # bit, and no int is as wide as the gap, only the at most 128 bits
+        # of a product of two 64-bit mantissas.
+        widths, round_pair = [], engine._round_pair
+        monkeypatch.setattr(engine, "_round_pair", lambda man, exp, prec:
+                            widths.append(man.bit_length())
+                            or round_pair(man, exp, prec))
+        assert_table_equals_reference(6, 20, resolve_context(100.3, "float",
+                                                             64))
+        assert len(widths) == 20 * sum(1 + 2 * (j // 2) for j in range(1, 7))
+        assert 64 < max(widths) <= 128
 
     def test_pair_weights_are_keyed_by_precision(self, monkeypatch):
         # The raw beta^2 of a double is the same mpf at 256 and 1024 bits,
         # so only the precision in the key tells their weights apart:
-        # 256, 1024, then 256 again (a cache hit), each against the
-        # callable loop.  A fresh cache, so that the hits are this test's.
+        # 256, 1024, then 256 again (a cache hit), each against the mpf
+        # reference.  A fresh cache, so that the hits are this test's.
         monkeypatch.setattr(engine, "_pair_weights", lru_cache(maxsize=128)(
             engine._pair_weights.__wrapped__))
         for precision in (256, 1024, 256):
             ring = resolve_context(0.45 ** 2, "float", precision)
-            counted = CountingContext(0.45 ** 2, "float", precision)
-            assert (MomentTable.build(8, 20, ring)._rows
-                    == engine._callable_rows(8, 20, counted)), precision
+            assert_table_equals_reference(8, 20, ring)
         raw = ring.beta_sq._mpf_
         assert raw == resolve_context(0.45 ** 2, "float", 1024).beta_sq._mpf_
         assert engine._pair_weights.cache_info().hits == 8
@@ -356,10 +357,10 @@ class TestMomentTable:
         *(("float", b, bits) for b in ("0.09", "1.21") for bits in (64, 256))])
     def test_table_multipliers_equal_recurrence_coefficients(self, kind,
                                                              beta_sq, bits):
-        # The table's coefficients and ``recurrence_coefficients`` evaluate
-        # the same ring-free terms; each multiplier applied to the unit
-        # must equal its coefficient times 2^j in mpf, and times
-        # 2^j 2^(-j beta^2) in the exact rings, in the table form.
+        # The loops' weights and ``recurrence_coefficients`` evaluate the
+        # same ring-free terms; each weight must equal its coefficient
+        # times 2^j in mpf, and times 2^j 2^(-j beta^2) in the exact rings,
+        # in the table form, and the splits must come in the same order.
         beta_sq = float(beta_sq) if kind == "float" else Fraction(beta_sq)
         ring = resolve_context(beta_sq, kind, bits or 256)
 
@@ -377,23 +378,26 @@ class TestMomentTable:
             slots = [int(c) for c in cs[::step]]
             return slots[0] if ring.h == 1 else slots
 
-        unit = ring.table_unit
         for j in range(1, 13):
             with ring.workprec():
                 step, weights = recurrence_coefficients(j, ring)
-                s, terms = recurrence_terms(j)
-                got = [ring.table_multiplier(1, s, j)(unit)]
-                got += [ring.table_multiplier(c, e, j)(unit)
-                        for _, c, e in terms]
-            assert [i for i, _, _ in terms] == [i for i, _ in weights]
-            assert got == [table_form(w, j)
-                           for w in [step] + [w for _, w in weights]], j
-            if ring.table_mul is operator.mul:  # the int loop's weights
-                s, ints = engine._int_weights(j, ring.g)
-                assert [s] + [w for _, w in ints] == got, j
-            if isinstance(ring, FloatContext):  # the pair loop's weights
+            s, terms = recurrence_terms(j)
+            if kind == "float":  # the pair loop's weights
                 s, pairs = engine._pair_weights(j, ring.beta_sq._mpf_, bits)
-                assert [s] + [(m, e) for _, m, e in pairs] == got, j
+                got = [(i, (m, e)) for i, m, e in ((0, *s), *pairs)]
+            elif ring.h == 1:  # the int loop's weights
+                s, ints = engine._int_weights(j, ring.g)
+                got = [(0, s), *ints]
+            else:  # the slot loop's: the int c 2^s at slot offset r
+                got = []
+                for i, c, e in ((0, 1, s), *terms):
+                    shift, r = _table_shift(e, j, ring.g, ring.h)
+                    slots = [0] * ring.h
+                    slots[r] = c << shift
+                    got.append((i, slots))
+            assert [i for i, _, _ in terms] == [i for i, _ in weights]
+            assert got == [(i, table_form(w, j))
+                           for i, w in [(0, step), *weights]], j
 
     def test_cached_terms_are_shared_and_immutable(self):
         # Cached per process, so every caller gets the same value:
@@ -456,7 +460,7 @@ class TestMomentTable:
                                                     monkeypatch):
         # An odd power of t, or one below t^j, has no exact multiplier
         # in Z[2^(2 beta^2)]; it must raise, never floor: in the int loop
-        # (h = 1), the slot loop (1/3, h = 3) and the callable loop.
+        # (h = 1) and the slot loop (1/3, h = 3).
         terms = engine.recurrence_terms
 
         def shifted(j):
@@ -470,8 +474,6 @@ class TestMomentTable:
             engine._int_weights.__wrapped__))
         with pytest.raises(ArithmeticError):
             MomentTable.build(3, 4, resolve_context(beta_sq))
-        with pytest.raises(ArithmeticError):
-            engine._callable_rows(3, 4, CountingContext(beta_sq))
 
     @pytest.mark.parametrize("beta_sq", [1, Fraction(1, 2), 0.25])
     def test_value_outside_table_raises(self, beta_sq):

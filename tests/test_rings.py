@@ -5,12 +5,12 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp, mpf_add, mpf_mul, mpf_mul_int, mpf_shift
+from mpmath.libmp import from_man_exp, mpf_add, mpf_mul
 
 from brwmom import Radical, RingMismatchError, resolve_context, rings, to_mpf
-from brwmom.rings import (ExpPair, FloatContext, RadicalContext,
-                          RationalContext, _padd, _pmul, _pneg, _qdivmod,
-                          _qform, _qgcd, _qnorm, _trim)
+from brwmom.rings import (FloatContext, RadicalContext, RationalContext,
+                          _padd, _pmul, _pneg, _qdivmod, _qform, _qgcd,
+                          _qnorm, _trim)
 
 
 def rad(m, *coeffs):
@@ -302,7 +302,6 @@ class TestContexts:
 
 
 PAIR_PRECISIONS = (64, 256, 1024)
-PAIR_CONTEXTS = {prec: FloatContext(0.45, prec) for prec in PAIR_PRECISIONS}
 
 
 def mantissas(prec):
@@ -337,38 +336,23 @@ def round_half_up(man, exp, prec):
 @given(st.sampled_from(PAIR_PRECISIONS).flatmap(pair_cases))
 @settings(max_examples=400, deadline=None, report_multiple_bugs=False)
 def test_pair_ops_equal_mpf(case):
-    # The float table form rounds as mpf_mul/mpf_add at round-nearest, to
-    # the bit, for ties, short mantissas and exponent gaps up to 3000.
+    # ``_round_pair`` of an exact int product or sum rounds as mpf_mul and
+    # mpf_add at round-nearest, to the bit, for ties, short mantissas and
+    # exponent gaps up to 3000.
     prec, a, b, ea, gap = case
-    ctx = PAIR_CONTEXTS[prec]
     x, y = (a, ea), (b, ea + gap)
     fx, fy = from_man_exp(*x), from_man_exp(*y)
-    assert from_man_exp(*ctx.table_mul(x, y)) == mpf_mul(fx, fy, prec, "n")
-    assert from_man_exp(*ctx.table_add(x, y)) == mpf_add(fx, fy, prec, "n")
-    assert from_man_exp(*ctx.table_add(y, x)) == mpf_add(fy, fx, prec, "n")
-    w = mpf_mul_int(ctx.two_pow(5, -2)._mpf_, 6, prec, "n")
-    got = ctx.table_multiplier(6, ExpPair(5, -2), 7)(x)
-    assert from_man_exp(*got) == mpf_mul(mpf_shift(w, 7), fx, prec, "n")
+    product = rings._round_pair(a * b, 2 * ea + gap, prec)
+    assert from_man_exp(*product) == mpf_mul(fx, fy, prec, "n")
+    (hi, e_hi), (lo, e_lo) = (y, x) if gap > 0 else (x, y)
+    total = rings._round_pair((hi << (e_hi - e_lo)) + lo, e_lo, prec)
+    assert from_man_exp(*total) == mpf_add(fx, fy, prec, "n")
 
 
 def test_round_half_up_fails_pair_ops(monkeypatch):
     monkeypatch.setattr(rings, "_round_pair", round_half_up)
     with pytest.raises(AssertionError):
         test_pair_ops_equal_mpf()
-
-
-def test_pair_add_far_below_stays_small(monkeypatch):
-    # A far operand rounds away: the sum is the larger operand itself,
-    # with no int as wide as the exponent gap.
-    ctx, widths = PAIR_CONTEXTS[256], []
-    monkeypatch.setattr(rings, "_round_pair", lambda man, exp, prec:
-                        widths.append(man.bit_length()) or (man, exp))
-    big = ((1 << 256) - 1, 0)
-    assert ctx.table_add(big, (3, -10 ** 6)) == big
-    assert ctx.table_add((3, -10 ** 6), big) == big
-    assert widths == []
-    ctx.table_add(big, (big[0], -250))
-    assert widths == [507]
 
 
 def test_float_two_pow_equals_mpf_power():
