@@ -22,9 +22,10 @@ Z_n = 2^(-n) * sum over leaves of exp(2*beta*X_n(leaf)):
 
 * ``mom_symbolic``: the same recurrence solved in closed form,
   M_k(n) = sum over bases b = 2^(p beta^2 + q) of P_b(n) b^n, by
-  ``_closed_forms`` over Q(t), t = 2^(beta^2).  Valid for generic beta;
-  the critical denominators survive as poles of the coefficients.  No
-  other route loads ``symbolic``, which it imports in its own body.
+  ``_closed_forms`` over Q(t), t = 2^(beta^2), in ``symbolic.RatFun``'s
+  field.  Valid for generic beta; the critical denominators survive as
+  poles of the coefficients.  No other route loads ``symbolic``, which
+  it imports in its own body.
 
 * ``mom_polynomial``: for integer k and beta, the closed form in the
   rationals, an exact polynomial in 2^n of degree k^2*beta^2 - k + 1,
@@ -278,15 +279,13 @@ def mom_symbolic(k: int) -> "GenPoly":
     """Closed form of the k-th moment as a GenPoly over Q(t): no product
     of lower orders has a step's power of t, so no coefficient has a
     power of n, and the critical denominators remain as poles.  It is
-    solved with factored denominators and no gcd per operation, and each
-    coefficient is reduced to a ``RatFun`` once, core by core: one gcd of
-    its numerator with each core's power, none with the whole
-    denominator."""
+    solved in ``RatFun``'s field, whose sums and products take Henrici's
+    gcds, so each coefficient comes out reduced."""
     from .symbolic import GenPoly, SymbolicContext
     if k < 1:
         raise ValueError("moment order must be positive")
     form = _closed_forms(k, SymbolicContext())[k]
-    return GenPoly({e: c.to_ratfun() for e, (c,) in form.values()})
+    return GenPoly({e: c for e, (c,) in form.values()})
 
 
 def evaluate_genpoly(g: "GenPoly", beta_sq, n: int,
@@ -296,16 +295,19 @@ def evaluate_genpoly(g: "GenPoly", beta_sq, n: int,
     Evaluated in the ring ``resolve_context`` picks for beta^2: exact
     (Fraction or Radical) for rational beta^2, mpf at the requested
     precision otherwise.  Raises PoleAtCriticalBeta when a coefficient
-    denominator vanishes at t = 2^(beta^2), as the ring's ``vanishes``
-    judges it: exactly in the exact rings, conservatively in floats.
+    denominator vanishes at t = 2^(beta^2): exactly zero in the exact
+    rings, and below 2^(-precision/2) in mpf, where rounding hides an
+    exact zero.
     """
     ctx = resolve_context(beta_sq, "auto", precision)
     with ctx.workprec():
+        tiny = (isinstance(ctx, FloatContext)
+                and ctx.two_pow(0, -(ctx.precision // 2)))
         t = ctx.two_pow(1, 0)
         total = ctx.zero
         for e, c in g.items():
             num, den = c.evaluate_parts(t)
-            if ctx.vanishes(den):
+            if not den or tiny and abs(den) < tiny:
                 raise PoleAtCriticalBeta(
                     "coefficient denominator vanishes at beta^2 = "
                     f"{beta_sq} in ring {ctx.tag}")

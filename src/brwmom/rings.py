@@ -33,9 +33,9 @@ ambient mpmath one.
 The dense polynomial helpers (coefficient tuples, lowest degree first)
 are the package's one polynomial arithmetic: ``_p*`` over any exact ring,
 ``_q*`` on ``QForm`` (nums, den), the normal form of a polynomial over Q:
-int nums over den > 0, gcd(den, *nums) = 1, trimmed.  ``Radical`` stores
-it; the Q(t) layer of ``symbolic`` takes each gcd (the primitive PRS,
-Collins 1967) and exact quotient from it.  All values are immutable;
+int nums over den > 0, gcd(den, *nums) = 1, trimmed.  ``Radical`` and
+``symbolic.RatFun`` store it; ``RatFun`` takes each gcd (the primitive
+PRS, Collins 1967) and exact quotient from it.  All values are immutable;
 operations are pure functions.  mpmath is imported by the functions that
 use it, so exact arithmetic never loads it.
 """
@@ -127,10 +127,20 @@ def _qform(cs) -> QForm:
     return tuple(c.numerator * (den // c.denominator) for c in cs), den
 
 
+def _qcoeffs(a: QForm) -> Coeffs:
+    nums, den = a
+    return tuple(Fraction(n, den) for n in nums)
+
+
 def _qadd(a: QForm, b: QForm, sign: int = 1) -> QForm:
     (x, dx), (y, dy) = a, b
     return _qnorm(_padd([dy * v for v in x], [sign * dx * v for v in y]),
                   dx * dy)
+
+
+def _qmul(a: QForm, b: QForm) -> QForm:
+    (x, dx), (y, dy) = a, b
+    return _qnorm(_pmul(x, y), dx * dy)
 
 
 def _qdivmod(a: QForm, b: QForm) -> Tuple[QForm, QForm]:
@@ -153,7 +163,10 @@ def _qdivmod(a: QForm, b: QForm) -> Tuple[QForm, QForm]:
 
 def _qgcd(a: QForm, b: QForm) -> QForm:
     """The monic gcd of a and b != 0 by the primitive PRS: the primitive
-    part of x is the nums of x / lc(x), monic over Q at the end."""
+    part of x is the nums of x / lc(x), monic over Q at the end.  A
+    non-zero constant operand shares no factor: 1, with no division."""
+    if len(a[0]) == 1 or len(b[0]) == 1:
+        return (1,), 1
     u, v = (_qnorm(x, x[-1])[0] if x else () for x in (a[0], b[0]))
     while len(v) > 1:
         r = _qdivmod((u, 1), (v, 1))[1][0]
@@ -202,8 +215,7 @@ class Radical:
 
     @property
     def coeffs(self) -> Coeffs:
-        nums, den = self.form
-        return tuple(Fraction(n, den) for n in nums)
+        return _qcoeffs(self.form)
 
     def _new(self, form: QForm) -> "Radical":
         out = object.__new__(Radical)
@@ -335,10 +347,6 @@ class _ExactContext:
             out[r] = Fraction(v, 1 << -q) if q < 0 else Fraction(v << q)
         return out
 
-    def vanishes(self, value) -> bool:
-        """Whether a computed denominator is zero; exact in this ring."""
-        return not value
-
 
 class RationalContext(_ExactContext):
     """Exact rational arithmetic; requires an integer beta^2."""
@@ -436,12 +444,6 @@ class FloatContext:
     def from_table(self, x, e: int) -> mpmath.mpf:
         from mpmath import libmp, mp
         return mp.make_mpf(libmp.from_man_exp(x[0], x[1] - e))
-
-    def vanishes(self, value) -> bool:
-        """Whether a computed denominator is zero, read conservatively as
-        |value| < 2^(-precision/2): rounding hides an exact zero."""
-        import mpmath
-        return abs(value) < mpmath.mpf(2) ** (-(self.precision // 2))
 
     def workprec(self):
         import mpmath

@@ -7,19 +7,14 @@ rational-function coefficients and represents a finite sum
 
     sum over (p, q) of  c_{p,q}(t) * 2^((p*beta^2 + q) * n).
 
-``SymbolicContext`` is Q(t) as a ring context, in which
+``RatFun`` is Q(t) in a reduced normal form on ``rings``' ``QForm``
+arithmetic, each sum and product reduced by Henrici's gcds.
+``SymbolicContext`` is that field as a ring context, in which
 ``engine.mom_symbolic`` solves the moment recursion for generic beta.
-Its elements keep denominators factored, num / (t^v * prod of core^m):
-every divisor of the closed form is a binomial 2^q t^p - 2^q' t^p', so
-sums and products take no gcd.  ``to_ratfun`` reduces each coefficient
-to a ``RatFun`` once, at the end, core by core: one gcd of the numerator
-with each core's power, none with the whole denominator.
 ``geometric_sum`` gives a geometric series in closed form only, in
 symbolic n; no route calls it, and the tests build their lambda-sum
-reference from it.  ``ExpPair`` and the polynomial arithmetic come from
-``rings``, each gcd and exact quotient on its integer normal form.  No
-CLI route loads this module: ``mom_symbolic`` is a library function and
-the tests' reference.
+reference from it.  No CLI route loads this module: ``mom_symbolic`` is
+a library function and the tests' reference.
 """
 
 from __future__ import annotations
@@ -28,8 +23,8 @@ from contextlib import nullcontext
 from fractions import Fraction
 from typing import Dict, Iterator, Tuple
 
-from .rings import (Coeffs, ExpPair, QForm, _padd, _pmul, _pneg, _qdivmod,
-                    _qform, _qgcd, _trim)
+from .rings import (Coeffs, ExpPair, QForm, _pneg, _qadd, _qcoeffs, _qdivmod,
+                    _qform, _qgcd, _qmul, _qnorm)
 
 
 class DegenerateExponent(ArithmeticError):
@@ -48,24 +43,29 @@ class RatFun:
 
     Normal form: numerator and denominator share no common factor and the
     denominator is monic, so equal values have equal representations.
+    ``forms`` holds the two as ``QForm``s; ``num`` and ``den`` read them
+    as Fractions.  The constructor takes one gcd of the whole; sums and
+    products take Henrici's (J. ACM 3, 1956; TAOCP vol. 2, 4.5.1): a/b +
+    c/d reduces a (d/g) + c (b/g) only against g = gcd(b, d), and a/b *
+    c/d divides out gcd(a, d) and gcd(c, b).  Each result is normal.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("forms",)
 
     def __init__(self, num, den=(Fraction(1),)) -> None:
         num, den = _qform(num), _qform(den)
         if not den[0]:
             raise ZeroDivisionError("rational function with zero denominator")
-        if len((g := _qgcd(num, den))[0]) > 1:
-            num, den = _qdivmod(num, g)[0], _qdivmod(den, g)[0]
-        self._set(num, den)
+        g = _qgcd(num, den)
+        self.forms = _monic(_quo(num, g), _quo(den, g))
 
-    def _set(self, num: QForm, den: QForm) -> "RatFun":
-        """num / den, two coprime forms, over a monic denominator."""
-        (a, da), (b, db) = num, den
-        self.num = tuple(Fraction(x * db, da * b[-1]) for x in a)
-        self.den = tuple(Fraction(y, b[-1]) for y in b)
-        return self
+    @property
+    def num(self) -> Coeffs:
+        return _qcoeffs(self.forms[0])
+
+    @property
+    def den(self) -> Coeffs:
+        return _qcoeffs(self.forms[1])
 
     @classmethod
     def one(cls) -> "RatFun":
@@ -80,31 +80,41 @@ class RatFun:
         return cls((scale,), (Fraction(0),) * (-p) + (Fraction(1),))
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return bool(self.forms[0][0])
 
     def __add__(self, other):
         other = _lift(other)
-        if not self.num or not other.num:  # no gcd to add zero
-            return self if self.num else other
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return RatFun(num, _pmul(self.den, other.den))
+        (a, b), (c, d) = self.forms, other.forms
+        if not a[0] or not c[0]:  # no gcd to add zero
+            return self if a[0] else other
+        g = _qgcd(b, d)
+        b, d = _quo(b, g), _quo(d, g)
+        s = _qadd(_qmul(a, d), _qmul(c, b))
+        if not s[0]:
+            return _ratfun(s, ((1,), 1))
+        h = _qgcd(s, g)
+        return _ratfun(_quo(s, h), _qmul(_qmul(b, d), _quo(g, h)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _lift(other)
-        num = _padd(_pmul(self.num, other.den), _pneg(_pmul(other.num, self.den)))
-        return RatFun(num, _pmul(self.den, other.den))
+        return self + -_lift(other)
 
     def __rsub__(self, other):
         return _lift(other) - self
 
     def __neg__(self):
-        return RatFun(_pneg(self.num), self.den)
+        (a, da), b = self.forms
+        return _ratfun((_pneg(a), da), b)
 
     def __mul__(self, other):
         other = _lift(other)
-        return RatFun(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        (a, b), (c, d) = self.forms, other.forms
+        if not a[0] or not c[0]:
+            return other if a[0] else self
+        g, h = _qgcd(a, d), _qgcd(c, b)
+        return _ratfun(_qmul(_quo(a, g), _quo(c, h)),
+                       _qmul(_quo(b, h), _quo(d, g)))
 
     __rmul__ = __mul__
 
@@ -112,17 +122,17 @@ class RatFun:
         other = _lift(other)
         if not other:
             raise ZeroDivisionError("division by zero rational function")
-        return RatFun(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        return self * _ratfun(*_monic(other.forms[1], other.forms[0]))
 
     def __eq__(self, other):
         if not isinstance(other, (RatFun, int, Fraction)):
             return NotImplemented
-        other = _lift(other)
-        return self.num == other.num and self.den == other.den
+        return self.forms == _lift(other).forms
 
     def __hash__(self):  # a constant equals its Fraction: hash as one
-        constant = self.den == (1,) and len(self.num) < 2
-        return hash(_peval(self.num, 0) if constant else (self.num, self.den))
+        (a, da), (b, _) = self.forms
+        constant = len(b) == 1 and len(a) < 2
+        return hash(Fraction(sum(a), da) if constant else self.forms)
 
     def evaluate_parts(self, t):
         """(numerator, denominator) at t, for callers doing their own
@@ -140,121 +150,46 @@ class RatFun:
                      for i, c in reversed(list(enumerate(cs))) if c]
             return " + ".join(terms) or "0"
 
-        if self.den == (Fraction(1),):
+        if len(self.forms[1][0]) == 1:
             return fmt(self.num)
         return f"({fmt(self.num)})/({fmt(self.den)})"
+
+
+def _quo(a: QForm, g: QForm) -> QForm:
+    """a / g, exact, for g a monic divisor of a."""
+    return a if len(g[0]) == 1 else _qdivmod(a, g)[0]
+
+
+def _monic(num: QForm, den: QForm) -> Tuple[QForm, QForm]:
+    """The forms of num / den over a monic denominator."""
+    (a, da), (b, db) = num, den
+    return _qnorm([x * db for x in a], da * b[-1]), _qnorm(b, b[-1])
+
+
+def _ratfun(num: QForm, den: QForm) -> RatFun:
+    """num / den, two coprime forms with den monic, as it stands."""
+    out = object.__new__(RatFun)
+    out.forms = num, den
+    return out
 
 
 def _lift(value) -> RatFun:
     """A RatFun operand from a RatFun, int or Fraction."""
     if isinstance(value, (int, Fraction)):
-        return RatFun((Fraction(value),))
+        return _ratfun(_qform((value,)), ((1,), 1))
     if not isinstance(value, RatFun):
         raise TypeError(f"no rational function from {type(value).__name__}")
     return value
 
 
-def _times_cores(num: Coeffs, cores: dict) -> Coeffs:
-    for core, m in cores.items():
-        for _ in range(m):
-            num = _pmul(num, core)
-    return num
-
-
-class _Factored:
-    """num / (t^v * prod of core^m): ``num`` has a non-zero constant term
-    (its leading zeros move into v) and each core is monic with a non-zero
-    constant term, so equal monomials t^p 2^q have equal representations."""
-
-    __slots__ = ("num", "v", "cores")
-
-    def __init__(self, num, v: int = 0, cores: dict | None = None) -> None:
-        num = _trim(num)
-        z = next((i for i, c in enumerate(num) if c), 0)
-        self.num, self.v = num[z:], v - z if num else 0
-        self.cores = (cores or {}) if num else {}
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def __add__(self, other):
-        other = _factored(other)
-        if not self.num or not other.num:
-            return self if self.num else other
-        v, cores = max(self.v, other.v), dict(self.cores)
-        for core, m in other.cores.items():
-            cores[core] = max(cores.get(core, 0), m)
-
-        def lift(x):
-            missing = {c: m - x.cores.get(c, 0) for c, m in cores.items()}
-            return _times_cores((Fraction(0),) * (v - x.v) + x.num, missing)
-
-        return _Factored(_padd(lift(self), lift(other)), v, cores)
-
-    def __neg__(self):
-        return _Factored(_pneg(self.num), self.v, self.cores)
-
-    def __sub__(self, other):
-        return self + -_factored(other)
-
-    def __mul__(self, other):
-        other = _factored(other)
-        cores = dict(self.cores)
-        for core, m in other.cores.items():
-            cores[core] = cores.get(core, 0) + m
-        return _Factored(_pmul(self.num, other.num), self.v + other.v, cores)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        # other = lead core / (t^w C): times t^w C / lead, over the core.
-        other = _factored(other)
-        if not other:
-            raise ZeroDivisionError("division by zero rational function")
-        lead = other.num[-1]
-        cores = dict(self.cores)
-        if len(other.num) > 1:
-            core = tuple(c / lead for c in other.num)
-            cores[core] = cores.get(core, 0) + 1
-        num = _times_cores(self.num, other.cores)
-        return _Factored(tuple(c / lead for c in num), self.v - other.v, cores)
-
-    def __eq__(self, other):
-        if not isinstance(other, (_Factored, int, Fraction)):
-            return NotImplemented
-        return not self - other
-
-    def __hash__(self):  # as its RatFun, which a constant's Fraction equals
-        return hash(self.to_ratfun())
-
-    def to_ratfun(self) -> RatFun:
-        """One gcd of num with each core's power, divided out of both,
-        leaves num prime to each reduced power and so to their product
-        (and, as all have non-zero constant terms, to t^v): RatFun's
-        normal form, built with no further gcd."""
-        num = _qform((0,) * -self.v + self.num)
-        den = (0,) * self.v + (1,), 1
-        for core, m in self.cores.items():
-            power = _qform(_times_cores((Fraction(1),), {core: m}))
-            if len((g := _qgcd(num, power))[0]) > 1:
-                num, power = _qdivmod(num, g)[0], _qdivmod(power, g)[0]
-            den = _pmul(den[0], power[0]), den[1] * power[1]
-        return RatFun.__new__(RatFun)._set(num, den)
-
-
-def _factored(value) -> _Factored:
-    return (value if isinstance(value, _Factored)
-            else _Factored((Fraction(value),)))
-
-
 class SymbolicContext:
-    """Q(t) of ``_Factored`` elements, with the interface of ``rings``."""
+    """Q(t) of ``RatFun`` elements, with the interface of ``rings``."""
 
-    one, zero = _Factored((Fraction(1),)), _Factored(())
+    one, zero = RatFun((Fraction(1),)), RatFun(())
     workprec = staticmethod(nullcontext)
 
-    def two_pow(self, p: int, q: int) -> _Factored:
-        return _Factored((Fraction(2) ** q,), -p)
+    def two_pow(self, p: int, q: int) -> RatFun:
+        return RatFun.t_power(p, Fraction(2) ** q)
 
 
 class GenPoly:

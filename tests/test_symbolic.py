@@ -9,7 +9,7 @@ from mpmath import mp
 from brwmom import (DegenerateExponent, ExpPair, GenPoly, Radical, RatFun,
                     geometric_sum)
 from brwmom.engine import _closed_forms, evaluate_genpoly
-from brwmom.rings import _pmul, _qdivmod
+from brwmom.rings import _padd, _pmul, _qdivmod
 from brwmom.symbolic import SymbolicContext
 
 
@@ -125,16 +125,33 @@ class TestGenPoly:
 CTX = SymbolicContext()
 
 
+def full_sum(f, g, sign=1):
+    """f + sign * g over the product of the denominators, reduced by
+    ``RatFun(num, den)``'s one gcd of the whole: the Euclidean reference
+    for Henrici's gcds."""
+    num = _padd(_pmul(f.num, g.den),
+                _pmul(tuple(sign * c for c in g.num), f.den))
+    return RatFun(num, _pmul(f.den, g.den))
+
+
+REFERENCE = {"+": full_sum, "-": lambda f, g: full_sum(f, g, -1),
+             "*": lambda f, g: RatFun(_pmul(f.num, g.num),
+                                      _pmul(f.den, g.den)),
+             "/": lambda f, g: RatFun(_pmul(f.num, g.den),
+                                      _pmul(f.den, g.num))}
+OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+       "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+
+
 def monomial(c, p, q):
-    """c t^p 2^q in the factored ring of SymbolicContext and as a RatFun."""
-    return c * CTX.two_pow(p, q), RatFun.t_power(p, c * Fraction(2) ** q)
+    """c t^p 2^q, as SymbolicContext builds it."""
+    return c * CTX.two_pow(p, q)
 
 
 def binomial(p, q, p2, q2):
     """2^q t^p - 2^q2 t^p2, the shape of every divisor b - s_j of the
-    closed form, in both rings."""
-    (f1, r1), (f2, r2) = monomial(1, p, q), monomial(1, p2, q2)
-    return f1 - f2, r1 - r2
+    closed form, built by the reference."""
+    return REFERENCE["-"](monomial(1, p, q), monomial(1, p2, q2))
 
 
 # t^8 - 2 and t^16 - 4 = (t^8 - 2)(t^8 + 2) share a factor; t^3 - 2 t^3
@@ -150,56 +167,51 @@ steps = st.lists(st.one_of(
     st.tuples(st.sampled_from("+-*"), st.just(monomial), monomials),
     st.tuples(st.sampled_from("+-*/"), st.just(binomial), binomials)),
     max_size=8)
-OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
-       "*": lambda a, b: a * b, "/": lambda a, b: a / b}
 
 
 def run_both(start, ops):
-    f, r = monomial(*start)
+    """The same operations by RatFun's operators and by the reference."""
+    f = r = monomial(*start)
     for op, make, args in ops:
-        g, s = make(*args)
-        f, r = OPS[op](f, g), OPS[op](r, s)
+        g = make(*args)
+        f, r = OPS[op](f, g), REFERENCE[op](r, g)
     return f, r
 
 
-def whole_gcd(f):
-    """f as RatFun's one gcd against the whole denominator reduces it."""
-    den = (Fraction(1),)
-    for core, m in f.cores.items():
-        for _ in range(m):
-            den = _pmul(den, core)
-    pad = (Fraction(0),) * abs(f.v)
-    return RatFun(pad + f.num, den) if f.v < 0 else RatFun(f.num, pad + den)
-
-
 class TestFactoredRing:
+    """Values whose denominators factor into the closed form's binomials,
+    in SymbolicContext's field: Henrici's gcds against the whole gcd."""
+
     @given(monomials, steps)
     @settings(max_examples=150, deadline=None)
-    # (t^8 - 2)^2 / (t^16 - 4)^2 = 1 / (t^8 + 2)^2: the gcd with the core
-    # alone leaves a t^8 - 2 on both sides.
+    # (t^8 - 2)^2 / (t^16 - 4)^2 = 1 / (t^8 + 2)^2: a gcd with one
+    # factor alone leaves a t^8 - 2 on both sides.
     @example((1, 0, 0), [("*", binomial, (8, 0, 0, 1))] * 2
              + [("/", binomial, (16, 0, 0, 2))] * 2)
+    # 1/(t (t - 1)) + 1/t = t/(t (t - 1)): the sum shares t with the gcd
+    # of the denominators.
+    @example((1, 0, 0), [("/", binomial, (1, 0, 0, 0)),
+                         ("*", monomial, (1, -1, 0)),
+                         ("+", monomial, (1, -1, 0))])
     def test_reduced_equals_ratfun(self, start, ops):
         f, r = run_both(start, ops)
-        assert f.to_ratfun() == r
-        assert repr(f.to_ratfun()) == repr(r)
-        assert bool(f) == bool(r)
+        assert f.forms == r.forms and repr(f) == repr(r)
+        assert bool(f) == bool(r) and hash(f) == hash(r)
 
     @given(monomials, steps, monomials, steps)
     @settings(max_examples=50, deadline=None)
     def test_quotient_of_factored_values(self, start, ops, start2, ops2):
-        # The divisor carries cores of its own, unlike b - s_j.
+        # The divisor carries binomials of its own, unlike b - s_j.
         (f, r), (g, s) = run_both(start, ops), run_both(start2, ops2)
         if s:
-            assert (f / g).to_ratfun() == r / s
+            assert (f / g).forms == REFERENCE["/"](r, s).forms
 
     @given(monomials, steps, binomials)
     @settings(max_examples=50, deadline=None)
     def test_equal_values_hash_equally(self, start, ops, b):
-        # f * b / b files b's core below the line: another representation
-        # of the same value.
+        # f * b / b puts b below the line and cancels it again.
         f, _ = run_both(start, ops)
-        g = f * binomial(*b)[0] / binomial(*b)[0]
+        g = f * binomial(*b) / binomial(*b)
         assert g == f and hash(g) == hash(f)
         assert f + CTX.one != f
 
@@ -207,7 +219,7 @@ class TestFactoredRing:
                                           max_denominator=8))
     @settings(max_examples=50, deadline=None)
     def test_constant_hashes_as_its_fraction(self, start, ops, q):
-        # f * q / f files f's cores and power of t below the line and
+        # f * q / f puts f's binomials and power of t below the line and
         # cancels them again: a constant RatFun, equal to the Fraction q.
         f, _ = run_both(start, ops)
         for x in (q * CTX.one, f * q / f if f else q * CTX.one):
@@ -219,28 +231,25 @@ class TestFactoredRing:
         forms = _closed_forms(k, SymbolicContext())
         for _, coeffs in forms[k].values():
             for c in coeffs:
-                reduced, oracle = c.to_ratfun(), whole_gcd(c)
-                assert reduced == oracle and repr(reduced) == repr(oracle)
+                oracle = RatFun(c.num, c.den)
+                assert c.forms == oracle.forms and repr(c) == repr(oracle)
 
     def test_shared_factor_cancels_in_the_reduction(self):
-        core, _ = binomial(8, 0, 0, 1)
-        wide, _ = binomial(16, 0, 0, 2)
+        core, wide = binomial(8, 0, 0, 1), binomial(16, 0, 0, 2)
         x = CTX.one / core
         y = (CTX.two_pow(8, 0) + 2) / wide
-        assert x == y
-        assert y.to_ratfun() == RatFun.one() / rf([-2] + [0] * 7 + [1])
-        assert (x - y).to_ratfun() == RatFun(())
+        assert x == y == RatFun.one() / rf([-2] + [0] * 7 + [1])
+        assert x - y == RatFun(())
 
     def test_cancels_to_zero(self):
-        x = 3 * CTX.two_pow(2, -1) / binomial(8, 0, 0, 1)[0]
-        y = CTX.two_pow(-1, 2) / binomial(5, 1, 2, 0)[0]
+        x = 3 * CTX.two_pow(2, -1) / binomial(8, 0, 0, 1)
+        y = CTX.two_pow(-1, 2) / binomial(5, 1, 2, 0)
         z = (x + y) - y - x
-        assert not z and z == 0
-        assert z.to_ratfun() == RatFun(())
+        assert not z and z == 0 and z.den == (1,)
 
     def test_pure_power_of_t(self):
-        x = CTX.two_pow(3, 1) / binomial(5, 0, 5, 1)[0]  # 2 t^3 / -t^5
-        assert x.to_ratfun() == RatFun.t_power(-2, -2)
+        x = CTX.two_pow(3, 1) / binomial(5, 0, 5, 1)  # 2 t^3 / -t^5
+        assert x == RatFun.t_power(-2, -2)
 
     def test_monomials_equal_exactly_when_exponents_do(self):
         grid = [(p, q) for p in range(-3, 4) for q in range(-2, 3)]
