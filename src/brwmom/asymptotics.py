@@ -25,6 +25,7 @@ not a route.  The records ``Regime``, ``LeadingTerm`` and
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf
 from typing import NamedTuple
 
 import mpmath
@@ -74,6 +75,8 @@ def classify_regime(k: int, beta_sq) -> Regime:
     """
     if k < 1:
         raise ValueError("moment order must be positive")
+    if not 0 <= beta_sq < inf:
+        raise ValueError("beta^2 must be nonnegative and finite")
     sign = _compare_k_beta_sq(k, beta_sq)
     if k == 1:
         tag = SUB if sign < 0 else (CRITICAL if sign == 0 else SUPER)

@@ -12,13 +12,7 @@ Z_n = 2^(-n) * sum over leaves of exp(2*beta*X_n(leaf)):
   weight and the sum runs over the unordered splits 0 < j <= k/2, the
   weight doubled for j < k/2: about k^2 n / 2 ring products for the
   whole table.  It never divides, so every beta (critical points
-  included) is in range.  ``MomentTable`` runs it scaled, in the ring's
-  table form (``rings``): on 2^((1 - beta^2) kn) M_k(n) in the exact
-  rings and on 2^(kn) M_k(n) in mpf, unscaled exactly on a read.  The
-  loop runs on the interpreter's int operators, with no call per product
-  in the exact forms: one int per entry at integer and half-integer
-  beta^2 (``_int_rows``), h slot ints at h > 1 (``_slot_rows``), and an
-  int pair rounded by ``rings._round_pair`` in mpf (``_pair_rows``).
+  included) is in range; ``MomentTable`` runs it in table form.
 
 * ``mom_symbolic``: the same recurrence solved in closed form,
   M_k(n) = sum over bases b = 2^(p beta^2 + q) of P_b(n) b^n, by
@@ -30,18 +24,40 @@ Z_n = 2^(-n) * sum over leaves of exp(2*beta*X_n(leaf)):
 * ``mom_polynomial``: for integer k and beta, the closed form in the
   rationals, an exact polynomial in 2^n of degree k^2*beta^2 - k + 1,
   returned as the NamedTuple ``MomPolynomial``.
+
+The table form.  ``MomentTable`` runs the recurrence scaled, on the
+interpreter's int operators, with no call per product in the exact
+rings and no gcd.  Parity lemma: with t = 2^(beta^2), every term of
+N_j(d) = 2^(jd) M_j(d) is t^p, p >= jd, p = jd (mod 2).  Proof by
+induction over the recurrence's factors (``recurrence_terms``): the
+step's t^(j^2) has j^2 >= j, = j (mod 2); a split's t^(i^2 + (j-i)^2)
+has i^2 + (j-i)^2 >= j, = j.  So the exact rows hold
+R_j(d) = t^(-jd) N_j(d), integral in t^2 = 2^(g/h) for 2 beta^2 = g/h
+in lowest terms: an entry of Z[2^(1/h)], one int at h = 1 (integer and
+half-integer beta^2, ``_int_rows``), else h ints, slot i the coefficient
+of 2^(i/h) (``_slot_rows``; h is m or m/2 for beta^2 = a/m).  A weight
+c 2^(e+j) t^(-j) is c 2^s 2^(r/h) (``_table_shift``): a shift at h = 1,
+else a shift and a rotation by r slots that doubles what wraps
+(2^(h/h) = 2).  The mpf rows hold N_j(d), the one scaling exact in
+binary, as int pairs (man, exp) for man 2^exp, man > 0 (``_pair_rows``):
+a weight is the rounded c 2^e times an exact 2^j (``_pair_weight``), and
+each product and sum is formed exactly in ints and rounded once by
+``_round_pair``, as mpf's * and + round, so each entry is the unscaled
+recurrence's in mpf to the bit.  ``MomentTable.value`` reads an entry
+exactly: x 2^((beta^2 - 1) jd) in the exact rings, x 2^(-jd) in mpf.
+No table operation reads the ambient mpmath precision.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from typing import Dict, NamedTuple
+from math import comb, inf
+from typing import Dict, NamedTuple, Tuple
 
-from .rings import (DEFAULT_PRECISION, ExpPair, FloatContext, RingContext,
-                    _padd, _pair_weight, _pmul, _round_pair, _table_shift,
-                    _trim, resolve_context)
+from .rings import (DEFAULT_PRECISION, ExpPair, FloatContext, Radical,
+                    RationalContext, RingContext, _mpf_two_pow, _padd,
+                    _pmul, _trim, resolve_context)
 
 
 class PoleAtCriticalBeta(ArithmeticError):
@@ -62,20 +78,41 @@ def recurrence_terms(j: int):
         for i in range(1, j // 2 + 1))
 
 
+def _table_shift(e: ExpPair, j: int, g: int, h: int) -> Tuple[int, int]:
+    """(s, r): 2^(e + j) t^(-j) = 2^s 2^(r/h) for 2 beta^2 = g/h, 0 <= r < h;
+    ArithmeticError off the parity lemma's lattice."""
+    half, odd = divmod(e.p - j, 2)
+    if odd or half < 0:
+        raise ArithmeticError(f"t^{e.p} is not t^{j} times a power of t^2")
+    return divmod(half * g + (e.q + j) * h, h)
+
+
 @lru_cache(maxsize=128)
-def _int_weights(j: int, g: int):
-    """(step, ((i, w_i), ...)): order j's table multipliers c 2^s as ints
-    in the exact table form at h = 1, 2 beta^2 = g.  Cached for 128 pairs
-    (j, g); one pair's weights sum to row j's entry at depth 1."""
+def _exact_weights(j: int, g: int, h: int):
+    """((s, r), ((i, w_i, r_i), ...)): order j's table multipliers in the
+    exact table form for 2 beta^2 = g/h, the step 2^s 2^(r/h) and each
+    split's int w_i = c_i 2^(s_i) at slot offset r_i (every r is 0 at
+    h = 1).  Cached for 128 keys (j, g, h)."""
     step, terms = recurrence_terms(j)
-    return 1 << _table_shift(step, j, g, 1)[0], tuple(
-        (i, c << _table_shift(e, j, g, 1)[0]) for i, c, e in terms)
+    return _table_shift(step, j, g, h), tuple(
+        (i, c << s, r) for i, c, e in terms
+        for s, r in [_table_shift(e, j, g, h)])
+
+
+def _pair_weight(c: int, e: ExpPair, j: int, beta_sq: tuple,
+                 prec: int) -> tuple:
+    """(man, exp): the mpf table multiplier c 2^(e + j), c times the
+    rounded 2^e rounded once more, times the exact 2^j."""
+    from mpmath.libmp import mpf_mul_int
+    power = _mpf_two_pow(beta_sq, *e, prec)
+    _, man, exp, _ = mpf_mul_int(power, c, prec, "n")
+    return man, exp + j
 
 
 @lru_cache(maxsize=128)
 def _pair_weights(j: int, beta_sq: tuple, prec: int):
     """(step, ((i, man_i, exp_i), ...)): order j's table multipliers in
-    mpf's table form (``rings._pair_weight``) for the raw mpf beta^2 at
+    mpf's table form (``_pair_weight``) for the raw mpf beta^2 at
     ``prec`` bits, one mpf_pow each.  One build computes each order's
     weights once; the cache serves the next float table at the same
     beta^2 and precision in the process (``verify --suite oracle``'s 15
@@ -99,17 +136,9 @@ class MomentTable:
     """Bottom-up table of moment values: a row per order j, by depth d.
 
     Depth 0 is 1; each row then takes one step of the depth recurrence
-    per depth (order 1 has no split term: (2^(beta^2))^d).  The rows hold
-    a scaled M_j(d), each ring's normalisation (``rings``), with no gcd:
-    N_j(d) = 2^(jd) M_j(d) in mpf, the one scaling exact in binary
-    (coefficients: the exact 2^j times the rounded step and w_i, as
-    two_pow(j*j, 1) rounds otherwise), and R_j(d) = 2^((1 - beta^2) jd)
-    M_j(d) in the exact rings (coefficients times 2^j 2^(-j beta^2),
-    integral in 2^(2 beta^2) by the parity lemma).  ``build`` picks the
-    operator loop of the ring's table form once: ``_int_rows`` at h = 1,
-    ``_slot_rows`` at h > 1, ``_pair_rows`` in mpf.  ``value`` undoes the
-    scaling exactly; the table form carries its own precision, so in mpf
-    each value is the unscaled recurrence's to the bit.
+    per depth (order 1 has no split term: (2^(beta^2))^d).  The rows are
+    in the ring's table form (module docstring): ``build`` picks its loop
+    once, and ``value`` reads an entry exactly.
     """
 
     def __init__(self, ring: RingContext, rows: list) -> None:
@@ -121,20 +150,31 @@ class MomentTable:
             raise ValueError("moment order must be positive")
         if n_max < 0:
             raise ValueError("depth must be nonnegative")
-        if ring.beta_sq < 0:
-            raise ValueError("beta^2 must be nonnegative")
+        if not 0 <= ring.beta_sq < inf:
+            raise ValueError("beta^2 must be nonnegative and finite")
         if isinstance(ring, FloatContext):
             rows = _pair_rows(k_max, n_max, ring.beta_sq._mpf_, ring.precision)
-        elif ring.h == 1:
-            rows = _int_rows(k_max, n_max, ring.g)
         else:
-            rows = _slot_rows(k_max, n_max, ring.g, ring.h)
+            g, h = (2 * ring.beta_sq).as_integer_ratio()
+            rows = (_int_rows(k_max, n_max, g) if h == 1
+                    else _slot_rows(k_max, n_max, g, h))
         return cls(ring, rows)
 
     def value(self, j: int, depth: int):
+        """M_j(depth) as a Fraction, a Radical or an mpf, by the ring."""
         if j < 1 or depth < 0:  # a negative index would wrap silently
             raise IndexError(f"no entry ({j}, {depth}) in the table")
-        return self._ring.from_table(self._rows[j][depth], j * depth)
+        ring, x, e = self._ring, self._rows[j][depth], j * depth
+        if isinstance(ring, FloatContext):
+            from mpmath import libmp, mp
+            return mp.make_mpf(libmp.from_man_exp(x[0], x[1] - e))
+        # x 2^((beta^2 - 1) e) on the m coefficients of 2^(i/m).
+        xs = x if isinstance(x, list) else [x]
+        m, h, out = ring.m, len(xs), [0] * ring.m
+        for i, v in enumerate(xs):
+            q, r = divmod(i * (m // h) + (ring.numer - m) * e, m)
+            out[r] = Fraction(v, 1 << -q) if q < 0 else Fraction(v << q)
+        return out[0] if isinstance(ring, RationalContext) else Radical(m, out)
 
 
 def _int_rows(k_max: int, n_max: int, g: int) -> list:
@@ -142,8 +182,9 @@ def _int_rows(k_max: int, n_max: int, g: int) -> list:
     loop on the interpreter's own operators."""
     rows = [None]
     for j in range(1, k_max + 1):
-        step, weights = _int_weights(j, g)
-        splits = [(rows[i], rows[j - i], w) for i, w in weights]
+        (s, _), weights = _exact_weights(j, g, 1)
+        step = 1 << s
+        splits = [(rows[i], rows[j - i], w) for i, w, _ in weights]
         row = [1]
         for d in range(n_max):
             total = step * row[d]
@@ -161,12 +202,8 @@ def _slot_rows(k_max: int, n_max: int, g: int, h: int) -> list:
     product unfolded into 3h - 2 slots and folds by 2^(h/h) = 2 once."""
     rows, top = [None], range(3 * h - 3, h - 1, -1)
     for j in range(1, k_max + 1):
-        step, terms = recurrence_terms(j)
-        s, r = _table_shift(step, j, g, h)
-        splits = []
-        for i, c, e in terms:
-            ws, wr = _table_shift(e, j, g, h)
-            splits.append((rows[i], rows[j - i], wr, c << ws))
+        (s, r), weights = _exact_weights(j, g, h)
+        splits = [(rows[i], rows[j - i], wr, w) for i, w, wr in weights]
         row = [[1] + [0] * (h - 1)]
         for d in range(n_max):
             acc = [0] * (3 * h - 2)
@@ -184,6 +221,18 @@ def _slot_rows(k_max: int, n_max: int, g: int, h: int) -> list:
             row.append(acc[:h])
         rows.append(row)
     return rows
+
+
+def _round_pair(man: int, exp: int, prec: int) -> tuple:
+    """man 2^exp, man > 0, rounded to ``prec`` bits: nearest, ties to
+    even, as mpf's normalisation rounds, so the value is mpf's to the bit."""
+    n = man.bit_length() - prec
+    if n <= 0:
+        return man, exp
+    t = man >> (n - 1)
+    if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+        return (t >> 1) + 1, exp + n
+    return t >> 1, exp + n
 
 
 def _pair_rows(k_max: int, n_max: int, beta_sq: tuple, prec: int) -> list:

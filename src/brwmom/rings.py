@@ -9,26 +9,8 @@ The ring contexts below evaluate such powers in one of three backends:
 * the radical field Q(2^(1/m)) when beta^2 = a/m in lowest terms,
 * correctly rounded binary floats (mpmath) at a configurable precision.
 
-``engine.MomentTable`` runs each ring's depth loop on int operators, in
-the ring's table form.  In the exact rings it is Z[2^(1/h)] for
-2 beta^2 = g/h in lowest terms: one int per entry at h = 1
-(``engine._int_rows``), else h slot ints, slot i the coefficient of
-2^(i/h) (``engine._slot_rows``).  In mpf it is an int pair (man, exp) for
-man 2^exp (``engine._pair_rows``), each product and sum formed exactly in
-ints and rounded once to ``precision`` bits by ``_round_pair``, as mpf's
-* and + round.  ``from_table`` reads an entry.  Parity lemma: with
-t = 2^(beta^2), every term of N_j(d) = 2^(jd) M_j(d) is t^p, p >= jd,
-p = jd (mod 2).  Proof by induction over the recurrence's factors
-(``engine.recurrence_terms``): the step's t^(j^2) has j^2 >= j, = j
-(mod 2); a split's t^(i^2 + (j-i)^2) has i^2 + (j-i)^2 >= j, = j.  So the
-exact rows hold R_j(d) = t^(-jd) N_j(d), integral in t^2, and the loops
-apply a coefficient c 2^(e+j) t^(-j) as c 2^s 2^(r/h) (``_table_shift``):
-a shift at h = 1, else a shift and a rotation by r slots that doubles
-what wraps (2^(h/h) = 2); ``from_table(x, e)`` is x 2^((beta^2 - 1) e).
-The mpf rows hold N_j(d): the weight is the rounded c 2^e times an exact
-2^j (``_pair_weight``), and the read x 2^(-e).  Every read is exact.  The
-table form carries its own precision: no table operation reads the
-ambient mpmath one.
+``engine.MomentTable`` runs the moment recurrence in a scaled int form
+of these rings, which ``engine``'s module docstring states.
 
 The dense polynomial helpers (coefficient tuples, lowest degree first)
 are the package's one polynomial arithmetic: ``_p*`` over any exact ring,
@@ -318,34 +300,14 @@ class Radical:
         return " + ".join(parts) or "0"
 
 
-def _table_shift(e: ExpPair, j: int, g: int, h: int) -> Tuple[int, int]:
-    """(s, r): 2^(e + j) t^(-j) = 2^s 2^(r/h) for 2 beta^2 = g/h, 0 <= r < h;
-    ArithmeticError off the parity lemma's lattice."""
-    half, odd = divmod(e.p - j, 2)
-    if odd or half < 0:
-        raise ArithmeticError(f"t^{e.p} is not t^{j} times a power of t^2")
-    return divmod(half * g + (e.q + j) * h, h)
-
-
 class _ExactContext:
-    """The exact rings' table form: Z[2^(1/h)] for 2 beta^2 = g/h, as the
-    parity lemma (module docstring) allows; one int at h = 1 (integer and
-    half-integer beta^2), else h ints, h = m/2 for even m and m for odd."""
+    """The exact rings' beta^2 = numer/m in lowest terms."""
 
     workprec = staticmethod(nullcontext)
 
     def __init__(self, beta_sq) -> None:
         self.beta_sq = beta_sq
         self.numer, self.m = beta_sq.as_integer_ratio()
-        self.g, self.h = (2 * beta_sq).as_integer_ratio()
-
-    def _read(self, x, e: int) -> list:
-        """x 2^((beta^2 - 1) e) as the m Fractions of 2^(i/m)."""
-        m, out = self.m, [0] * self.m
-        for i, v in enumerate([x] if self.h == 1 else x):
-            q, r = divmod(i * (m // self.h) + (self.numer - m) * e, m)
-            out[r] = Fraction(v, 1 << -q) if q < 0 else Fraction(v << q)
-        return out
 
 
 class RationalContext(_ExactContext):
@@ -365,9 +327,6 @@ class RationalContext(_ExactContext):
     def two_pow(self, p: int, q: int) -> Fraction:
         return pow2(p * self.beta_sq + q)
 
-    def from_table(self, x, e: int) -> Fraction:
-        return self._read(x, e)[0]
-
 
 class RadicalContext(_ExactContext):
     """Arithmetic in Q(2^(1/m)) for beta^2 = a/m in lowest terms."""
@@ -381,21 +340,6 @@ class RadicalContext(_ExactContext):
     def two_pow(self, p: int, q: int) -> Radical:
         return Radical.root_power(self.m, p * self.numer + q * self.m)
 
-    def from_table(self, x, e: int) -> Radical:
-        return Radical(self.m, self._read(x, e))
-
-
-def _round_pair(man: int, exp: int, prec: int) -> tuple:
-    """man 2^exp, man > 0, rounded to ``prec`` bits: nearest, ties to
-    even, as mpf's normalisation rounds, so the value is mpf's to the bit."""
-    n = man.bit_length() - prec
-    if n <= 0:
-        return man, exp
-    t = man >> (n - 1)
-    if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
-        return (t >> 1) + 1, exp + n
-    return t >> 1, exp + n
-
 
 def _mpf_two_pow(beta_sq: tuple, p: int, q: int, prec: int) -> tuple:
     """The libmp calls of ``mpf(2) ** (p * beta_sq + q)`` under
@@ -405,25 +349,10 @@ def _mpf_two_pow(beta_sq: tuple, p: int, q: int, prec: int) -> tuple:
     return mpf_pow(from_int(2), x, prec, "n")
 
 
-def _pair_weight(c: int, e: ExpPair, j: int, beta_sq: tuple,
-                 prec: int) -> tuple:
-    """(man, exp): the mpf table multiplier c 2^(e + j), c times the
-    rounded 2^e rounded once more, times the exact 2^j."""
-    from mpmath.libmp import mpf_mul_int
-    power = _mpf_two_pow(beta_sq, *e, prec)
-    _, man, exp, _ = mpf_mul_int(power, c, prec, "n")
-    return man, exp + j
-
-
 class FloatContext:
     """Correctly rounded binary floats at a configurable precision in bits.
 
-    ``two_pow`` runs on raw mpmath values.  The table form is an int pair
-    (man, exp) for man 2^exp, man > 0: every table entry is positive.
-    ``engine._pair_rows`` forms each product and sum exactly in ints and
-    rounds it once by ``_round_pair``, so it equals mpf's * and + to the
-    bit without a sign, a normalisation or an mpf per value.
-    """
+    ``two_pow`` runs on raw mpmath values."""
 
     def __init__(self, beta_sq, precision: int = DEFAULT_PRECISION) -> None:
         import mpmath
@@ -440,10 +369,6 @@ class FloatContext:
         from mpmath import mp
         return mp.make_mpf(_mpf_two_pow(self.beta_sq._mpf_, p, q,
                                         self.precision))
-
-    def from_table(self, x, e: int) -> mpmath.mpf:
-        from mpmath import libmp, mp
-        return mp.make_mpf(libmp.from_man_exp(x[0], x[1] - e))
 
     def workprec(self):
         import mpmath

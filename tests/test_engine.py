@@ -14,7 +14,7 @@ from brwmom import (ExpPair, GenPoly, MomentTable, PoleAtCriticalBeta,
 from brwmom import engine
 from brwmom.engine import (_closed_forms, recurrence_coefficients,
                            recurrence_terms)
-from brwmom.rings import FloatContext, RadicalContext, _table_shift, pow2
+from brwmom.rings import FloatContext, RadicalContext, pow2
 
 
 def rf(num, den=(1,)):
@@ -213,11 +213,15 @@ class TestMomentTable:
                 muls.append(1)
                 return Counted(int(self) * other)
 
-        def counted(j, g):
-            step, weights = int_weights(j, g)
-            return Counted(step), tuple((i, Counted(w)) for i, w in weights)
-        int_weights = engine._int_weights
-        monkeypatch.setattr(engine, "_int_weights", counted)
+            def __rlshift__(self, other):  # the step weight 1 << s
+                return Counted(other << int(self))
+
+        def counted(j, g, h):
+            (s, r), weights = exact_weights(j, g, h)
+            return (Counted(s), r), tuple((i, Counted(w), r)
+                                          for i, w, r in weights)
+        exact_weights = engine._exact_weights
+        monkeypatch.setattr(engine, "_exact_weights", counted)
         counts, ctx = [], resolve_context(1)
         for n in (20, 40):
             muls.clear()
@@ -238,7 +242,7 @@ class TestMomentTable:
                                          Fraction(3, 2)])
     def test_int_loop_equals_callable_loop(self, beta_sq):
         ring = resolve_context(beta_sq)
-        assert ring.h == 1
+        assert (2 * ring.beta_sq).as_integer_ratio()[1] == 1
         for k, n in self.GRID:
             table = assert_table_equals_reference(k, n, ring)
         assert all(type(x) is int for row in table._rows[1:] for x in row)
@@ -248,10 +252,11 @@ class TestMomentTable:
     def test_slot_loop_equals_callable_loop(self, beta_sq):
         # h = 3, 2, 4, 3, 25 and 25 slots per entry.
         ring = resolve_context(Fraction(beta_sq))
-        assert ring.h > 1
+        h = (2 * ring.beta_sq).as_integer_ratio()[1]
+        assert h > 1
         for k, n in self.GRID:
             table = assert_table_equals_reference(k, n, ring)
-        assert all(type(x) is list and len(x) == ring.h
+        assert all(type(x) is list and len(x) == h
                    for row in table._rows[1:] for x in row)
 
     @pytest.mark.parametrize("precision", [64, 256, 1024])
@@ -363,6 +368,7 @@ class TestMomentTable:
         # in the table form, and the splits must come in the same order.
         beta_sq = float(beta_sq) if kind == "float" else Fraction(beta_sq)
         ring = resolve_context(beta_sq, kind, bits or 256)
+        g, h = (2 * beta_sq).as_integer_ratio()
 
         def table_form(value, j):
             if isinstance(ring, FloatContext):
@@ -373,10 +379,10 @@ class TestMomentTable:
             cs += (0,) * (ring.m - len(cs))
             assert all(c.denominator == 1 for c in cs)
             # Z[2^(1/h)] sits in Q(2^(1/m)) on the slots i m/h.
-            step = ring.m // ring.h
+            step = ring.m // h
             assert not any(c for i, c in enumerate(cs) if i % step)
             slots = [int(c) for c in cs[::step]]
-            return slots[0] if ring.h == 1 else slots
+            return slots[0] if h == 1 else slots
 
         for j in range(1, 13):
             with ring.workprec():
@@ -385,16 +391,13 @@ class TestMomentTable:
             if kind == "float":  # the pair loop's weights
                 s, pairs = engine._pair_weights(j, ring.beta_sq._mpf_, bits)
                 got = [(i, (m, e)) for i, m, e in ((0, *s), *pairs)]
-            elif ring.h == 1:  # the int loop's weights
-                s, ints = engine._int_weights(j, ring.g)
-                got = [(0, s), *ints]
-            else:  # the slot loop's: the int c 2^s at slot offset r
+            else:  # the int and slot loops': the int w at slot offset r
+                (shift, r), ints = engine._exact_weights(j, g, h)
                 got = []
-                for i, c, e in ((0, 1, s), *terms):
-                    shift, r = _table_shift(e, j, ring.g, ring.h)
-                    slots = [0] * ring.h
-                    slots[r] = c << shift
-                    got.append((i, slots))
+                for i, w, r in ((0, 1 << shift, r), *ints):
+                    slots = [0] * h
+                    slots[r] = w
+                    got.append((i, slots[0] if h == 1 else slots))
             assert [i for i, _, _ in terms] == [i for i, _ in weights]
             assert got == [(i, table_form(w, j))
                            for i, w in [(0, step), *weights]], j
@@ -406,15 +409,15 @@ class TestMomentTable:
         raw = resolve_context(0.3, "float", 1024).beta_sq._mpf_
         for j in range(1, 13):
             for cached, again in ((recurrence_terms(j), recurrence_terms(j)),
-                                  (engine._int_weights(j, 2),
-                                   engine._int_weights(j, 2)),
+                                  (engine._exact_weights(j, 2, 1),
+                                   engine._exact_weights(j, 2, 1)),
                                   (engine._pair_weights(j, raw, 1024),
                                    engine._pair_weights(j, raw, 1024))):
                 assert cached is again
                 hash(cached)
                 with pytest.raises(TypeError):
                     cached[1][0] = None
-        for cache in (engine._int_weights, engine._pair_weights):
+        for cache in (engine._exact_weights, engine._pair_weights):
             assert 0 < cache.cache_info().maxsize <= 128
 
     def test_value_types(self):
@@ -468,10 +471,10 @@ class TestMomentTable:
             return step, [(i, c, ExpPair(e.p + shift, e.q))
                           for i, c, e in splits]
         monkeypatch.setattr(engine, "recurrence_terms", shifted)
-        # The int loop's weights are cached per (j, g): a fresh cache for
-        # the patch, so no weight of the true terms is served from it.
-        monkeypatch.setattr(engine, "_int_weights", lru_cache(maxsize=None)(
-            engine._int_weights.__wrapped__))
+        # The exact loops' weights are cached per (j, g, h): a fresh cache
+        # for the patch, so no weight of the true terms is served from it.
+        monkeypatch.setattr(engine, "_exact_weights", lru_cache(
+            maxsize=None)(engine._exact_weights.__wrapped__))
         with pytest.raises(ArithmeticError):
             MomentTable.build(3, 4, resolve_context(beta_sq))
 

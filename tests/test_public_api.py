@@ -73,6 +73,11 @@ def test_readme_library_imports_are_exported():
     (lambda: brwmom.supercritical_coefficient(0, 2.0), "order"),
     (lambda: brwmom.MomentTable.build(1, -1, brwmom.resolve_context(1)),
      "depth"),
+    (lambda: brwmom.mom_dp(2, 3, float("nan")), "finite"),
+    (lambda: brwmom.mom_dp(2, 3, float("inf")), "finite"),
+    (lambda: brwmom.leading_term(3, float("nan")), "finite"),
+    (lambda: brwmom.leading_term(3, float("inf")), "finite"),
+    (lambda: brwmom.leading_term(3, -0.5), "nonnegative"),
     (lambda: brwmom.mom_symbolic(0), "order"),
     (lambda: brwmom.mom_bruteforce(0, 1, 1), "order"),
     (lambda: brwmom.mom_bruteforce(1, -1, 1), "depth"),
@@ -81,7 +86,9 @@ def test_readme_library_imports_are_exported():
     (lambda: brwmom.resolve_context(1, "complex"), "unknown ring"),
     (lambda: brwmom.Radical(0, []), "root index"),
 ], ids=["classify_regime", "subcritical_coefficient",
-        "supercritical_coefficient", "MomentTable.build", "mom_symbolic",
+        "supercritical_coefficient", "MomentTable.build", "mom_dp-nan",
+        "mom_dp-inf", "leading_term-nan", "leading_term-inf",
+        "leading_term-negative", "mom_symbolic",
         "mom_bruteforce-k", "mom_bruteforce-n", "unitary_mom_k1_integer-N",
         "unitary_mom_k1_integer-beta", "resolve_context", "Radical"])
 def test_out_of_range_input_raises_value_error(call, message):
