@@ -16,6 +16,9 @@ Each regime has one route to its coefficient:
   cancel out of it (in mpf only numerically: see
   ``supercritical_coefficient``).
 
+``classify_regime`` owns the trichotomy, and the coefficient functions
+take their regime from it; the ring contexts own beta^2's domain.
+
 ``leading_coefficient_numeric`` estimates the same coefficients from
 finite depths of the dynamic program; it is an independent reference,
 not a route.  The records ``Regime``, ``LeadingTerm`` and
@@ -25,13 +28,13 @@ not a route.  The records ``Regime``, ``LeadingTerm`` and
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
 from typing import NamedTuple
 
 import mpmath
 
 from .engine import MomentTable, _closed_forms, recurrence_coefficients
-from .rings import DEFAULT_PRECISION, ExpPair, resolve_context, to_mpf
+from .rings import (DEFAULT_PRECISION, ExpPair, _check_beta_sq,
+                    resolve_context, to_mpf)
 
 SUB = "sub-critical"
 CRITICAL = "critical"
@@ -60,12 +63,6 @@ class RatioEstimate(NamedTuple):
     regime: Regime
 
 
-def _compare_k_beta_sq(k: int, beta_sq):
-    """Sign of k*beta^2 - 1, exact for rational inputs."""
-    d = k * beta_sq - 1
-    return (d > 0) - (d < 0)
-
-
 def classify_regime(k: int, beta_sq) -> Regime:
     """Trichotomy of k*beta^2 against 1, exact when beta^2 is rational.
 
@@ -75,9 +72,9 @@ def classify_regime(k: int, beta_sq) -> Regime:
     """
     if k < 1:
         raise ValueError("moment order must be positive")
-    if not 0 <= beta_sq < inf:
-        raise ValueError("beta^2 must be nonnegative and finite")
-    sign = _compare_k_beta_sq(k, beta_sq)
+    _check_beta_sq(beta_sq)
+    d = k * beta_sq - 1
+    sign = (d > 0) - (d < 0)
     if k == 1:
         tag = SUB if sign < 0 else (CRITICAL if sign == 0 else SUPER)
         return Regime(tag=tag, growth=ExpPair(1, 0), n_power=0)
@@ -116,11 +113,7 @@ def subcritical_coefficient(k: int, beta_sq,
     recurrence's paired weights, and a final division by
     2^(k*beta^2) - 2^(k^2*beta^2-k+1), positive throughout the regime.
     """
-    if k < 1:
-        raise ValueError("moment order must be positive")
-    if k == 1:
-        return mpmath.mpf(1)
-    if _compare_k_beta_sq(k, beta_sq) >= 0:
+    if classify_regime(k, beta_sq).tag != SUB and k > 1:
         raise RegimeError(f"k*beta^2 >= 1 for k={k}, beta^2={beta_sq}")
     return _recursion_coefficient(k, beta_sq, precision)
 
@@ -139,15 +132,14 @@ def supercritical_coefficient(k: int, beta_sq,
     mpf its terms grow and cancel near a pole 1/m, m < k, by a loss that
     the distance to the pole fixes, so the solve takes 64 guard bits,
     doubled until two runs agree to ``precision`` bits, and rounds."""
-    if k < 1:
-        raise ValueError("moment order must be positive")
-    if _compare_k_beta_sq(k, beta_sq) <= 0:
+    regime = classify_regime(k, beta_sq)
+    if regime.tag != SUPER:
         raise RegimeError(f"k*beta^2 <= 1 for k={k}, beta^2={beta_sq}")
     guard, last = 64, mpmath.inf
     while True:
         ctx = resolve_context(beta_sq, "auto", precision + guard)
         # No forcing base reaches the dominant one: no power of n.
-        _, (coeff,) = _closed_forms(k, ctx)[k][ctx.two_pow(k * k, 1 - k)]
+        _, (coeff,) = _closed_forms(k, ctx)[k][ctx.two_pow(*regime.growth)]
         if not isinstance(coeff, mpmath.mpf):  # exact: no guard bits
             return coeff
         with mpmath.workprec(precision):

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, inf
+from math import comb
 from typing import Dict, NamedTuple, Tuple
 
 from .rings import (DEFAULT_PRECISION, ExpPair, FloatContext, Radical,
@@ -150,8 +150,6 @@ class MomentTable:
             raise ValueError("moment order must be positive")
         if n_max < 0:
             raise ValueError("depth must be nonnegative")
-        if not 0 <= ring.beta_sq < inf:
-            raise ValueError("beta^2 must be nonnegative and finite")
         if isinstance(ring, FloatContext):
             rows = _pair_rows(k_max, n_max, ring.beta_sq._mpf_, ring.precision)
         else:

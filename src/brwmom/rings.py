@@ -9,6 +9,8 @@ The ring contexts below evaluate such powers in one of three backends:
 * the radical field Q(2^(1/m)) when beta^2 = a/m in lowest terms,
 * correctly rounded binary floats (mpmath) at a configurable precision.
 
+Every ring context refuses a beta^2 outside [0, inf) when it is built,
+so no ring holds one and the routes that resolve a ring do not check it.
 ``engine.MomentTable`` runs the moment recurrence in a scaled int form
 of these rings, which ``engine``'s module docstring states.
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import NamedTuple, Tuple, Union
 
 DEFAULT_PRECISION = 256
@@ -154,6 +156,11 @@ def _qgcd(a: QForm, b: QForm) -> QForm:
         r = _qdivmod((u, 1), (v, 1))[1][0]
         u, v = v, _qnorm(r, r[-1])[0] if r else ()
     return ((1,), 1) if v else (u, u[-1])
+
+
+def _check_beta_sq(beta_sq) -> None:
+    if not 0 <= beta_sq < inf:
+        raise ValueError("beta^2 must be nonnegative and finite")
 
 
 def pow2(exponent: int) -> Fraction:
@@ -306,6 +313,7 @@ class _ExactContext:
     workprec = staticmethod(nullcontext)
 
     def __init__(self, beta_sq) -> None:
+        _check_beta_sq(beta_sq)
         self.beta_sq = beta_sq
         self.numer, self.m = beta_sq.as_integer_ratio()
 
@@ -364,6 +372,7 @@ class FloatContext:
         with mpmath.workprec(precision):
             # Unary plus rounds an mpf, which to_mpf passes through as is.
             self.beta_sq = +to_mpf(beta_sq, precision)
+        _check_beta_sq(self.beta_sq)
 
     def two_pow(self, p: int, q: int) -> mpmath.mpf:
         from mpmath import mp

@@ -215,6 +215,10 @@ class TestSupercriticalCoefficient:
     def test_regime_enforced(self):
         with pytest.raises(RegimeError):
             supercritical_coefficient(2, 0.3)
+        # The critical point is not super-critical, in either ring.
+        for beta_sq in (Fraction(1, 2), 0.5):
+            with pytest.raises(RegimeError):
+                supercritical_coefficient(2, beta_sq)
 
     def test_interior_critical_points_have_removable_poles(self):
         # after reduction the dominant coefficient stays finite at

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import brwmom
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+NAN, INF = float("nan"), float("inf")
 
 
 def test_every_exported_name_resolves():
@@ -68,29 +70,54 @@ def test_readme_library_imports_are_exported():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: brwmom.classify_regime(0, 0.1), "order"),
-    (lambda: brwmom.subcritical_coefficient(0, 0.1), "order"),
-    (lambda: brwmom.supercritical_coefficient(0, 2.0), "order"),
-    (lambda: brwmom.MomentTable.build(1, -1, brwmom.resolve_context(1)),
-     "depth"),
-    (lambda: brwmom.mom_dp(2, 3, float("nan")), "finite"),
-    (lambda: brwmom.mom_dp(2, 3, float("inf")), "finite"),
-    (lambda: brwmom.leading_term(3, float("nan")), "finite"),
-    (lambda: brwmom.leading_term(3, float("inf")), "finite"),
-    (lambda: brwmom.leading_term(3, -0.5), "nonnegative"),
-    (lambda: brwmom.mom_symbolic(0), "order"),
-    (lambda: brwmom.mom_bruteforce(0, 1, 1), "order"),
-    (lambda: brwmom.mom_bruteforce(1, -1, 1), "depth"),
-    (lambda: brwmom.unitary_mom_k1_integer(-1, 1), "matrix size"),
-    (lambda: brwmom.unitary_mom_k1_integer(1, -1), "beta"),
-    (lambda: brwmom.resolve_context(1, "complex"), "unknown ring"),
-    (lambda: brwmom.Radical(0, []), "root index"),
-], ids=["classify_regime", "subcritical_coefficient",
-        "supercritical_coefficient", "MomentTable.build", "mom_dp-nan",
-        "mom_dp-inf", "leading_term-nan", "leading_term-inf",
-        "leading_term-negative", "mom_symbolic",
-        "mom_bruteforce-k", "mom_bruteforce-n", "unitary_mom_k1_integer-N",
-        "unitary_mom_k1_integer-beta", "resolve_context", "Radical"])
+    pytest.param(lambda: brwmom.classify_regime(0, 0.1), "order",
+                 id="classify_regime"),
+    pytest.param(lambda: brwmom.subcritical_coefficient(0, 0.1), "order",
+                 id="subcritical_coefficient"),
+    pytest.param(lambda: brwmom.subcritical_coefficient(3, -0.5),
+                 "nonnegative", id="subcritical_coefficient-negative"),
+    pytest.param(lambda: brwmom.subcritical_coefficient(1, NAN), "finite",
+                 id="subcritical_coefficient-nan"),
+    pytest.param(lambda: brwmom.supercritical_coefficient(0, 2.0), "order",
+                 id="supercritical_coefficient"),
+    pytest.param(lambda: brwmom.supercritical_coefficient(3, NAN), "finite",
+                 id="supercritical_coefficient-nan"),
+    pytest.param(lambda: brwmom.MomentTable.build(
+        1, -1, brwmom.resolve_context(1)), "depth", id="MomentTable.build"),
+    pytest.param(lambda: brwmom.mom_dp(2, 3, NAN), "finite", id="mom_dp-nan"),
+    pytest.param(lambda: brwmom.mom_dp(2, 3, INF), "finite", id="mom_dp-inf"),
+    pytest.param(lambda: brwmom.leading_term(3, NAN), "finite",
+                 id="leading_term-nan"),
+    pytest.param(lambda: brwmom.leading_term(3, INF), "finite",
+                 id="leading_term-inf"),
+    pytest.param(lambda: brwmom.leading_term(3, -0.5), "nonnegative",
+                 id="leading_term-negative"),
+    pytest.param(lambda: brwmom.mom_symbolic(0), "order", id="mom_symbolic"),
+    pytest.param(lambda: brwmom.evaluate_genpoly(brwmom.mom_symbolic(2),
+                                                 NAN, 3),
+                 "finite", id="evaluate_genpoly-nan"),
+    pytest.param(lambda: brwmom.mom_bruteforce(0, 1, 1), "order",
+                 id="mom_bruteforce-k"),
+    pytest.param(lambda: brwmom.mom_bruteforce(1, -1, 1), "depth",
+                 id="mom_bruteforce-n"),
+    pytest.param(lambda: brwmom.mom_bruteforce(2, 2, NAN), "finite",
+                 id="mom_bruteforce-nan"),
+    pytest.param(lambda: brwmom.mom_bruteforce(2, 2, -1), "nonnegative",
+                 id="mom_bruteforce-negative"),
+    pytest.param(lambda: brwmom.unitary_mom_k1_integer(-1, 1), "matrix size",
+                 id="unitary_mom_k1_integer-N"),
+    pytest.param(lambda: brwmom.unitary_mom_k1_integer(1, -1), "beta",
+                 id="unitary_mom_k1_integer-beta"),
+    pytest.param(lambda: brwmom.resolve_context(1, "complex"), "unknown ring",
+                 id="resolve_context"),
+    pytest.param(lambda: brwmom.resolve_context(-1), "nonnegative",
+                 id="resolve_context-rational-negative"),
+    pytest.param(lambda: brwmom.resolve_context(Fraction(-1, 2)),
+                 "nonnegative", id="resolve_context-radical-negative"),
+    pytest.param(lambda: brwmom.resolve_context(INF), "finite",
+                 id="resolve_context-float-inf"),
+    pytest.param(lambda: brwmom.Radical(0, []), "root index", id="Radical"),
+])
 def test_out_of_range_input_raises_value_error(call, message):
     # Input checks that no other test reaches.
     with pytest.raises(ValueError, match=message):
