@@ -158,7 +158,7 @@ def encode_value(value, precision: int) -> dict:
         if value.is_rational():
             payload["value"] = _fraction_str(value.to_fraction())
         else:
-            payload["approx"] = _float_str(value.to_mpf(precision), precision)
+            payload["approx"] = _float_str(to_mpf(value, precision), precision)
         return payload
     return {"type": "float", "value": _float_str(value, precision),
             "precision_bits": precision}

@@ -33,7 +33,7 @@ import mpmath
 from mpmath import mp
 
 from .asymptotics import CRITICAL, SUB, SUPER
-from .rings import DEFAULT_PRECISION, to_mpf
+from .rings import DEFAULT_PRECISION, _check_beta_sq, to_mpf
 
 SUPPORTED = {
     (2, SUB), (2, CRITICAL), (2, SUPER),
@@ -54,6 +54,8 @@ def leading_coefficient_closed_form(k: int, beta_sq, regime: str,
         raise ValueError(f"no transcribed closed form for k={k}, {regime}")
     with mp.workprec(precision):
         x = None if beta_sq is None else to_mpf(beta_sq, precision)
+        if x is not None:
+            _check_beta_sq(x)
         two = mpmath.mpf(2)
 
         def p(e):

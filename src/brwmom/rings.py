@@ -9,6 +9,8 @@ The ring contexts below evaluate such powers in one of three backends:
 * the radical field Q(2^(1/m)) when beta^2 = a/m in lowest terms,
 * correctly rounded binary floats (mpmath) at a configurable precision.
 
+A ring context's ``one``, ``zero`` and ``two_pow``, or the ``Radical``
+constructor, build a ring value; ``to_mpf`` converts any to an mpf.
 Every ring context refuses a beta^2 outside [0, inf) when it is built,
 so no ring holds one and the routes that resolve a ring do not check it.
 ``engine.MomentTable`` runs the moment recurrence in a scaled int form
@@ -34,7 +36,6 @@ from typing import NamedTuple, Tuple, Union
 DEFAULT_PRECISION = 256
 MIN_PRECISION = 64
 
-ExactScalar = Union[int, Fraction]
 Coeffs = Tuple[Fraction, ...]
 QForm = Tuple[Tuple[int, ...], int]
 
@@ -163,11 +164,6 @@ def _check_beta_sq(beta_sq) -> None:
         raise ValueError("beta^2 must be nonnegative and finite")
 
 
-def pow2(exponent: int) -> Fraction:
-    """2**exponent as an exact rational; the exponent may be negative."""
-    return Fraction(2) ** exponent
-
-
 class Radical:
     """Element of the field Q(2^(1/m)): ``coeffs[j]`` multiplies 2^(j/m).
 
@@ -191,16 +187,6 @@ class Radical:
             raise ValueError(
                 f"expected at most {m} coefficients, got {len(cs)}")
         self.m, self.form = m, _qform(cs)
-
-    @classmethod
-    def rational(cls, m: int, value: ExactScalar) -> "Radical":
-        return cls(m, (value,))
-
-    @classmethod
-    def root_power(cls, m: int, e: int) -> "Radical":
-        """2^(e/m) for any integer e, reduced so the root exponent is in [0, m)."""
-        s, r = divmod(e, m)
-        return cls(m, (0,) * r + (pow2(s),))
 
     @property
     def coeffs(self) -> Coeffs:
@@ -254,7 +240,7 @@ class Radical:
         if not self:
             raise ZeroDivisionError("inverse of zero radical element")
         r0, r1 = ((-2,) + (0,) * (self.m - 1) + (1,), 1), self.form
-        t0, t1 = 0, Radical.rational(self.m, 1)
+        t0, t1 = 0, Radical(self.m, (1,))
         while len(r1[0]) > 1:
             r0, (q, r1) = r1, _qdivmod(r0, r1)
             t0, t1 = t1, t0 - self._new(q) * t1
@@ -288,18 +274,8 @@ class Radical:
             raise ValueError(f"{self!r} is not rational")
         return self.coeffs[0] if self.coeffs else Fraction(0)
 
-    def to_mpf(self, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
-        import mpmath
-        with mpmath.workprec(precision):
-            root = mpmath.mpf(2) ** (mpmath.mpf(1) / self.m)
-            total = mpmath.mpf(0)
-            for j, c in enumerate(self.coeffs):
-                if c:
-                    total += to_mpf(c, precision) * root ** j
-            return total
-
     def __float__(self) -> float:
-        return float(self.to_mpf(DEFAULT_PRECISION))
+        return float(to_mpf(self))
 
     def __repr__(self) -> str:
         parts = [str(c) if j == 0 else f"{c}*2^({j}/{self.m})"
@@ -324,7 +300,7 @@ class RationalContext(_ExactContext):
     tag = "rational"
     one, zero = Fraction(1), Fraction(0)
 
-    def __init__(self, beta_sq: ExactScalar) -> None:
+    def __init__(self, beta_sq: int | Fraction) -> None:
         if isinstance(beta_sq, Fraction) and beta_sq.denominator == 1:
             beta_sq = int(beta_sq)
         if not isinstance(beta_sq, int):
@@ -333,7 +309,7 @@ class RationalContext(_ExactContext):
         super().__init__(beta_sq)
 
     def two_pow(self, p: int, q: int) -> Fraction:
-        return pow2(p * self.beta_sq + q)
+        return Fraction(2) ** (p * self.beta_sq + q)
 
 
 class RadicalContext(_ExactContext):
@@ -342,11 +318,12 @@ class RadicalContext(_ExactContext):
     def __init__(self, beta_sq) -> None:
         super().__init__(Fraction(beta_sq))
         self.tag = f"radical({self.m})"
-        self.one = Radical.rational(self.m, 1)
-        self.zero = Radical.rational(self.m, 0)
+        self.one, self.zero = Radical(self.m, (1,)), Radical(self.m, (0,))
 
     def two_pow(self, p: int, q: int) -> Radical:
-        return Radical.root_power(self.m, p * self.numer + q * self.m)
+        """2^(p*beta^2 + q), its root exponent reduced into [0, m)."""
+        s, r = divmod(p * self.numer + q * self.m, self.m)
+        return Radical(self.m, (0,) * r + (Fraction(2) ** s,))
 
 
 def _mpf_two_pow(beta_sq: tuple, p: int, q: int, prec: int) -> tuple:
@@ -421,9 +398,14 @@ def to_mpf(value, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
     import mpmath
     if isinstance(value, mpmath.mpf):
         return value
-    if isinstance(value, Radical):
-        return value.to_mpf(precision)
     with mpmath.workprec(precision):
+        if isinstance(value, Radical):
+            root = mpmath.mpf(2) ** (mpmath.mpf(1) / value.m)
+            total = mpmath.mpf(0)
+            for j, c in enumerate(value.coeffs):
+                if c:
+                    total += to_mpf(c, precision) * root ** j
+            return total
         if isinstance(value, (int, Fraction)):
             return mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator)
         return mpmath.mpf(value)

@@ -10,8 +10,8 @@ rational-function coefficients and represents a finite sum
 ``RatFun`` is Q(t) in a reduced normal form on ``rings``' ``QForm``
 arithmetic, each sum and product reduced by Henrici's gcds.
 ``SymbolicContext`` is that field as a ring context, in which
-``engine.mom_symbolic`` solves the moment recursion for generic beta.
-``geometric_sum`` gives a geometric series in closed form only, in
+``engine.mom_symbolic`` solves the moment recursion for generic beta and
+``geometric_sum`` builds a geometric series in closed form only, in
 symbolic n; no route calls it, and the tests build their lambda-sum
 reference from it.  No CLI route loads this module: ``mom_symbolic`` is
 a library function and the tests' reference.
@@ -66,18 +66,6 @@ class RatFun:
     @property
     def den(self) -> Coeffs:
         return _qcoeffs(self.forms[1])
-
-    @classmethod
-    def one(cls) -> "RatFun":
-        return cls((Fraction(1),))
-
-    @classmethod
-    def t_power(cls, p: int, scale=Fraction(1)) -> "RatFun":
-        """scale * t**p, with negative p putting the power below the line."""
-        scale = Fraction(scale)
-        if p >= 0:
-            return cls((Fraction(0),) * p + (scale,))
-        return cls((scale,), (Fraction(0),) * (-p) + (Fraction(1),))
 
     def __bool__(self) -> bool:
         return bool(self.forms[0][0])
@@ -139,10 +127,6 @@ class RatFun:
         pole handling.  t may be a Fraction, mpf, or Radical."""
         return _peval(self.num, t), _peval(self.den, t)
 
-    def evaluate(self, t):
-        num, den = self.evaluate_parts(t)
-        return num / den
-
     def __repr__(self) -> str:
         def fmt(cs):
             terms = [f"{c}" if i == 0 else ("" if c == 1 else f"{c}*")
@@ -189,7 +173,9 @@ class SymbolicContext:
     workprec = staticmethod(nullcontext)
 
     def two_pow(self, p: int, q: int) -> RatFun:
-        return RatFun.t_power(p, Fraction(2) ** q)
+        """t^p * 2^q, with t^(-p) below the line for negative p."""
+        return RatFun((0,) * max(p, 0) + (Fraction(2) ** q,),
+                      (0,) * max(-p, 0) + (1,))
 
 
 class GenPoly:
@@ -238,6 +224,6 @@ def geometric_sum(step: ExpPair) -> GenPoly:
     if step == ExpPair(0, 0):
         raise DegenerateExponent(
             "unit-ratio geometric sum degenerates to n itself")
-    ratio = RatFun.t_power(step.p, Fraction(2) ** step.q)
-    inv = RatFun.one() / (ratio - RatFun.one())
+    ctx = SymbolicContext()
+    inv = ctx.one / (ctx.two_pow(*step) - ctx.one)
     return GenPoly({step: inv, ExpPair(0, 0): -inv})

@@ -67,7 +67,7 @@ def test_criterion_3_critical_exactness():
         start = time.monotonic()
         table = MomentTable.build(2, 40, resolve_context(Fraction(1, 2)))
         for n in range(41):
-            want = Radical.rational(2, Fraction(n + 2) * Fraction(2) ** (n - 1))
+            want = Radical(2, (Fraction(n + 2) * Fraction(2) ** (n - 1),))
             assert table.value(2, n) == want, n
         assert time.monotonic() - start < 5
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import truediv
 
 import mpmath
 import pytest
@@ -12,6 +13,8 @@ from brwmom import (CRITICAL, SUB, SUPER, ExpPair, Radical, RatFun,
                     resolve_context, subcritical_coefficient,
                     supercritical_coefficient, to_mpf)
 from brwmom.engine import _closed_forms
+from brwmom.rings import RadicalContext
+from brwmom.symbolic import SymbolicContext
 
 
 class TestClassifyRegime:
@@ -175,9 +178,10 @@ def transition_residues(k):
     coefficients C of the sub- and super-critical bases t^k and
     2^(1-k) t^(k^2) of ``mom_symbolic(k)``, in Q(2^(1/k))."""
     terms = mom_symbolic(k).terms
-    gap = RatFun.t_power(k) - RatFun.t_power(k * k, Fraction(2) ** (1 - k))
-    t = Radical.root_power(k, 1)
-    return [(gap * terms[e]).evaluate(t) * Fraction(1, 2)
+    ctx = SymbolicContext()
+    gap = ctx.two_pow(k, 0) - ctx.two_pow(k * k, 1 - k)
+    t = RadicalContext(Fraction(1, k)).two_pow(1, 0)
+    return [truediv(*(gap * terms[e]).evaluate_parts(t)) * Fraction(1, 2)
             for e in (ExpPair(k, 0), ExpPair(k * k, 1 - k))]
 
 
@@ -243,7 +247,7 @@ class TestSupercriticalCoefficient:
 
     def test_exact_value_at_half_order_three(self):
         assert supercritical_coefficient(3, Fraction(1, 2)) == \
-            Radical.rational(2, Fraction(13, 4))
+            Radical(2, (Fraction(13, 4),))
 
     def test_subleading_exponents_stay_below_diagonal(self):
         # in the super-critical regime every non-dominant exponent grows
@@ -290,7 +294,8 @@ class TestFloatSupercriticalRoute:
         coeff = mom_symbolic(k).terms[ExpPair(k * k, 1 - k)]
         for bs in _near_pole_grid(k):
             with mp.workprec(1024):
-                want = coeff.evaluate(mpmath.mpf(2) ** mpmath.mpf(bs))
+                want = truediv(*coeff.evaluate_parts(
+                    mpmath.mpf(2) ** mpmath.mpf(bs)))
             for precision in (128, 256):
                 solves.clear()
                 got = supercritical_coefficient(k, bs, precision)
@@ -398,10 +403,9 @@ class TestClosedFormFixtures:
         # miss one cross term each; pin the exact deviations so the
         # erratum stays visible
         from brwmom import RatFun
-        one = RatFun.one()
 
-        def t(p, s=1):
-            return RatFun.t_power(p, Fraction(s))
+        def t(p):
+            return SymbolicContext().two_pow(p, 0)
 
         def c(x):
             return RatFun((Fraction(x),))
@@ -412,13 +416,16 @@ class TestClosedFormFixtures:
         with mp.workprec(256):
             ref = leading_coefficient_closed_form(4, 0.8 ** 2, SUPER)
             t_val = mpmath.mpf(2) ** mpmath.mpf(0.8 ** 2)
-            assert abs(ext4.evaluate(t_val) - ref) / ref < mpmath.mpf(1e-40)
-            assert abs(printed4.evaluate(t_val) - ref) / ref > mpmath.mpf(1e-7)
+            assert abs(truediv(*ext4.evaluate_parts(t_val)) - ref) / ref \
+                < mpmath.mpf(1e-40)
+            assert abs(truediv(*printed4.evaluate_parts(t_val)) - ref) / ref \
+                > mpmath.mpf(1e-7)
 
         ext5 = mom_symbolic(5).terms[ExpPair(25, -4)]
         delta5 = c(120) / ((t(8) - c(2)) * (t(16) - c(4)) * (t(18) - c(8)))
         with mp.workprec(256):
             ref5 = leading_coefficient_closed_form(5, 0.8 ** 2, SUPER)
-            assert abs(ext5.evaluate(t_val) - ref5) / ref5 < mpmath.mpf(1e-40)
-            assert abs((ext5 - delta5).evaluate(t_val) - ref5) / ref5 > \
-                mpmath.mpf(1e-9)
+            assert abs(truediv(*ext5.evaluate_parts(t_val)) - ref5) / ref5 \
+                < mpmath.mpf(1e-40)
+            assert abs(truediv(*(ext5 - delta5).evaluate_parts(t_val))
+                       - ref5) / ref5 > mpmath.mpf(1e-9)

@@ -61,7 +61,7 @@ class TestBruteForce:
 
     def test_radical_ring(self):
         v = mom_bruteforce(2, 2, Fraction(1, 2))
-        assert v == Radical.rational(2, 8)
+        assert v == Radical(2, (8,))
 
     def test_budget_enforced(self):
         with pytest.raises(EnumerationBudgetError):

@@ -96,6 +96,15 @@ def test_readme_library_imports_are_exported():
     pytest.param(lambda: brwmom.evaluate_genpoly(brwmom.mom_symbolic(2),
                                                  NAN, 3),
                  "finite", id="evaluate_genpoly-nan"),
+    pytest.param(lambda: brwmom.leading_coefficient_closed_form(
+        2, -0.5, brwmom.SUB), "nonnegative",
+        id="leading_coefficient_closed_form-negative"),
+    pytest.param(lambda: brwmom.leading_coefficient_closed_form(
+        2, NAN, brwmom.SUB), "finite",
+        id="leading_coefficient_closed_form-nan"),
+    pytest.param(lambda: brwmom.leading_coefficient_closed_form(
+        3, INF, brwmom.SUPER), "finite",
+        id="leading_coefficient_closed_form-inf"),
     pytest.param(lambda: brwmom.mom_bruteforce(0, 1, 1), "order",
                  id="mom_bruteforce-k"),
     pytest.param(lambda: brwmom.mom_bruteforce(1, -1, 1), "depth",

@@ -11,6 +11,7 @@ from brwmom import Radical, RingMismatchError, engine, resolve_context, to_mpf
 from brwmom.rings import (FloatContext, RadicalContext, RationalContext,
                           _padd, _pmul, _pneg, _qdivmod, _qform, _qgcd,
                           _qnorm, _trim)
+from brwmom.symbolic import SymbolicContext
 
 
 def rad(m, *coeffs):
@@ -47,15 +48,16 @@ class TestRadicalBasics:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_generator_power_reduces_to_two(self, m):
-        gen = power = Radical.root_power(m, 1)
+        ctx = RadicalContext(Fraction(1, m))
+        gen = power = ctx.two_pow(1, 0)
         for _ in range(m - 1):
             power = power * gen
-        assert power == Radical.rational(m, 2)
-        assert Radical.root_power(m, m) == power
+        assert power == Radical(m, (2,))
+        assert ctx.two_pow(m, 0) == power
 
     @pytest.mark.parametrize("e", [-7, -1, 0, 1, 3, 5, 11])
     def test_root_power_matches_float(self, e):
-        v = Radical.root_power(3, e)
+        v = RadicalContext(Fraction(1, 3)).two_pow(e, 0)
         assert float(v) == pytest.approx(2.0 ** (e / 3), rel=1e-12)
 
     def test_rational_detection(self):
@@ -106,8 +108,8 @@ class TestRadicalReprAndHash:
     @example(3, Fraction(0), [0] * 6)
     def test_rational_value_hashes_as_its_fraction(self, m, q, other):
         # x * y / y for a nonzero y reaches q through the field operations.
-        y = Radical(m, other[:m]) or Radical.rational(m, 1)
-        for x in (Radical.rational(m, q), Radical.rational(m, q) * y / y):
+        y = Radical(m, other[:m]) or Radical(m, (1,))
+        for x in (Radical(m, (q,)), Radical(m, (q,)) * y / y):
             assert x == q and hash(x) == hash(q)
             assert x in {q} and q in {x}
 
@@ -135,8 +137,8 @@ class TestRadicalField:
         product = x * y
         assert product == radical_product_reference(x, y)
         with mpmath.mp.workprec(256):
-            want = x.to_mpf(256) * y.to_mpf(256)
-            error = abs(product.to_mpf(256) - want)
+            want = to_mpf(x, 256) * to_mpf(y, 256)
+            error = abs(to_mpf(product, 256) - want)
             assert error <= abs(want) * mpmath.mpf(2) ** -200
 
     @given(st.integers(2, 5), st.lists(coeff_strategy, min_size=5, max_size=5))
@@ -145,7 +147,7 @@ class TestRadicalField:
         x = Radical(m, coeffs[:m])
         if not x:
             return
-        assert x * x.inverse() == Radical.rational(m, 1)
+        assert x * x.inverse() == Radical(m, (1,))
 
     @given(st.lists(coeff_strategy, min_size=2, max_size=2),
            st.lists(coeff_strategy, min_size=2, max_size=2))
@@ -275,7 +277,7 @@ class TestContexts:
         # 2^(3*beta^2 - 1) at beta^2 = 1/2 in each backend
         exact = RadicalContext(Fraction(1, 2)).two_pow(3, -1)
         approx = FloatContext(0.5, 256).two_pow(3, -1)
-        assert abs(exact.to_mpf(256) - approx) < mpmath.mpf(2) ** -200
+        assert abs(to_mpf(exact, 256) - approx) < mpmath.mpf(2) ** -200
 
     def test_rational_two_pow_negative_exponent(self):
         ctx = RationalContext(1)
@@ -295,10 +297,49 @@ class TestContexts:
             FloatContext(0.5, precision=32)
 
     def test_to_mpf_radical(self):
-        v = to_mpf(Radical.root_power(2, 1), 128)
+        v = to_mpf(RadicalContext(Fraction(1, 2)).two_pow(1, 0), 128)
         with mpmath.mp.workprec(128):
             want = mpmath.sqrt(2)
         assert abs(v - want) < mpmath.mpf(1e-30)
+
+
+RADICAL_BETA_SQ = (Fraction(1), Fraction(1, 2), Fraction(2, 3),
+                   Fraction(5, 6))  # root indices 1, 2, 3 and 6
+EXACT_CONTEXTS = [RationalContext(2),
+                  *(RadicalContext(b) for b in RADICAL_BETA_SQ),
+                  SymbolicContext()]
+EXPONENTS = [(p, q) for p in (-5, -1, 0, 2, 3) for q in (-2, 0, 1)]
+
+
+def context_id(ctx):
+    return getattr(ctx, "tag", type(ctx).__name__)
+
+
+class TestRingContextProtocol:
+    """Every ring context builds the ring's values through ``one``,
+    ``zero`` and ``two_pow``, and runs its arithmetic under ``workprec``."""
+
+    @pytest.mark.parametrize("ctx", EXACT_CONTEXTS + [FloatContext(0.3)],
+                             ids=context_id)
+    def test_interface(self, ctx):
+        with ctx.workprec():
+            assert ctx.two_pow(0, 0) == ctx.one
+            assert ctx.one - ctx.one == ctx.zero and not ctx.zero
+            assert ctx.one * ctx.two_pow(1, 0) == ctx.two_pow(1, 0)
+
+    @pytest.mark.parametrize("ctx", EXACT_CONTEXTS, ids=context_id)
+    def test_two_pow_times_its_inverse_is_one(self, ctx):
+        for p, q in EXPONENTS:
+            assert ctx.two_pow(p, q) * ctx.two_pow(-p, -q) == ctx.one, (p, q)
+
+    @pytest.mark.parametrize("beta_sq", RADICAL_BETA_SQ, ids=str)
+    def test_symbolic_two_pow_at_t_is_the_radical_power(self, beta_sq):
+        # t = 2^(beta^2) in Q(2^(1/m)); t^p 2^q there is 2^(p beta^2 + q).
+        ring = RadicalContext(beta_sq)
+        t = ring.two_pow(1, 0)
+        for p, q in EXPONENTS:
+            num, den = SymbolicContext().two_pow(p, q).evaluate_parts(t)
+            assert num / den == ring.two_pow(p, q), (p, q)
 
 
 PAIR_PRECISIONS = (64, 256, 1024)
