@@ -67,7 +67,8 @@ def classify_regime(k: int, beta_sq) -> Regime:
     """Trichotomy of k*beta^2 against 1, exact when beta^2 is rational.
 
     The first moment is special: it grows as 2^(beta^2*n) for every beta,
-    so for k = 1 the growth exponent never picks up an n factor even when
+    which the sub- and super-critical growths (k, 0) and (k^2, 1 - k)
+    both give at k = 1, so it never picks up an n factor even when
     beta^2 = 1 lands on the formal boundary.
     """
     if k < 1:
@@ -75,14 +76,11 @@ def classify_regime(k: int, beta_sq) -> Regime:
     _check_beta_sq(beta_sq)
     d = k * beta_sq - 1
     sign = (d > 0) - (d < 0)
-    if k == 1:
-        tag = SUB if sign < 0 else (CRITICAL if sign == 0 else SUPER)
-        return Regime(tag=tag, growth=ExpPair(1, 0), n_power=0)
-    if sign < 0:
-        return Regime(tag=SUB, growth=ExpPair(k, 0), n_power=0)
-    if sign == 0:
-        return Regime(tag=CRITICAL, growth=ExpPair(0, 1), n_power=1)
-    return Regime(tag=SUPER, growth=ExpPair(k * k, 1 - k), n_power=0)
+    tag = (SUB, CRITICAL, SUPER)[sign + 1]
+    if tag == CRITICAL and k > 1:
+        return Regime(tag=tag, growth=ExpPair(0, 1), n_power=1)
+    growth = ExpPair(k * k, 1 - k) if sign > 0 else ExpPair(k, 0)
+    return Regime(tag=tag, growth=growth, n_power=0)
 
 
 def _recursion_coefficient(k: int, beta_sq, precision: int) -> mpmath.mpf:

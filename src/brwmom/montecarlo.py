@@ -95,8 +95,11 @@ def _edge_gaussians(seed: int, trials: range, count: int) -> np.ndarray:
     return draws
 
 
-def _log_partition(config: SimConfig, trials: range) -> np.ndarray:
-    """log Z of consecutive trials, one value per trial."""
+def log_partition_function(config: SimConfig, trials: range) -> np.ndarray:
+    """log of Z = 2^(-n) * sum over leaves of exp(2*beta*X(leaf)) for
+    consecutive trials, one value per trial."""
+    if trials and not 0 <= min(trials) <= max(trials) < config.trials:
+        raise ValueError("trial index out of range")
     n = config.n
     if n == 0:
         return np.zeros(len(trials))
@@ -132,14 +135,6 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return (np.log1p(s / ties) + np.log(ties) + top)[:, 0]
 
 
-def log_partition_function(config: SimConfig, trial_index: int) -> float:
-    """log of Z = 2^(-n) * sum over leaves of exp(2*beta*X(leaf))."""
-    if not 0 <= trial_index < config.trials:
-        raise ValueError("trial index out of range")
-    return float(_log_partition(config, range(trial_index,
-                                              trial_index + 1))[0])
-
-
 def _stderr(samples: np.ndarray) -> float:
     """Standard error of the sample mean, 0 for a single sample.
 
@@ -170,8 +165,8 @@ def estimate_mom(config: SimConfig, k: int) -> MomentEstimate:
     edges = 2 ** (config.n + 1) - 2
     block = max(1, _BLOCK_DOUBLES // max(edges, 1))
     logz = np.concatenate([
-        _log_partition(config, range(start, min(start + block,
-                                                config.trials)))
+        log_partition_function(config, range(start, min(start + block,
+                                                         config.trials)))
         for start in range(0, config.trials, block)])
     logz *= k
     samples = np.exp(logz, out=logz)

@@ -1,6 +1,5 @@
 import gc
 import hashlib
-import importlib.util
 import json
 import os
 import random
@@ -16,11 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import workloads
 from brwmom import Radical, cli, mom_dp
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_PATH = ROOT / "src" / "brwmom" / "schema" / "output_record.schema.json"
-WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
@@ -300,10 +299,6 @@ class TestMomCommand:
     def test_benchmark_jobs_parse(self):
         # A validator that refuses a benchmark input fails here, not as
         # failed jobs in the benchmark.
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_workloads", WORKLOADS)
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
         for workload in workloads.WORKLOADS:
             for job in workloads.all_variants(workload):
                 if isinstance(job, list):

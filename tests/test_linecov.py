@@ -1,19 +1,12 @@
-"""tools/linecov.py, loaded by path; no test here starts a process."""
+"""tools/linecov.py; no test here starts a process."""
 
-import importlib.util
 import json
 import os
-from pathlib import Path
 
 import pytest
 
+import linecov
 from brwmom import cli
-
-ROOT = Path(__file__).resolve().parent.parent
-spec = importlib.util.spec_from_file_location(
-    "linecov", ROOT / "tools" / "linecov.py")
-linecov = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(linecov)
 
 FIXTURE = '''\
 """Module docstring."""

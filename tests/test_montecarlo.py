@@ -69,28 +69,33 @@ class TestSampling:
     def test_depth_zero_is_one(self):
         cfg = SimConfig(n=0, beta=0.7, trials=5, seed=11)
         for t in range(5):
-            assert math.exp(log_partition_function(cfg, t)) == 1.0
+            logz = log_partition_function(cfg, range(t, t + 1))[0]
+            assert math.exp(logz) == 1.0
 
     def test_beta_zero_is_one(self):
         cfg = SimConfig(n=5, beta=0.0, trials=8, seed=3)
         for t in range(8):
-            assert math.exp(log_partition_function(cfg, t)) == 1.0
+            logz = log_partition_function(cfg, range(t, t + 1))[0]
+            assert math.exp(logz) == 1.0
 
     def test_deterministic_across_calls(self):
         cfg = SimConfig(n=6, beta=0.4, trials=3, seed=123)
-        a = [log_partition_function(cfg, t) for t in range(3)]
-        b = [log_partition_function(cfg, t) for t in range(3)]
+        a = [log_partition_function(cfg, range(t, t + 1))[0]
+             for t in range(3)]
+        b = [log_partition_function(cfg, range(t, t + 1))[0]
+             for t in range(3)]
         assert a == b
 
     def test_trials_are_distinct_streams(self):
         cfg = SimConfig(n=6, beta=0.4, trials=2, seed=123)
-        assert log_partition_function(cfg, 0) != \
-            log_partition_function(cfg, 1)
+        assert log_partition_function(cfg, range(0, 1))[0] != \
+            log_partition_function(cfg, range(1, 2))[0]
 
     def test_trial_index_validated(self):
         cfg = SimConfig(n=2, beta=0.4, trials=2, seed=1)
-        with pytest.raises(ValueError):
-            log_partition_function(cfg, 2)
+        for trials in (range(2, 3), range(-1, 0), range(2, 0, -1)):
+            with pytest.raises(ValueError, match="trial index out of range"):
+                log_partition_function(cfg, trials)
 
     def test_straight_line_reimplementation_depth_two(self):
         # independent recomputation reading the same six draws: two level-1
@@ -99,7 +104,7 @@ class TestSampling:
         g = _edge_gaussians(77, range(1), 6)[0]
         walks = [g[0] + g[2], g[0] + g[3], g[1] + g[4], g[1] + g[5]]
         z = sum(math.exp(2 * 0.6 * x) for x in walks) / 4.0
-        got = math.exp(log_partition_function(cfg, 0))
+        got = math.exp(log_partition_function(cfg, range(0, 1))[0])
         assert got == pytest.approx(z, rel=1e-15)
 
     def test_gaussian_construction(self):
@@ -163,7 +168,7 @@ class TestEstimates:
             with pytest.raises(ValueError):
                 SimConfig(n=2, beta=0.3, trials=2, seed=seed)
         cfg = SimConfig(n=2, beta=0.3, trials=2, seed=2 ** 64 - 1)
-        assert log_partition_function(cfg, 1) == \
+        assert log_partition_function(cfg, range(1, 2))[0] == \
             per_trial_log_partition(cfg, 1)
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 1e200,
@@ -191,7 +196,7 @@ class TestBlocking:
                                    7, 12, 16])
     def test_blocks_equal_per_trial_loop(self, n, monkeypatch):
         seed, beta = 5, 0.4
-        reduce_block = montecarlo._log_partition
+        reduce_block = montecarlo.log_partition_function
         seen = []
 
         def recording(config, trials):
@@ -199,7 +204,7 @@ class TestBlocking:
             seen.extend(logz.tolist())
             return logz
 
-        monkeypatch.setattr(montecarlo, "_log_partition", recording)
+        monkeypatch.setattr(montecarlo, "log_partition_function", recording)
         block = trials_per_block(n)
         most = 2 * block + 3
         cfg = SimConfig(n=n, beta=beta, trials=most, seed=seed)
@@ -211,7 +216,8 @@ class TestBlocking:
                  for t in (start, start + 1, start + block - 1)}
         probes = sorted(edges.union(range(0, most, 13)) & set(range(most)))
         for t in probes:
-            assert log_partition_function(cfg, t) == ref[t], t
+            got = log_partition_function(cfg, range(t, t + 1))[0]
+            assert got == ref[t], t
         for cap in (montecarlo._BLOCK_DOUBLES, 1):
             monkeypatch.setattr(montecarlo, "_BLOCK_DOUBLES", cap)
             block = trials_per_block(n)
@@ -234,7 +240,7 @@ class TestBlocking:
                                            (14, range(0, 3))])
     def test_block_equals_scipy_reference(self, beta, n, trials):
         cfg = SimConfig(n=n, beta=beta, trials=trials.stop, seed=17)
-        got = montecarlo._log_partition(cfg, trials).tolist()
+        got = montecarlo.log_partition_function(cfg, trials).tolist()
         assert got == [per_trial_log_partition(cfg, t) for t in trials]
 
     @pytest.mark.parametrize("n, trials, block", [(4, 10_000, 4369),
@@ -250,7 +256,7 @@ class TestBlocking:
             sizes.append(len(trials))
             return np.zeros(len(trials))
 
-        monkeypatch.setattr(montecarlo, "_log_partition", recording)
+        monkeypatch.setattr(montecarlo, "log_partition_function", recording)
         estimate_mom(SimConfig(n=n, beta=0.3, trials=trials, seed=0), 2)
         assert block == max(1, 2 ** 17 // (2 ** (n + 1) - 2))
         assert sizes[:-1] == [block] * (len(sizes) - 1)
@@ -304,7 +310,8 @@ class TestStderr:
         # samples overflow.
         cfg = SimConfig(n=3, beta=2.0, trials=8, seed=4)
         est = estimate_mom(cfg, 128)
-        logz = np.array([log_partition_function(cfg, t) for t in range(8)])
+        logz = np.array([log_partition_function(cfg, range(t, t + 1))[0]
+                         for t in range(8)])
         with mpmath.workprec(128):
             samples = [mpmath.mpf(x) for x in np.exp(128 * logz)]
             mean = mpmath.fsum(samples) / 8

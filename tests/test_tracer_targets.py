@@ -3,24 +3,15 @@ by module and attribute path.  Deleting or renaming a traced name would
 break ``perfbench/run.py --trace 1``; these checks make it fail here."""
 
 import importlib
-import importlib.util
-from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-
-
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+import tracer
 
 
 def test_every_target_resolves():
     # tracer.install reads a dotted target's last part from its owner's
     # own __dict__, so an attribute the owner only inherits would raise
     # KeyError there: hasattr alone would let it through.
-    for module_name, path, *_ in load_tracer().TARGETS:
+    for module_name, path, *_ in tracer.TARGETS:
         owner = importlib.import_module(module_name)
         *outer, attr = path.split(".")
         for part in outer:

@@ -1,17 +1,10 @@
-"""tools/variants.py, loaded by path, on a two-job list."""
+"""tools/variants.py on a two-job list."""
 
 import hashlib
-import importlib.util
 import json
-from pathlib import Path
 
+import variants
 from brwmom import cli
-
-ROOT = Path(__file__).resolve().parent.parent
-spec = importlib.util.spec_from_file_location(
-    "variants", ROOT / "tools" / "variants.py")
-variants = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(variants)
 
 MOM = ["mom", "--k", "2", "--n", "3", "--beta-sq-rational", "1/2"]
 RMT = {"N": 4, "beta": "0.5"}

@@ -9,13 +9,13 @@ whole suite, from the repository root.  A generated
 process of the run, the subprocesses of the tests included, traces the
 lines it runs in ``src/brwmom/*.py`` and writes them to a JSON file of
 its own at exit.  ``--routes`` runs, in one traced process, every variant
-of the benchmark's workloads (``perfbench/workloads.all_variants``, read
-and not changed): ``cli.main`` for a command, ``rmt.unitary_mom_k1`` and
-``cli.encode_value`` for an ``rmt`` job.  Then, through ``cli.main``, the
+of the benchmark's workloads (``tools/variants.py``'s job list), the
 ``brwmom`` examples of README.md (``--out`` into a temporary directory),
 each ``verify`` suite, ``BRANCHES`` (command lines that reach branches no
 benchmark job reaches), ``--help``, and ``ERRORS``: one command line per
-parser error and per error exit of a handler.
+parser error and per error exit of a handler.  Each job runs through the
+benchmark's own worker, ``perfbench/worker.run_job`` (``perfbench/`` is
+read and not changed), and a job that raises fails the traced run.
 
 Either mode merges the files and prints one JSON record to stdout: the
 number of executable statement lines, how many never ran, and those
@@ -37,6 +37,10 @@ import sys
 import tempfile
 from pathlib import Path
 from types import CodeType
+
+import variants  # puts src/ and perfbench/ on sys.path
+import worker
+import workloads
 
 TOOLS = Path(__file__).resolve().parent
 ROOT = TOOLS.parent
@@ -136,38 +140,29 @@ def readme_examples(out_dir: str) -> list:
 
 def run_routes() -> None:
     """Run every benchmark variant once, then the README examples, the
-    verify suites, BRANCHES, help and ERRORS; stdout and stderr are
-    discarded."""
-    import importlib.util
+    verify suites, BRANCHES, help and ERRORS, each through the
+    benchmark's ``worker.run_job``; stdout and stderr are discarded.
+    Exits with status 1 when a job raised."""
     import io
-    from contextlib import redirect_stderr, redirect_stdout
+    from contextlib import redirect_stderr
 
     from brwmom import cli, rmt
-    spec = importlib.util.spec_from_file_location(
-        "workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    for workload in workloads.WORKLOADS:
-        for job in workloads.all_variants(workload):
-            with redirect_stdout(io.StringIO()):
-                if isinstance(job, dict):
-                    cli.encode_value(
-                        rmt.unitary_mom_k1(job["N"], float(job["beta"])), 256)
-                else:
-                    cli.main(job)
     suites = [["verify", "--suite", "oracle", "--budget", "8"],
               ["verify", "--suite", "mc", "--budget", "200"],
               ["verify", "--suite", "closedform"],
               ["verify", "--suite", "rmt", "--budget", "20"]]
-    with tempfile.TemporaryDirectory() as out_dir:
-        for argv in (readme_examples(out_dir) + suites + BRANCHES
-                     + [["--help"]] + ERRORS):
-            try:
-                with redirect_stdout(io.StringIO()), \
-                        redirect_stderr(io.StringIO()):
-                    cli.main(argv)
-            except SystemExit:
-                pass
+    raised = []
+    with tempfile.TemporaryDirectory() as out_dir, \
+            redirect_stderr(io.StringIO()):
+        for job in ([job for _, job in variants.variant_jobs()]
+                    + readme_examples(out_dir) + suites + BRANCHES
+                    + [["--help"]] + ERRORS):
+            error = worker.run_job(cli, rmt, job)["error"]
+            if error is not None:
+                raised.append(f"{workloads.job_key(job)}: "
+                              + error.strip().splitlines()[-1])
+    if raised:
+        sys.exit("\n".join(raised))
 
 
 def statement_lines(path: Path) -> dict:

@@ -3,69 +3,57 @@
     python tools/variants.py
 
 Runs, in this one process, every job any seed of the benchmark's
-workloads can produce (``perfbench/workloads.all_variants``, read and not
-changed): ``cli.main`` for a command line, and for an ``rmt`` job
-``rmt.unitary_mom_k1`` with the JSON record of ``cli.encode_value`` that
-the benchmark's worker prints.  stderr is discarded.  Prints one JSON
-record to stdout: per job, keyed by workload and job, the sha-256 of its
-exit code and stdout (a job that raises counts the exception in place of
-the exit code), and ``total``, the sha-256 over those in order.  Two
-trees with the same total give byte-identical stdout and the same exit
-code on every variant.  A run takes tens of seconds.  Standard library
-only.
+workloads can produce (``perfbench/workloads.all_variants``), each
+through the benchmark's own worker, ``perfbench/worker.run_job``, the
+function that ``perfbench/run.py`` times and checks; ``perfbench/`` is
+read and not changed.  stderr is discarded.  Prints one JSON record to
+stdout: per job, keyed by workload and job, the sha-256 of its exit code
+and stdout (for a job that raises, the last line of its traceback in
+place of the exit code), and ``total``, the sha-256 over those in order.
+Two trees with the same total give byte-identical stdout and the same
+exit code on every variant.  A run takes tens of seconds.  Standard
+library only.
 """
 
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import io
 import json
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [path for path in (str(ROOT / "src"), str(ROOT / "perfbench"))
+                if path not in sys.path]
+
+import worker  # noqa: E402
+import workloads  # noqa: E402
 
 
-def load_workloads():
-    spec = importlib.util.spec_from_file_location(
-        "workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
+def variant_jobs() -> list:
+    """(workload, job) of every variant of every workload."""
+    return [(w, job) for w in workloads.WORKLOADS
+            for job in workloads.all_variants(w)]
 
 
 def run_job(job) -> str:
-    """The sha-256 of the job's exit code and stdout."""
+    """The sha-256 of the job's exit code and stdout under
+    ``worker.run_job``."""
     from brwmom import cli, rmt
-    out = io.StringIO()
-    try:
-        with redirect_stdout(out), redirect_stderr(io.StringIO()):
-            if isinstance(job, dict):
-                value = rmt.unitary_mom_k1(job["N"], float(job["beta"]))
-                print(json.dumps({"N": job["N"], "beta": job["beta"],
-                                  "value": cli.encode_value(value, 256)},
-                                 sort_keys=True))
-                code = 0
-            else:
-                code = cli.main(job)
-    except SystemExit as exc:
-        code = exc.code
-    except Exception as exc:  # the failure is part of the output
-        code = f"{type(exc).__name__}: {exc}"
-    return hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
+    with redirect_stderr(io.StringIO()):
+        record = worker.run_job(cli, rmt, job)
+    code = (record["rc"] if record["error"] is None
+            else record["error"].strip().splitlines()[-1])
+    return hashlib.sha256(f"{code}\n{record['stdout']}".encode()).hexdigest()
 
 
 def main(jobs=None) -> int:
     """Print the record for ``jobs``, (workload, job) pairs; every
     variant of every workload by default."""
-    workloads = load_workloads()
-    if jobs is None:
-        jobs = [(w, job) for w in workloads.WORKLOADS
-                for job in workloads.all_variants(w)]
     digests = {f"{w}: {workloads.job_key(job)}": run_job(job)
-               for w, job in jobs}
+               for w, job in (variant_jobs() if jobs is None else jobs)}
     total = hashlib.sha256("\n".join(digests.values()).encode())
     print(json.dumps({"jobs": digests, "count": len(digests),
                       "total": total.hexdigest()}, indent=1))
@@ -73,7 +61,6 @@ def main(jobs=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(ROOT / "src"))
     if sys.argv[1:]:
         print("usage: python tools/variants.py", file=sys.stderr)
         sys.exit(2)
