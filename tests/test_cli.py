@@ -11,6 +11,7 @@ from fractions import Fraction
 from operator import truediv
 from pathlib import Path
 
+import jsonschema
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,26 +24,27 @@ SCHEMA_PATH = ROOT / "src" / "brwmom" / "schema" / "output_record.schema.json"
 
 
 def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
+    """A command in its own interpreter, for the tests of what differs
+    between processes; every other test runs it in-process (``run``)."""
     cmd = [sys.executable, "-m", "brwmom", *args]
     return subprocess.run(cmd, capture_output=True, text=True,
                           env=None if env is None else {**os.environ, **env})
 
 
-def record(cp: subprocess.CompletedProcess) -> dict:
-    assert cp.returncode == 0, cp.stderr
-    return json.loads(cp.stdout)
+def record(result: tuple) -> dict:
+    code, out, err = result
+    assert code == 0, err
+    return json.loads(out)
 
 
 def validate_schema(payload: dict) -> None:
-    jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads(SCHEMA_PATH.read_text())
     jsonschema.validate(payload, schema)
 
 
 class TestSchema:
-    def test_malformed_records_fail(self):
-        jsonschema = pytest.importorskip("jsonschema")
-        good = record(run_cli("asym", "--k", "3", "--beta", "0.3"))
+    def test_malformed_records_fail(self, run):
+        good = record(run("asym", "--k", "3", "--beta", "0.3"))
         validate_schema(good)
         coefficient = good["result"]["coefficient"]
         no_precision = {k: v for k, v in coefficient.items()
@@ -66,20 +68,20 @@ class TestSchema:
 
 
 class TestMomCommand:
-    def test_exact_rational(self):
-        rec = record(run_cli("mom", "--k", "2", "--n", "1", "--beta", "1",
-                             "--ring", "rational"))
+    def test_exact_rational(self, run):
+        rec = record(run("mom", "--k", "2", "--n", "1", "--beta", "1",
+                         "--ring", "rational"))
         assert rec["result"]["value"]["value"] == "10/1"
         assert rec["provenance"] == "engine"
         validate_schema(rec)
 
-    def test_first_moment_beta_two(self):
-        rec = record(run_cli("mom", "--k", "1", "--n", "3", "--beta", "2"))
+    def test_first_moment_beta_two(self, run):
+        rec = record(run("mom", "--k", "1", "--n", "3", "--beta", "2"))
         assert rec["result"]["value"]["value"] == "4096/1"
 
-    def test_radical_ring(self):
-        rec = record(run_cli("mom", "--k", "2", "--n", "2",
-                             "--beta-sq-rational", "1/2", "--ring", "radical"))
+    def test_radical_ring(self, run):
+        rec = record(run("mom", "--k", "2", "--n", "2",
+                         "--beta-sq-rational", "1/2", "--ring", "radical"))
         v = rec["result"]["value"]
         assert v["type"] == "radical"
         assert v["root_index"] == 2
@@ -87,50 +89,48 @@ class TestMomCommand:
         assert rec["parameters"]["ring"] == "radical(2)"
         validate_schema(rec)
 
-    def test_float_ring_tagged_with_precision(self):
-        rec = record(run_cli("mom", "--k", "2", "--n", "4", "--beta", "0.3",
-                             "--precision", "128"))
+    def test_float_ring_tagged_with_precision(self, run):
+        rec = record(run("mom", "--k", "2", "--n", "4", "--beta", "0.3",
+                         "--precision", "128"))
         v = rec["result"]["value"]
         assert v["type"] == "float"
         assert v["precision_bits"] == 128
         validate_schema(rec)
 
-    def test_beta_sign_symmetry_byte_identical(self):
+    def test_beta_sign_symmetry_byte_identical(self, run):
         mc = ("mc", "--k", "2", "--n", "6", "--trials", "200", "--seed", "3")
         # A negative beta in any float notation is a value, not a flag.
         cases = [(("mom", "--k", "2", "--n", "5"), "0.7"), (mc, "0.3"),
                  (("mom", "--k", "2", "--n", "1"), "1e-3"), (mc, "3e-1"),
                  (("asym", "--k", "2"), "3e-1")]
         for args, beta in cases:
-            a = record(run_cli(*args, "--beta", beta))
-            b = record(run_cli(*args, "--beta", "-" + beta))
+            a = record(run(*args, "--beta", beta))
+            b = record(run(*args, "--beta", "-" + beta))
             # the record echoes beta as given, so compare results only
             assert a["result"] == b["result"], args
-        cp = run_cli("sweep", "--k", "2", "--beta-min", "-5e-1",
-                     "--beta-max", "5e-1", "--steps", "3")
-        assert cp.returncode == 0, cp.stderr
+        code, _, err = run("sweep", "--k", "2", "--beta-min", "-5e-1",
+                           "--beta-max", "5e-1", "--steps", "3")
+        assert code == 0, err
 
     def test_repeat_invocations_byte_identical(self):
         a = run_cli("mom", "--k", "3", "--n", "6", "--beta", "0.4")
         b = run_cli("mom", "--k", "3", "--n", "6", "--beta", "0.4")
         assert a.stdout == b.stdout
 
-    def test_ring_mismatch_exit_code(self):
-        cp = run_cli("mom", "--k", "2", "--n", "1", "--beta", "0.3",
-                     "--ring", "rational")
-        assert cp.returncode == 3
+    def test_ring_mismatch_exit_code(self, run):
+        code, _, _ = run("mom", "--k", "2", "--n", "1", "--beta", "0.3",
+                         "--ring", "rational")
+        assert code == 3
 
     @pytest.mark.parametrize("beta, shown", [
         (("--beta-sq-rational", "3/4"), "3/4"), (("--beta", "0.5"), "0.25")])
-    def test_ring_mismatch_error_line(self, beta, shown, capsys):
+    def test_ring_mismatch_error_line(self, beta, shown, run):
         # beta^2 as the flag gave it, never a Python repr.
-        assert cli.main(["mom", "--k", "3", "--n", "3", *beta,
-                         "--ring", "rational"]) == 3
-        out = capsys.readouterr()
-        assert (out.out, out.err) == ("", "error: rational ring needs "
-                                      f"integer beta^2, got {shown}\n")
+        assert run("mom", "--k", "3", "--n", "3", *beta, "--ring",
+                   "rational") == (3, "", "error: rational ring needs "
+                                   f"integer beta^2, got {shown}\n")
 
-    def test_invalid_flags_exit_code(self):
+    def test_invalid_flags_exit_code(self, run):
         # Each message is the one argparse gave before the flag table
         # replaced it, but for the two trial caps, which came after it.
         asym = ("asym", "--k", "2", "--beta", "1")
@@ -231,9 +231,9 @@ class TestMomCommand:
              f"{seed}, got '18446744073709551616'"),
         ]
         for args, env, message in cases:
-            cp = run_cli(*args, env=env)
-            assert cp.returncode == 2, (args, env, cp.stderr)
-            assert cp.stderr == f"error: {message}\n", (args, env)
+            code, _, err = run(*args, env=env)
+            assert code == 2, (args, env, err)
+            assert err == f"error: {message}\n", (args, env)
 
     @pytest.mark.parametrize("argv", [
         ["mom", "--k", "1", "--n", "1", "--beta", "-256"],
@@ -241,32 +241,27 @@ class TestMomCommand:
         ["poly", "--k", "1", "--beta", "256"],
         ["sweep", "--k", "1", "--beta-min", "0", "--beta-max", "300",
          "--steps", "2"]])
-    def test_exact_beta_bound_accepted(self, argv, capsys):
+    def test_exact_beta_bound_accepted(self, argv, run):
         # The largest exact beta^2 runs; sweep squares its beta as a
         # float, so the bound does not apply to it.
-        assert cli.main(argv) == 0
-        capsys.readouterr()
+        assert run(*argv)[0] == 0
 
     @pytest.mark.parametrize("text, echo, ring", [
         ("1/2", "1/2", "radical(2)"), ("4", "4/1", "rational"),
         ("0", "0/1", "rational"), (" 1/3", "1/3", "radical(3)")])
-    def test_beta_sq_rational_accepted(self, text, echo, ring, capsys):
-        argv = ["mom", "--k", "1", "--n", "1", f"--beta-sq-rational={text}"]
-        assert cli.main(argv) == 0
-        params = json.loads(capsys.readouterr().out)["parameters"]
+    def test_beta_sq_rational_accepted(self, text, echo, ring, run):
+        params = record(run("mom", "--k", "1", "--n", "1",
+                            f"--beta-sq-rational={text}"))["parameters"]
         assert (params["beta_sq"], params["ring"]) == (echo, ring)
 
     @pytest.mark.parametrize("text", ["1/", "1/0", "1/-3", "-1/2", "1.5",
                                       "1/2/3"])
-    def test_beta_sq_rational_rejected(self, text, capsys):
-        argv = ["mom", "--k", "1", "--n", "1", f"--beta-sq-rational={text}"]
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert captured.err.count("\n") == 1
+    def test_beta_sq_rational_rejected(self, text, run):
+        code, out, err = run("mom", "--k", "1", "--n", "1",
+                             f"--beta-sq-rational={text}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("value", ["-inf", "-nan", "-Infinity"])
     @pytest.mark.parametrize("args, flag", [
@@ -276,17 +271,13 @@ class TestMomCommand:
         (("sweep", "--k", "2", "--beta-max", "1", "--steps", "3"),
          "--beta-min")])
     def test_negative_non_finite_beta_is_a_value(self, args, flag, value,
-                                                 capsys):
+                                                 run):
         # Read as a flag, "-inf" gets "expected one argument" instead of
         # the validator's message, which "--beta=-inf" gets.
-        errors = []
-        for argv in ([*args, flag, value], [*args, f"{flag}={value}"]):
-            with pytest.raises(SystemExit) as exc:
-                cli.main(argv)
-            assert exc.value.code == 2
-            errors.append(capsys.readouterr().err)
-        assert errors[0] == errors[1]
-        assert "must be a finite number" in errors[0]
+        code, out, err = run(*args, flag, value)
+        assert run(*args, f"{flag}={value}") == (code, out, err)
+        assert code == 2
+        assert "must be a finite number" in err
 
     def test_radical_coeffs_padded_to_root_index(self):
         # A Radical stores trimmed coefficients; the record keeps m.
@@ -317,25 +308,23 @@ class TestMomCommand:
                                "--trials", str(cli.MC_MAX_TRIALS)])
         assert args.trials == cli.MC_MAX_TRIALS
 
-    def test_verify_mc_budget_cap_is_inclusive(self, monkeypatch, capsys):
+    def test_verify_mc_budget_cap_is_inclusive(self, monkeypatch, run):
         # The suite is replaced by a recorder, so no trial runs.
         budgets = []
         monkeypatch.setattr(cli, "_verify_mc",
                             lambda trials, precision: budgets.append(trials)
                             or [])
-        assert cli.main(["verify", "--suite", "mc", "--budget",
-                         str(cli.MC_MAX_TRIALS)]) == 0
+        assert run("verify", "--suite", "mc", "--budget",
+                   str(cli.MC_MAX_TRIALS))[0] == 0
         assert budgets == [cli.MC_MAX_TRIALS]
-        capsys.readouterr()
 
-    def test_rational_beyond_int_digit_limit(self, capsys):
+    def test_rational_beyond_int_digit_limit(self, run):
         # 2^16000 has 4817 digits, more than str(int) allows by default
         # on Python >= 3.11
         get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
         limit = get_limit()
-        assert cli.main(["mom", "--k", "1", "--n", "1000", "--beta", "4"]) == 0
-        value = json.loads(capsys.readouterr().out)["result"]["value"]["value"]
-        num, den = value.split("/")
+        rec = record(run("mom", "--k", "1", "--n", "1000", "--beta", "4"))
+        num, den = rec["result"]["value"]["value"].split("/")
         assert den == "1"
         assert Fraction(Decimal(num)) == 2 ** 16000
         assert get_limit() == limit
@@ -424,39 +413,24 @@ class TestParser:
         (MOM + ["--beta", "1", "--ring", "x"], "argument --ring: invalid "
          "choice: 'x' (choose from 'auto', 'rational', 'radical', 'float')"),
     ])
-    def test_errors(self, argv, message, capsys):
+    def test_errors(self, argv, message, run):
         # argparse's messages, recorded from the parser it replaced.
-        with pytest.raises(SystemExit) as exc:
-            cli.parse_args(argv)
-        assert exc.value.code == 2
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert run(*argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"],
                                       ["mom", "-h"], ["mc", "--help"],
                                       ["sweep", "--k", "2", "-h"]])
-    def test_help(self, argv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        out = capsys.readouterr()
-        assert exc.value.code == 0 and out.err == ""
+    def test_help(self, argv, run):
+        code, out, err = run(*argv)
+        assert code == 0 and err == ""
         listed = [argv[0]] if argv[0] in cli.COMMANDS else list(cli.COMMANDS)
-        sections = out.out.split("\n\n")[1:]
+        sections = out.split("\n\n")[1:]
         assert len(sections) == len(listed)
         for command, section in zip(listed, sections):
             head, *lines = section.splitlines()
             assert head == f"{command}: {cli.COMMANDS[command][0]}"
             assert [line.split()[0] for line in lines] == [
                 flag for flag, *_ in cli.COMMANDS[command][1]]
-
-    def test_command_loads_no_argparse(self):
-        # Parsing no longer imports argparse, nor gettext through it.
-        code = ("import sys; from brwmom import cli; "
-                "cli.main(['mom', '--k', '2', '--n', '3', '--beta', '1']); "
-                "print(sorted({'argparse', 'gettext'} & set(sys.modules)), "
-                "file=sys.stderr)")
-        cp = subprocess.run([sys.executable, "-c", code],
-                            capture_output=True, text=True)
-        assert cp.returncode == 0 and cp.stderr == "[]\n", cp.stderr
 
 
 def test_fraction_str_under_least_int_digit_limit():
@@ -479,35 +453,30 @@ def test_fraction_str_under_least_int_digit_limit():
 class TestSharedParser:
     ARGV = ["mom", "--k", "2", "--n", "4", "--beta", "0.3"]
 
-    def test_precision_env_read_per_call(self, monkeypatch, capsys):
+    def test_precision_env_read_per_call(self, monkeypatch, run):
         def bits():
-            assert cli.main(self.ARGV) == 0
-            return json.loads(capsys.readouterr().out)["parameters"][
-                "precision"]
+            return record(run(*self.ARGV))["parameters"]["precision"]
 
         monkeypatch.delenv(cli.ENV_PRECISION, raising=False)
         assert bits() == 256
         monkeypatch.setenv(cli.ENV_PRECISION, "100")
         assert bits() == 100
         monkeypatch.setenv(cli.ENV_PRECISION, "32")
-        with pytest.raises(SystemExit) as exc:
-            cli.main(self.ARGV)
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
+        code, _, err = run(*self.ARGV)
+        assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert err == run_cli(*self.ARGV, env={cli.ENV_PRECISION: "32"}
                               ).stderr
         monkeypatch.delenv(cli.ENV_PRECISION)
         assert bits() == 256
 
-    def test_handler_looked_up_per_call(self, monkeypatch, capsys):
+    def test_handler_looked_up_per_call(self, monkeypatch, run):
         # perfbench/tracer.py replaces the cmd_* functions after import.
-        assert cli.main(self.ARGV) == 0
-        capsys.readouterr()
+        assert run(*self.ARGV)[0] == 0
         seen = []
         monkeypatch.setattr(cli, "cmd_mom",
                             lambda args: seen.append(args.k) or 7)
-        assert cli.main(self.ARGV) == 7
+        assert run(*self.ARGV)[0] == 7
         assert seen == [2]
 
 
@@ -630,18 +599,18 @@ class TestEntryPoint:
 
 
 class TestPolyCommand:
-    def test_csv_rows(self):
-        cp = run_cli("poly", "--k", "2", "--beta", "1", "--format", "csv")
-        assert cp.returncode == 0
-        assert cp.stdout.splitlines() == ["degree,coefficient", "3,3/2",
-                                          "2,-1/2"]
+    def test_csv_rows(self, run):
+        code, out, _ = run("poly", "--k", "2", "--beta", "1", "--format",
+                           "csv")
+        assert code == 0
+        assert out.splitlines() == ["degree,coefficient", "3,3/2", "2,-1/2"]
 
-    def test_first_moment_row(self):
-        cp = run_cli("poly", "--k", "1", "--beta", "2", "--format", "csv")
-        assert cp.stdout.splitlines() == ["degree,coefficient", "4,1/1"]
+    def test_first_moment_row(self, run):
+        _, out, _ = run("poly", "--k", "1", "--beta", "2", "--format", "csv")
+        assert out.splitlines() == ["degree,coefficient", "4,1/1"]
 
-    def test_round_trip_against_mom(self):
-        rec = record(run_cli("poly", "--k", "3", "--beta", "1"))
+    def test_round_trip_against_mom(self, run):
+        rec = record(run("poly", "--k", "3", "--beta", "1"))
         total = sum(Fraction(c) * Fraction(2) ** (5 * d)
                     for d, c in rec["result"]["rows"])
         assert total == mom_dp(3, 5, 1)
@@ -649,31 +618,31 @@ class TestPolyCommand:
 
 
 class TestAsymCommand:
-    def test_supercritical_exact(self):
-        rec = record(run_cli("asym", "--k", "2", "--beta", "1"))
+    def test_supercritical_exact(self, run):
+        rec = record(run("asym", "--k", "2", "--beta", "1"))
         assert rec["result"]["regime"] == "super-critical"
         assert rec["result"]["coefficient"]["value"] == "3/2"
         assert rec["result"]["exponent"] == {"beta_sq_coeff": 4,
                                              "constant": -1}
         validate_schema(rec)
 
-    def test_exact_supercritical_record_is_pinned(self, capsys):
+    def test_exact_supercritical_record_is_pinned(self, run):
         # The record's sha-256, recorded from the Fraction-based Radical
         # arithmetic: each value has one normal form, so it keeps every byte.
-        assert cli.main(["asym", "--k", "8", "--beta-sq-rational", "9/25"]) == 0
-        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        code, out, _ = run("asym", "--k", "8", "--beta-sq-rational", "9/25")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == (
             "36baea63453214f3d9be70c53974c9ec"
             "27c5983e1118af976b9566ae4b684ad0")
 
-    def test_critical_snap_from_float_beta(self):
-        rec = record(run_cli("asym", "--k", "2", "--beta",
-                             "0.7071067811865476"))
+    def test_critical_snap_from_float_beta(self, run):
+        rec = record(run("asym", "--k", "2", "--beta", "0.7071067811865476"))
         assert rec["result"]["regime"] == "critical"
         assert rec["result"]["n_power"] == 1
         assert rec["result"]["coefficient"]["value"].startswith("0.5")
 
-    def test_no_snap_near_lower_order_pole(self):
+    def test_no_snap_near_lower_order_pole(self, run):
         # beta^2 = 0.2 + 1e-10 sits near the pole 1/5 of order 5, not at
         # order 6's transition 1/6: the regime is decided without a snap,
         # and the coefficient is the float one at the given beta^2, not
@@ -682,7 +651,7 @@ class TestAsymCommand:
 
         from brwmom import ExpPair, mom_symbolic
         beta = 0.4472135956117614
-        rec = record(run_cli("asym", "--k", "6", "--beta", repr(beta)))
+        rec = record(run("asym", "--k", "6", "--beta", repr(beta)))
         assert rec["result"]["regime"] == "super-critical"
         coeff = rec["result"]["coefficient"]
         assert coeff["type"] == "float"
@@ -696,19 +665,18 @@ class TestAsymCommand:
 
     @pytest.mark.parametrize("beta, tag", [("1", "critical"),
                                            ("1.5", "super-critical")])
-    def test_order_one_regime(self, beta, tag, capsys):
-        assert cli.main(["asym", "--k", "1", "--beta", beta]) == 0
-        assert json.loads(capsys.readouterr().out)["result"]["regime"] == tag
+    def test_order_one_regime(self, beta, tag, run):
+        rec = record(run("asym", "--k", "1", "--beta", beta))
+        assert rec["result"]["regime"] == tag
 
-    def test_subcritical_method(self):
-        rec = record(run_cli("asym", "--k", "3", "--beta", "0.3"))
+    def test_subcritical_method(self, run):
+        rec = record(run("asym", "--k", "3", "--beta", "0.3"))
         assert rec["result"]["regime"] == "sub-critical"
         assert rec["result"]["method"] == "recursion"
 
-    def test_float_payload_keeps_full_precision(self):
+    def test_float_payload_keeps_full_precision(self, run):
         import mpmath
-        rec = record(run_cli("asym", "--k", "3", "--beta",
-                             "0.5773502691896258"))
+        rec = record(run("asym", "--k", "3", "--beta", "0.5773502691896258"))
         got = rec["result"]["coefficient"]["value"]
         with mpmath.mp.workprec(256):
             want = mpmath.nstr(
@@ -718,11 +686,12 @@ class TestAsymCommand:
 
 
 class TestSweepCommand:
-    def test_csv_to_file(self, tmp_path):
+    def test_csv_to_file(self, tmp_path, run):
         out = tmp_path / "sweep.csv"
-        cp = run_cli("sweep", "--k", "2", "--beta-min", "0.1", "--beta-max",
-                     "1.5", "--steps", "8", "--out", str(out))
-        assert cp.returncode == 0, cp.stderr
+        code, _, err = run("sweep", "--k", "2", "--beta-min", "0.1",
+                           "--beta-max", "1.5", "--steps", "8", "--out",
+                           str(out))
+        assert code == 0, err
         lines = out.read_text().splitlines()
         assert lines[0] == "beta,regime,coefficient,method"
         assert len(lines) == 9
@@ -730,47 +699,47 @@ class TestSweepCommand:
             beta, regime, coeff, method = row.split(",")
             assert float(coeff) > 0
 
-    def test_order_one_regimes(self, capsys):
-        assert cli.main(["sweep", "--k", "1", "--beta-min", "0.5",
-                         "--beta-max", "1.5", "--steps", "3"]) == 0
-        assert capsys.readouterr().out.splitlines() == [
+    def test_order_one_regimes(self, run):
+        code, out, _ = run("sweep", "--k", "1", "--beta-min", "0.5",
+                           "--beta-max", "1.5", "--steps", "3")
+        assert code == 0
+        assert out.splitlines() == [
             "beta,regime,coefficient,method",
             "0.5,sub-critical,1.0,exact",
             "1.0,critical,1.0,exact",
             "1.5,super-critical,1.0,exact"]
 
-    def test_unwritable_file_exit_code(self):
-        cp = run_cli("sweep", "--k", "2", "--beta-min", "0.1", "--beta-max",
-                     "1.0", "--steps", "3", "--out", "/nonexistent/x.csv")
-        assert cp.returncode == 4
+    def test_unwritable_file_exit_code(self, run):
+        code, _, _ = run("sweep", "--k", "2", "--beta-min", "0.1",
+                         "--beta-max", "1.0", "--steps", "3", "--out",
+                         "/nonexistent/x.csv")
+        assert code == 4
 
-    def test_bad_range_exit_code(self):
-        cp = run_cli("sweep", "--k", "2", "--beta-min", "1.0", "--beta-max",
-                     "0.5", "--steps", "3")
-        assert cp.returncode == 2
+    def test_bad_range_exit_code(self, run):
+        assert run("sweep", "--k", "2", "--beta-min", "1.0", "--beta-max",
+                   "0.5", "--steps", "3")[0] == 2
 
 
 class TestMcCommand:
-    def test_beta_zero_exact(self):
-        rec = record(run_cli("mc", "--k", "2", "--n", "6", "--beta", "0",
-                             "--trials", "200", "--seed", "9"))
+    def test_beta_zero_exact(self, run):
+        rec = record(run("mc", "--k", "2", "--n", "6", "--beta", "0",
+                         "--trials", "200", "--seed", "9"))
         assert rec["result"]["estimate"] == 1.0
         assert rec["result"]["stderr"] == 0.0
         assert rec["result"]["z_score"] == 0.0
         validate_schema(rec)
 
-    def test_heavy_tail_refusal(self):
-        cp = run_cli("mc", "--k", "3", "--n", "4", "--beta", "0.8",
-                     "--trials", "100", "--seed", "1")
-        assert cp.returncode == 5
+    def test_heavy_tail_refusal(self, run):
+        assert run("mc", "--k", "3", "--n", "4", "--beta", "0.8",
+                   "--trials", "100", "--seed", "1")[0] == 5
 
-    def test_force_overrides_refusal(self):
-        cp = run_cli("mc", "--k", "3", "--n", "4", "--beta", "0.8",
-                     "--trials", "100", "--seed", "1", "--force")
-        assert cp.returncode == 0
-        assert json.loads(cp.stdout)["result"]["heavy_tail"] is True
+    def test_force_overrides_refusal(self, run):
+        code, out, _ = run("mc", "--k", "3", "--n", "4", "--beta", "0.8",
+                           "--trials", "100", "--seed", "1", "--force")
+        assert code == 0
+        assert json.loads(out)["result"]["heavy_tail"] is True
 
-    def test_non_finite_doubles_are_null(self):
+    def test_non_finite_doubles_are_null(self, run):
         def reject(token):
             raise AssertionError(f"non-JSON token {token}")
 
@@ -789,9 +758,9 @@ class TestMcCommand:
               "20", "--force"), []),
         ]
         for args, nulls in cases:
-            cp = run_cli(*args)
-            assert cp.returncode == 0 and cp.stderr == "", (args, cp.stderr)
-            rec = json.loads(cp.stdout, parse_constant=reject)
+            code, out, err = run(*args)
+            assert code == 0 and err == "", (args, err)
+            rec = json.loads(out, parse_constant=reject)
             for field in ("estimate", "stderr", "z_score"):
                 value = rec["result"][field]
                 assert (value is None) == (field in nulls), (args, field)
@@ -808,57 +777,54 @@ class TestMcCommand:
 
 
 class TestVerifyCommand:
-    def test_oracle_suite(self):
-        cp = run_cli("verify", "--suite", "oracle", "--budget", "12")
-        assert cp.returncode == 0, cp.stdout
-        rec = json.loads(cp.stdout)
+    def test_oracle_suite(self, run):
+        code, out, _ = run("verify", "--suite", "oracle", "--budget", "12")
+        assert code == 0, out
+        rec = json.loads(out)
         assert rec["result"]["pass"] is True
         assert all(c["pass"] for c in rec["result"]["checks"])
 
-    def test_closed_form_suite_and_alias(self):
-        cp = run_cli("verify", "--suite", "closedform")
-        assert cp.returncode == 0, cp.stdout
+    def test_closed_form_suite_and_alias(self, run):
+        code, out, _ = run("verify", "--suite", "closedform")
+        assert code == 0, out
         # the former alias "appendix" is an invalid choice
-        cp2 = run_cli("verify", "--suite", "appendix")
-        assert cp2.returncode == 2
-        assert cp2.stdout == ""
-        assert cp2.stderr.startswith("error:")
-        assert cp2.stderr.count("\n") == 1
+        code, out, err = run("verify", "--suite", "appendix")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
 
-    def test_rmt_suite(self):
-        cp = run_cli("verify", "--suite", "rmt", "--budget", "2000")
-        assert cp.returncode == 0, cp.stdout
+    def test_rmt_suite(self, run):
+        code, out, _ = run("verify", "--suite", "rmt", "--budget", "2000")
+        assert code == 0, out
 
-    def test_rmt_budget_bounds_every_matrix_size(self, capsys):
-        assert cli.main(["verify", "--suite", "rmt", "--budget", "5"]) == 0
-        checks = json.loads(capsys.readouterr().out)["result"]["checks"]
+    def test_rmt_budget_bounds_every_matrix_size(self, run):
+        rec = record(run("verify", "--suite", "rmt", "--budget", "5"))
         sizes = [int(re.search(r" N<?=(\d+)", c["name"]).group(1))
-                 for c in checks]
+                 for c in rec["result"]["checks"]]
         # The telescoping check and the gamma checks at N = 1.
         assert len(sizes) == 5 and max(sizes) == 5, sizes
 
-    def test_small_budget_used_as_given(self):
-        rec = record(run_cli("verify", "--suite", "rmt", "--budget", "50"))
+    def test_small_budget_used_as_given(self, run):
+        rec = record(run("verify", "--suite", "rmt", "--budget", "50"))
         assert rec["parameters"]["budget"] == 50
         assert rec["result"]["checks"][0]["name"] == "telescoping N<=50"
 
-    def test_mc_suite(self):
-        cp = run_cli("verify", "--suite", "mc", "--budget", "4000")
-        assert cp.returncode == 0, cp.stdout
+    def test_mc_suite(self, run):
+        code, out, _ = run("verify", "--suite", "mc", "--budget", "4000")
+        assert code == 0, out
 
     @pytest.mark.parametrize("trials, passes", [(2, [True, False]),
                                                 (200, [True, True])])
-    def test_mc_suite_reads_mc(self, trials, passes, capsys):
+    def test_mc_suite_reads_mc(self, trials, passes, run):
         # Each check is the mc run at its (k, n, beta) and seed 42; at 2
         # trials the k = 2 estimate lies 4.6 standard errors off.
-        code = cli.main(["verify", "--suite", "mc", "--budget", str(trials)])
-        checks = json.loads(capsys.readouterr().out)["result"]["checks"]
+        code, out, _ = run("verify", "--suite", "mc", "--budget", str(trials))
+        checks = json.loads(out)["result"]["checks"]
         assert code == (0 if all(passes) else cli.EXIT_VERIFY_FAILED)
         assert [c["pass"] for c in checks] == passes
         for k, check in zip((1, 2), checks):
-            assert cli.main(["mc", "--k", str(k), "--n", "6", "--beta", "0.3",
-                             "--trials", str(trials), "--seed", "42"]) == 0
-            mc = json.loads(capsys.readouterr().out)["result"]
+            mc = record(run("mc", "--k", str(k), "--n", "6", "--beta", "0.3",
+                            "--trials", str(trials), "--seed", "42"))["result"]
             assert check["lhs"] == repr(mc["estimate"])
             assert check["rhs"] == repr(float(mc["exact"]["value"]))
             assert check["pass"] == (abs(mc["z_score"]) <= 3)

@@ -250,9 +250,9 @@ class TestMomentTable:
         assert all(type(x) is int for row in table._rows[1:] for x in row)
 
     @pytest.mark.parametrize("beta_sq", ["1/3", "1/4", "3/8", "2/3", "7/25",
-                                         "9/25"])
+                                         "9/25", "2/5", "3/7", "5/6", "1/12"])
     def test_slot_loop_equals_callable_loop(self, beta_sq):
-        # h = 3, 2, 4, 3, 25 and 25 slots per entry.
+        # h = 3, 2, 4, 3, 25, 25, 5, 7, 3 and 6 slots per entry.
         ring = resolve_context(Fraction(beta_sq))
         h = (2 * ring.beta_sq).as_integer_ratio()[1]
         assert h > 1
@@ -263,8 +263,10 @@ class TestMomentTable:
 
     @pytest.mark.parametrize("precision", [64, 256, 1024])
     @pytest.mark.parametrize("beta_sq", [0.0, 0.35 ** 2, 0.45 ** 2,
-                                         0.55 ** 2, 1 / 3])
+                                         0.55 ** 2, 1 / 3, 0.09, 0.55, 1.21])
     def test_pair_loop_equals_callable_loop(self, beta_sq, precision):
+        # At 0.09 and 64 bits, order 9's step formed as two_pow(81, 1)
+        # rounds away from two_pow(81, -8) * 2^9, and this fails.
         ring = resolve_context(beta_sq, "float", precision)
         for k, n in self.GRID:
             table = assert_table_equals_reference(k, n, ring)
@@ -301,26 +303,6 @@ class TestMomentTable:
         assert engine._pair_weights.cache_info().hits == 8
         assert (engine._pair_weights(8, raw, 256)
                 != engine._pair_weights(8, raw, 1024))
-
-    @pytest.mark.parametrize("beta_sq", [0, 1, 2, 4, *(Fraction(b) for b in (
-        "1/2", "1/3", "2/5", "3/7", "3/2", "1/4", "3/8", "5/6", "1/12"))])
-    def test_equals_unscaled_recurrence_exactly(self, beta_sq):
-        # The radical ring at integer beta^2 is in the next test.
-        ctx = resolve_context(beta_sq)
-        table = MomentTable.build(8, 30, ctx)
-        for key, want in unscaled_table(8, 30, ctx).items():
-            assert table.value(*key) == want, key
-
-    @pytest.mark.parametrize("precision", [64, 256, 1024])
-    @pytest.mark.parametrize("beta_sq", [0.09, 0.55, 1.21])
-    def test_equals_unscaled_recurrence_in_floats(self, beta_sq, precision):
-        # Bit for bit: scaling by 2^(jd) is exact in mpf.  At 0.09 and 64
-        # bits, order 9's step formed as two_pow(81, 1) rounds away from
-        # two_pow(81, -8) * 2^9, and this fails.
-        ctx = resolve_context(beta_sq, "float", precision)
-        table = MomentTable.build(10, 40, ctx)
-        for key, want in unscaled_table(10, 40, ctx).items():
-            assert table.value(*key)._mpf_ == want._mpf_, key
 
     @pytest.mark.parametrize("ambient", [20, 53, 3000])
     def test_float_table_ignores_ambient_precision(self, ambient):
@@ -607,10 +589,9 @@ class TestClosedForms:
     def test_symbolic_equals_lambda_sum_order_six(self):
         assert mom_symbolic(6) == lambda_sum_symbolic(6)
 
-    def test_no_route_calls_symbolic(self):
+    def test_no_route_calls_symbolic(self, run):
         # Every ring solves the closed form itself; the Q(t) form is a
         # library function and a test reference only.
-        from brwmom import cli
         mom_symbolic.cache_clear()
         mom_polynomial(5, 2)
         supercritical_coefficient(5, Fraction(1, 2))
@@ -620,7 +601,7 @@ class TestClosedForms:
                      ["sweep", "--k", "5", "--beta-min", "0.1",
                       "--beta-max", "1.2", "--steps", "12"],
                      ["verify", "--suite", "closedform"]):
-            assert cli.main(argv) == 0, argv
+            assert run(*argv)[0] == 0, argv
         assert mom_symbolic.cache_info().misses == 0
 
 

@@ -3,7 +3,9 @@ brwmom`` loads no submodule and no numeric library, mpmath loads only
 for float and radical values, numpy and scipy only for Monte Carlo, and
 each command or ``verify`` suite loads its own modules and no other's.
 ``dataclasses`` and ``inspect`` load only with Monte Carlo: the records
-of every other route are NamedTuples."""
+of every other route are NamedTuples.  So do ``argparse`` and
+``gettext``, through numpy and scipy: the CLI parses with its own flag
+table."""
 
 import json
 import os
@@ -29,7 +31,7 @@ print(json.dumps({"codes": codes, "stdout": out.getvalue(),
 CLI_BASE = {"brwmom.cli", "brwmom.engine", "brwmom.rings"}
 # The costly standard-library modules: numpy and Monte Carlo's records
 # load them.
-STDLIB = ("dataclasses", "inspect")
+STDLIB = ("argparse", "dataclasses", "gettext", "inspect")
 MONTE_CARLO = {"mpmath", "numpy", "scipy", *STDLIB, "brwmom.montecarlo"}
 
 

@@ -6,7 +6,6 @@ import os
 import pytest
 
 import linecov
-from brwmom import cli
 
 FIXTURE = '''\
 """Module docstring."""
@@ -66,10 +65,7 @@ def test_unknown_argument_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv", linecov.ERRORS)
-def test_each_error_line_exits_with_an_error_code(argv, capsys):
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:
-        code = exc.code
+def test_each_error_line_exits_with_an_error_code(argv, run):
+    code, _, err = run(*argv)
     assert 2 <= code <= 5
-    assert capsys.readouterr().err.startswith("error: ")
+    assert err.startswith("error: ")

@@ -4,7 +4,6 @@ import hashlib
 import json
 
 import variants
-from brwmom import cli
 
 MOM = ["mom", "--k", "2", "--n", "3", "--beta-sq-rational", "1/2"]
 RMT = {"N": 4, "beta": "0.5"}
@@ -14,9 +13,9 @@ def sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_main_hashes_exit_code_and_stdout(capsys):
-    assert cli.main(MOM) == 0
-    mom_out = capsys.readouterr().out
+def test_main_hashes_exit_code_and_stdout(run, capsys):
+    code, mom_out, _ = run(*MOM)
+    assert code == 0
     assert variants.main([("exact-dp", MOM), ("closed-form", RMT)]) == 0
     record = json.loads(capsys.readouterr().out)
     jobs = record["jobs"]

@@ -1,7 +1,7 @@
 """Each ``verify`` suite can fail.  With one route under check perturbed
 beyond its tolerance, the suite exits 1, and exactly the checks that read
-that route report ``"pass": false``.  Each suite runs in-process through
-``cli.main`` with one route replaced at a time."""
+that route report ``"pass": false``.  Each suite runs in-process (the
+``run`` fixture) with one route replaced at a time."""
 
 import dataclasses
 import json
@@ -63,7 +63,7 @@ CASES = {
 
 
 @pytest.mark.parametrize("case", list(CASES))
-def test_perturbed_route_fails_its_checks(case, monkeypatch, capsys):
+def test_perturbed_route_fails_its_checks(case, monkeypatch, run):
     suite, budget, module, route, perturbation, family = CASES[case]
     original = getattr(module, route)
     monkeypatch.setattr(module, route, lambda *args, **kwargs: perturbation(
@@ -71,8 +71,8 @@ def test_perturbed_route_fails_its_checks(case, monkeypatch, capsys):
     argv = ["verify", "--suite", suite, "--precision", "256"]
     if budget is not None:
         argv += ["--budget", str(budget)]
-    code = cli.main(argv)
-    record = json.loads(capsys.readouterr().out)
+    code, out, _ = run(*argv)
+    record = json.loads(out)
     assert code == cli.EXIT_VERIFY_FAILED
     assert record["result"]["pass"] is False
     checks = record["result"]["checks"]
