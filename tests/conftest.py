@@ -1,16 +1,27 @@
+import os
+import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-# Allow running the suite from a source checkout without installing, and
-# let the tests import the tools and the benchmark's modules by name.
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [path for path in (str(ROOT / "src"), str(ROOT / "tools"),
-                                  str(ROOT / "perfbench"))
-                if path not in sys.path]
+import brwmom
+from brwmom import cli
 
-from brwmom import cli  # noqa: E402
+# The src/ this process imported brwmom from (pyproject.toml's pythonpath).
+SRC = os.path.dirname(os.path.dirname(brwmom.__file__))
+
+
+def spawn(*args: str, env=None, **run_kwargs) -> subprocess.CompletedProcess:
+    """Runs ``python *args`` as text in a child interpreter, with ``SRC``
+    and then the caller's ``PYTHONPATH`` on its path and ``env`` set over
+    this process's environment; a stream not given is captured."""
+    env = {**os.environ, **(env or {})}
+    path = [SRC, env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    for stream in ("stdout", "stderr"):
+        run_kwargs.setdefault(stream, subprocess.PIPE)
+    return subprocess.run([sys.executable, *args], env=env, text=True,
+                          **run_kwargs)
 
 
 @pytest.fixture

@@ -4,7 +4,6 @@ import json
 import os
 import random
 import re
-import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -18,23 +17,26 @@ from hypothesis import strategies as st
 
 import workloads
 from brwmom import Radical, cli, mom_dp
+from conftest import spawn
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_PATH = ROOT / "src" / "brwmom" / "schema" / "output_record.schema.json"
-
-
-def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
-    """A command in its own interpreter, for the tests of what differs
-    between processes; every other test runs it in-process (``run``)."""
-    cmd = [sys.executable, "-m", "brwmom", *args]
-    return subprocess.run(cmd, capture_output=True, text=True,
-                          env=None if env is None else {**os.environ, **env})
 
 
 def record(result: tuple) -> dict:
     code, out, err = result
     assert code == 0, err
     return json.loads(out)
+
+
+def assert_reruns_byte_identical(*argv: str) -> None:
+    """Two interpreters, each with its own hash seed, exit 0 and print the
+    same one record of the command."""
+    a, b = (spawn("-m", "brwmom", *argv) for _ in range(2))
+    for cp in (a, b):
+        assert cp.returncode == 0, cp.stderr
+        assert json.loads(cp.stdout)["command"] == argv[0]
+    assert a.stdout == b.stdout
 
 
 def validate_schema(payload: dict) -> None:
@@ -113,9 +115,8 @@ class TestMomCommand:
         assert code == 0, err
 
     def test_repeat_invocations_byte_identical(self):
-        a = run_cli("mom", "--k", "3", "--n", "6", "--beta", "0.4")
-        b = run_cli("mom", "--k", "3", "--n", "6", "--beta", "0.4")
-        assert a.stdout == b.stdout
+        assert_reruns_byte_identical("mom", "--k", "3", "--n", "6", "--beta",
+                                     "0.4")
 
     def test_ring_mismatch_exit_code(self, run):
         code, _, _ = run("mom", "--k", "2", "--n", "1", "--beta", "0.3",
@@ -465,8 +466,8 @@ class TestSharedParser:
         code, _, err = run(*self.ARGV)
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert err == run_cli(*self.ARGV, env={cli.ENV_PRECISION: "32"}
-                              ).stderr
+        assert err == spawn("-m", "brwmom", *self.ARGV,
+                            env={cli.ENV_PRECISION: "32"}).stderr
         monkeypatch.delenv(cli.ENV_PRECISION)
         assert bits() == 256
 
@@ -488,6 +489,7 @@ atexit.register(lambda: print("frozen", gc.get_freeze_count(),
                               file=sys.stderr))
 runpy.run_module("brwmom", run_name="__main__", alter_sys=True)
 """
+IMPORT_PATH = "import brwmom; print(brwmom.__file__)"
 
 
 class TestEntryPoint:
@@ -504,19 +506,13 @@ class TestEntryPoint:
           "--seed", "1"], 5),
     ])
     def test_package_run_freezes_and_keeps_main_output(self, argv, code,
-                                                       capsys):
-        cp = subprocess.run([sys.executable, "-c", AS_MAIN, *argv],
-                            capture_output=True, text=True)
+                                                       run):
+        cp = spawn("-c", AS_MAIN, *argv)
         *err, last = cp.stderr.splitlines(keepends=True)
         label, count = last.split()
         assert label == "frozen" and int(count) > 0
-        try:
-            status = cli.main(argv)
-        except SystemExit as exc:
-            status = exc.code
-        out = capsys.readouterr()
-        assert cp.returncode == status == code
-        assert (cp.stdout, "".join(err)) == (out.out, out.err)
+        assert (cp.returncode, cp.stdout, "".join(err)) == run(*argv)
+        assert cp.returncode == code
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs /dev/full")
@@ -530,10 +526,8 @@ class TestEntryPoint:
         # No traceback and no "Exception ignored" at the interpreter's
         # last flush, buffered or not; the heap is still frozen.
         with open("/dev/full", "w") as full:
-            cp = subprocess.run(
-                [sys.executable, "-c", AS_MAIN, *argv], stdout=full,
-                stderr=subprocess.PIPE, text=True,
-                env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
+            cp = spawn("-c", AS_MAIN, *argv, stdout=full,
+                       env={"PYTHONUNBUFFERED": unbuffered})
         *err, last = cp.stderr.splitlines()
         assert cp.returncode == cli.EXIT_UNWRITABLE == 4
         assert err == ["error: cannot write stdout: "
@@ -545,12 +539,9 @@ class TestEntryPoint:
         # Started with stdout closed, the interpreter sets sys.stdout to
         # None; a command that writes only its --out file still succeeds.
         out = tmp_path / "sweep.csv"
-        cp = subprocess.run(
-            [sys.executable, "-c", AS_MAIN, "sweep", "--k", "2",
-             "--beta-min", "0.5", "--beta-max", "1.5", "--steps", "8",
-             "--out", str(out)],
-            stderr=subprocess.PIPE, text=True,
-            preexec_fn=lambda: os.close(1))
+        cp = spawn("-c", AS_MAIN, "sweep", "--k", "2", "--beta-min", "0.5",
+                   "--beta-max", "1.5", "--steps", "8", "--out", str(out),
+                   preexec_fn=lambda: os.close(1))
         assert cp.returncode == 0, cp.stderr
         label, count = cp.stderr.split()
         assert label == "frozen" and int(count) > 0
@@ -563,9 +554,7 @@ class TestEntryPoint:
     def test_write_to_closed_stdout_exits_4(self, argv):
         # Started with stdout closed, a command that prints exits 4 with
         # its one error line, as on a full stdout, and no traceback.
-        cp = subprocess.run([sys.executable, "-m", "brwmom", *argv],
-                            stderr=subprocess.PIPE, text=True,
-                            preexec_fn=lambda: os.close(1))
+        cp = spawn("-m", "brwmom", *argv, preexec_fn=lambda: os.close(1))
         assert cp.returncode == cli.EXIT_UNWRITABLE == 4
         assert cp.stderr == "error: cannot write stdout: not writable\n"
 
@@ -575,16 +564,37 @@ class TestEntryPoint:
         # documented one, not 1 from an escaped AttributeError or OSError.
         if not os.path.exists("/dev/full"):
             pytest.skip("needs /dev/full")
-        argv = [sys.executable, "-m", "brwmom", "mom", "--k", "0", "--n",
-                "3", "--beta", "0.5"]
         with open("/dev/full", "w") as full:
-            cp = subprocess.run(
-                argv, stdout=subprocess.PIPE, text=True,
-                stderr=None if stderr == "closed" else full,
-                preexec_fn=(lambda: os.close(2)) if stderr == "closed"
-                else None)
+            cp = spawn("-m", "brwmom", "mom", "--k", "0", "--n", "3",
+                       "--beta", "0.5",
+                       stderr=None if stderr == "closed" else full,
+                       preexec_fn=(lambda: os.close(2)) if stderr == "closed"
+                       else None)
         assert cp.returncode == 2
         assert cp.stdout == ""
+
+    def test_child_runs_src_without_pythonpath(self, monkeypatch, run):
+        # Neither an install nor PYTHONPATH: the child imports brwmom from
+        # the src/ this process imported it from.
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+        argv = ("poly", "--k", "2", "--beta", "1")
+        cp = spawn("-m", "brwmom", *argv)
+        assert (cp.returncode, cp.stdout) == run(*argv)[:2]
+        assert cp.returncode == 0
+        path = spawn("-c", IMPORT_PATH).stdout.strip()
+        assert Path(path).resolve().is_relative_to(ROOT / "src")
+
+    def test_child_keeps_callers_pythonpath_after_src(self, tmp_path):
+        # tools/linecov.py traces the suite's children through the
+        # sitecustomize.py it puts on PYTHONPATH; a brwmom there does not
+        # shadow this checkout's.
+        (tmp_path / "sitecustomize.py").write_text("print('site marker')\n")
+        (tmp_path / "brwmom").mkdir()
+        (tmp_path / "brwmom" / "__init__.py").touch()
+        cp = spawn("-c", IMPORT_PATH, env={"PYTHONPATH": str(tmp_path)})
+        marker, path = cp.stdout.splitlines()
+        assert marker == "site marker"
+        assert Path(path).resolve().is_relative_to(ROOT / "src")
 
     def test_main_leaves_collector_alone(self, capsys):
         frozen = gc.get_freeze_count()
@@ -773,7 +783,7 @@ class TestMcCommand:
     def test_seeded_reruns_byte_identical(self):
         args = ("mc", "--k", "1", "--n", "5", "--beta", "0.3", "--trials",
                 "500", "--seed", "42")
-        assert run_cli(*args).stdout == run_cli(*args).stdout
+        assert_reruns_byte_identical(*args)
 
 
 class TestVerifyCommand:

@@ -8,14 +8,10 @@ of every other route are NamedTuples.  So do ``argparse`` and
 table."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from conftest import spawn
 
 RUN = """
 import contextlib, io, json, sys
@@ -36,11 +32,7 @@ MONTE_CARLO = {"mpmath", "numpy", "scipy", *STDLIB, "brwmom.montecarlo"}
 
 
 def run_in_fresh_interpreter(code: str, *args: str) -> dict:
-    path = os.pathsep.join(filter(None, [str(SRC),
-                                         os.environ.get("PYTHONPATH")]))
-    cp = subprocess.run([sys.executable, "-c", code, *args],
-                        capture_output=True, text=True,
-                        env={**os.environ, "PYTHONPATH": path})
+    cp = spawn("-c", code, *args)
     assert cp.returncode == 0, cp.stderr
     return json.loads(cp.stdout)
 
